@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
@@ -27,7 +28,7 @@ from .invariants import (DISC_MATRIX_FACTOR, DISC_MATRIX_SIGN, a1_char2,
                          jacobian)
 from .models import (Deg1Model, dumps_model, loads_model,
                      project_from_point, weierstrass_model)
-from .poly import Fraction, as_scalar, format_scalar
+from .poly import as_scalar, format_scalar
 from .transforms import apply, transformation_from_dict
 
 

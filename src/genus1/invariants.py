@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .linalg import (adjugate, determinant, perm_sign, scalar_det,
+from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
                      scalar_rank, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model,
@@ -58,11 +58,6 @@ _PAIRS15 = [(i, j) for i in range(5) for j in range(i, 5)]
 # and asserted by the test suite on random models).
 DISC_MATRIX_FACTOR = {3: 1728, 4: 16, 5: 32}
 DISC_MATRIX_SIGN = {3: 1, 4: -1, 5: 1}
-
-# Scale folded into the quintic contraction so that the Weierstrass models
-# y^2 = x^3 + Ax + B come out with c4 = -48A, c6 = -864B (see
-# contract_quintics below; calibrated on A=-1,B=0 and A=0,B=1).
-PAIRING_SCALE = Fraction(1)
 
 
 class TateQuantities(NamedTuple):
@@ -227,42 +222,29 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
 
         adj(s adj A + t adj B) = a^2 A s^3 + a T1 s^2 t + e T2 s t^2 + e^2 B t^3
 
-    where a = det A, e = det B.  T1 and T2 are polynomial in the model, so
-    they are computed under a perturbation A + eps, B + eps (which makes
-    both determinants nonzero in Q[eps]), divided out exactly, and then
-    evaluated at eps = 0.  This keeps degenerate pencils (det A = 0 or
-    det B = 0) on the same code path.
+    where a = det A, e = det B.  For 4x4 matrices adj(adj X) = det(X)^2 X
+    gives the s^3 and t^3 terms.  The s^2 t term is the derivative of adj
+    at P = adj A in the direction Q = adj B, which for invertible P is
+    det(P) (tr(P^-1 Q) P^-1 - P^-1 Q P^-1); with P^-1 = A / a and
+    det P = a^3 it is a (tr(A adj B) A - A adj(B) A).  Swapping A and B
+    gives the s t^2 term, so
+
+        T1 = tr(A adj B) A - A adj(B) A,   T2 = tr(B adj A) B - B adj(A) B.
+
+    Both sides of the identity are polynomials in A and B that agree where
+    a e != 0, so they agree everywhere, degenerate pencils included.
     """
     mat_a = _symmetric_matrix(m.q1)
     mat_b = _symmetric_matrix(m.q2)
-    ring = ("s", "t", "eps")
-    s, t, eps = generators(ring)
-    zero = Poly.zero(ring)
-    a_eps = [[Poly.constant(ring, mat_a[i][j]) + (eps if i == j else zero)
-              for j in range(4)] for i in range(4)]
-    b_eps = [[Poly.constant(ring, mat_b[i][j]) + (eps if i == j else zero)
-              for j in range(4)] for i in range(4)]
-    adj_a = adjugate(a_eps)
-    adj_b = adjugate(b_eps)
-    det_a = determinant(a_eps)
-    det_b = determinant(b_eps)
-    pencil = [[s * adj_a[i][j] + t * adj_b[i][j] for j in range(4)] for i in range(4)]
-    mixed = adjugate(pencil)
 
-    t1 = [[None] * 4 for _ in range(4)]
-    t2 = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            entry = mixed[i][j]
-            part = exact_divide(entry.coefficient_of("s", 2).coefficient_of("t", 1), det_a)
-            if part is None:
-                raise InternalCheckError("s^2 t part of the mixed adjugate is not divisible by det A")
-            t1[i][j] = part.evaluate((0, 0, 0))
-            part = exact_divide(entry.coefficient_of("s", 1).coefficient_of("t", 2), det_b)
-            if part is None:
-                raise InternalCheckError("s t^2 part of the mixed adjugate is not divisible by det B")
-            t2[i][j] = part.evaluate((0, 0, 0))
-    return _quadric_from_matrix(t1, DEG4_RING), _quadric_from_matrix(t2, DEG4_RING)
+    def mixed(x, y):
+        x_adj_y = mat_mul(x, adjugate(y))
+        sandwich = mat_mul(x_adj_y, x)
+        trace = sum(x_adj_y[i][i] for i in range(4))
+        return [[trace * x[i][j] - sandwich[i][j] for j in range(4)] for i in range(4)]
+
+    return (_quadric_from_matrix(mixed(mat_a, mat_b), DEG4_RING),
+            _quadric_from_matrix(mixed(mat_b, mat_a), DEG4_RING))
 
 
 def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
@@ -380,8 +362,8 @@ _FACTORIALS = (1, 1, 2, 6, 24, 120)
 
 def contract_quintics(dual_quintic: Poly, pencil_quintic: Poly) -> dict:
     """Pair a quintic in dual coordinates against one in the v_i, per power
-    of lam: <v*^alpha, v^beta> = alpha! delta_{alpha beta}, times the fixed
-    PAIRING_SCALE.  Returns {lam power: scalar}, zero entries omitted."""
+    of lam: <v*^alpha, v^beta> = alpha! delta_{alpha beta}.  Returns
+    {lam power: scalar}, zero entries omitted."""
     out: dict[int, Scalar] = {}
     for exps, coeff in pencil_quintic.terms.items():
         k = exps[0]
@@ -392,7 +374,7 @@ def contract_quintics(dual_quintic: Poly, pencil_quintic: Poly) -> dict:
             for a in alpha:
                 weight *= _FACTORIALS[a]
             out[k] = out.get(k, 0) + coeff * dual_coeff * weight
-    return {k: as_scalar(v * PAIRING_SCALE) for k, v in out.items() if v}
+    return {k: as_scalar(v) for k, v in out.items() if v}
 
 
 def invariants_deg5(m: Deg5Model) -> InvariantTriple:
@@ -499,13 +481,6 @@ def j_invariant(m: GenusOneModel) -> Scalar:
 # the weight-1 invariant in characteristic 2
 # ----------------------------------------------------------------------
 
-def _as_int(value, what: str) -> int:
-    value = as_scalar(value)
-    if not isinstance(value, int):
-        raise InputError(f"{what} must have integer coefficients")
-    return value
-
-
 def _compose_perm(a, b):
     return tuple(a[b[i] - 1] for i in range(5))
 
@@ -548,43 +523,34 @@ def a1_char2(m: GenusOneModel) -> int:
     (degree 4), or the x1..x5 coefficient of a sum of entry products over
     coset representatives of the dihedral group (degree 5).
     """
+    if not isinstance(m, (Deg2Model, Deg3Model, Deg4Model, Deg5Model)):
+        raise InputError("the characteristic-2 invariant is defined for degrees 2..5")
+    pending = list(m.coefficients())
+    while pending:
+        c = pending.pop()
+        if isinstance(c, tuple):
+            pending.extend(c)
+        elif not isinstance(c, int):
+            raise InputError(f"degree-{m.degree} model must have integer coefficients")
     if isinstance(m, Deg2Model):
-        for c in (*m.coefficients()[0], *m.coefficients()[1]):
-            _as_int(c, "degree-2 model")
-        return _as_int(m.p.coefficient((1, 1)), "degree-2 model") % 2
+        return m.p.coefficient((1, 1)) % 2
     if isinstance(m, Deg3Model):
-        for c in m.coefficients():
-            _as_int(c, "degree-3 model")
-        return _as_int(m.cubic.coefficient((1, 1, 1)), "degree-3 model") % 2
+        return m.cubic.coefficient((1, 1, 1)) % 2
     if isinstance(m, Deg4Model):
-        q1c, q2c = m.coefficients()
-        for c in (*q1c, *q2c):
-            _as_int(c, "degree-4 model")
-
-        def off(q, i, j):
-            e = [0] * 4
-            e[i] += 1
-            e[j] += 1
-            return _as_int(q.coefficient(tuple(e)), "degree-4 model")
-
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        # off-diagonal entries of the symmetric matrices are the xi xj coefficients
+        a, b = _symmetric_matrix(m.q1), _symmetric_matrix(m.q2)
         total = 0
-        for i, j in pairs:
-            k, l = (a for a in range(4) if a not in (i, j))
-            total += off(m.q1, i, j) * off(m.q2, k, l)
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            k, l = (x for x in range(4) if x not in (i, j))
+            total += a[i][j] * b[k][l]
         return total % 2
-    if isinstance(m, Deg5Model):
-        for entry in m.coefficients():
-            for c in entry:
-                _as_int(c, "degree-5 model")
-        phi = m.matrix()
-        total = 0
-        for sigma in _coset_reps():
-            product = Poly.constant(DEG5_RING, 1)
-            for i in range(5):
-                product = product * phi[sigma[i] - 1][sigma[(i + 1) % 5] - 1]
-                if not product:
-                    break
-            total += product.coefficient((1, 1, 1, 1, 1))
-        return int(total) % 2
-    raise InputError("the characteristic-2 invariant is defined for degrees 2..5")
+    phi = m.matrix()
+    total = 0
+    for sigma in _coset_reps():
+        product = Poly.constant(DEG5_RING, 1)
+        for i in range(5):
+            product = product * phi[sigma[i] - 1][sigma[(i + 1) % 5] - 1]
+            if not product:
+                break
+        total += product.coefficient((1, 1, 1, 1, 1))
+    return int(total) % 2

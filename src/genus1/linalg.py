@@ -271,27 +271,21 @@ def mat_mul(a, b):
     )
 
 
-def mat_transpose(a):
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
 def identity_matrix(n: int):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def adjugate(rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Adjugate of a square polynomial matrix: adj(M)[i][j] = cofactor(j, i)."""
+def adjugate(rows: Sequence[Sequence]) -> list[list]:
+    """Adjugate of a square scalar matrix: adj(M)[i][j] = cofactor(j, i)."""
     n = _check_square(rows)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [rows[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = determinant(sub) if n > 1 else Poly.constant(rows[0][0].variables, 1)
-            out[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return out
+    if n == 1:
+        return [[1]]
+    return [
+        [(-1) ** (i + j) * scalar_det([[rows[r][c] for c in range(n) if c != i]
+                                       for r in range(n) if r != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def perm_sign(perm: Sequence[int]) -> int:

@@ -19,17 +19,21 @@ This module also provides the Weierstrass-family embeddings pi_n sending
 a degree-1 model to an equivalent model of degree n = 2..5, projection of
 a degree-5 model away from a rational point (down to degree 4), and the
 JSON file format the CLI reads and writes.
+
+Per-degree behaviour lives on the model classes (``equations``,
+``to_json`` / ``from_json`` and, for n = 2..5, ``weierstrass``); the
+module-level functions dispatch on the model or through ``MODEL_CLASSES``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
-from .linalg import (alternating_from_upper, kernel_basis, pfaffian4,
-                     scalar_rank)
+from .linalg import (alternating_from_upper, is_alternating, kernel_basis,
+                     pfaffian4, scalar_rank)
 from .poly import Poly, Scalar, as_scalar, format_scalar, generators, monomials
 
 DEG1_RING = ("x", "y", "z")
@@ -43,6 +47,23 @@ DEG5_RING = ("x1", "x2", "x3", "x4", "x5")
 DEG5_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
 QUADRIC_MONOMIALS_DEG4 = monomials(DEG4_RING, 2)
+
+
+def json_scalars(values):
+    """Nested tuples of scalars as nested lists of strings, for JSON files."""
+    if isinstance(values, tuple):
+        return [json_scalars(v) for v in values]
+    return format_scalar(values)
+
+
+def linear_substitution(ring, B) -> dict:
+    """Images of the substitution x_j = sum_i B_ij x_i'."""
+    gens = generators(ring)
+    n = len(ring)
+    return {
+        ring[j]: sum((B[i][j] * gens[i] for i in range(n)), Poly.zero(ring))
+        for j in range(n)
+    }
 
 
 def _check_form(p: Poly, ring, degree: int, what: str) -> Poly:
@@ -78,6 +99,16 @@ class Deg1Model:
         return (y * y * z + a1 * x * y * z + a3 * y * z * z
                 - x ** 3 - a2 * x * x * z - a4 * x * z * z - a6 * z ** 3)
 
+    def equations(self) -> list[Poly]:
+        return [self.equation()]
+
+    def to_json(self):
+        return json_scalars(self.coefficients())
+
+    @classmethod
+    def from_json(cls, coeffs) -> "Deg1Model":
+        return cls(*coeffs)
+
 
 @dataclass(frozen=True)
 class Deg2Model:
@@ -101,17 +132,28 @@ class Deg2Model:
         q = Poly(DEG2_RING, {(4 - i, i): as_scalar(c) for i, c in enumerate(q_coeffs)})
         return cls(p, q)
 
+    @classmethod
+    def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg2Model":
+        return cls.from_coefficients((0, a1, a3), (0, 1, a2, a4, a6))
+
     def coefficients(self):
         p = tuple(self.p.coefficient((2 - i, i)) for i in range(3))
         q = tuple(self.q.coefficient((4 - i, i)) for i in range(5))
         return p, q
 
-    def equation(self) -> Poly:
+    def equations(self) -> list[Poly]:
         """The full curve equation y^2 + p y - q in the ring (x, z, y)."""
         y = Poly.variable(DEG2_CURVE_RING, "y")
         p = self.p.lift(DEG2_CURVE_RING)
         q = self.q.lift(DEG2_CURVE_RING)
-        return y * y + p * y - q
+        return [y * y + p * y - q]
+
+    def to_json(self):
+        return dict(zip(("p", "q"), json_scalars(self.coefficients())))
+
+    @classmethod
+    def from_json(cls, coeffs) -> "Deg2Model":
+        return cls.from_coefficients(coeffs["p"], coeffs["q"])
 
 
 @dataclass(frozen=True)
@@ -138,11 +180,23 @@ class Deg3Model:
         terms = {e: as_scalar(c) for e, c in zip(cls.MONOMIALS, coeffs)}
         return cls(Poly(DEG3_RING, terms))
 
+    @classmethod
+    def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg3Model":
+        # the degree-1 and degree-3 rings are both (x, y, z)
+        return cls(Deg1Model(a1, a2, a3, a4, a6).equation())
+
     def coefficients(self):
         return tuple(self.cubic.coefficient(e) for e in self.MONOMIALS)
 
-    def equation(self) -> Poly:
-        return self.cubic
+    def equations(self) -> list[Poly]:
+        return [self.cubic]
+
+    def to_json(self):
+        return json_scalars(self.coefficients())
+
+    @classmethod
+    def from_json(cls, coeffs) -> "Deg3Model":
+        return cls.from_coefficients(coeffs)
 
 
 @dataclass(frozen=True)
@@ -169,12 +223,27 @@ class Deg4Model:
             polys.append(Poly(DEG4_RING, terms))
         return cls(*polys)
 
+    @classmethod
+    def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg4Model":
+        x1, x2, x3, x4 = generators(DEG4_RING)
+        q1 = x1 * x4 - x2 * x2
+        q2 = (x3 * x3 + a1 * x2 * x3 + a3 * x1 * x3
+              - x2 * x4 - a2 * x2 * x2 - a4 * x1 * x2 - a6 * x1 * x1)
+        return cls(q1, q2)
+
     def coefficients(self):
         return (tuple(self.q1.coefficient(e) for e in QUADRIC_MONOMIALS_DEG4),
                 tuple(self.q2.coefficient(e) for e in QUADRIC_MONOMIALS_DEG4))
 
     def equations(self) -> list[Poly]:
         return [self.q1, self.q2]
+
+    def to_json(self):
+        return dict(zip(("q1", "q2"), json_scalars(self.coefficients())))
+
+    @classmethod
+    def from_json(cls, coeffs) -> "Deg4Model":
+        return cls.from_coefficients(coeffs["q1"], coeffs["q2"])
 
 
 @dataclass(frozen=True)
@@ -194,22 +263,13 @@ class Deg5Model:
 
     @classmethod
     def from_matrix(cls, rows) -> "Deg5Model":
-        n = len(rows)
-        if n != 5 or any(len(r) != 5 for r in rows):
-            raise InputError("degree-5 model matrix must be 5x5")
-        for i in range(5):
-            if rows[i][i]:
-                raise InputError("degree-5 model matrix must be alternating")
-            for j in range(i + 1, 5):
-                if rows[j][i] != -rows[i][j]:
-                    raise InputError("degree-5 model matrix must be alternating")
+        if len(rows) != 5 or not is_alternating(rows):
+            raise InputError("degree-5 model matrix must be 5x5 and alternating")
         return cls(tuple(rows[i][j] for i, j in DEG5_PAIRS))
 
     @classmethod
     def from_coefficients(cls, entries: Sequence[Sequence]) -> "Deg5Model":
         """Ten upper-triangle entries, each as 5 coefficients of x1..x5."""
-        if len(entries) != 10:
-            raise InputError("degree-5 model needs 10 upper-triangle entries")
         upper = []
         for coeffs in entries:
             if len(coeffs) != 5:
@@ -221,6 +281,16 @@ class Deg5Model:
                 terms[tuple(e)] = as_scalar(c)
             upper.append(Poly(DEG5_RING, terms))
         return cls(tuple(upper))
+
+    @classmethod
+    def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg5Model":
+        x1, x2, x3, x4, x5 = generators(DEG5_RING)
+        ell = a1 * x5 - a2 * x4 + a3 * x3 - a4 * x2 - a6 * x1
+        zero = Poly.zero(DEG5_RING)
+        return cls((ell, x5, x4, x3,   # (1,2) (1,3) (1,4) (1,5)
+                    x4, x3, x2,        # (2,3) (2,4) (2,5)
+                    -x2, zero,         # (3,4) (3,5)
+                    x1))               # (4,5)
 
     def coefficients(self):
         unit = [tuple(int(i == k) for i in range(5)) for k in range(5)]
@@ -240,23 +310,32 @@ class Deg5Model:
             out.append(p if i % 2 == 0 else -p)
         return out
 
+    def equations(self) -> list[Poly]:
+        return self.pfaffians()
+
+    def to_json(self):
+        return {"matrix": json_scalars(self.coefficients())}
+
+    @classmethod
+    def from_json(cls, coeffs) -> "Deg5Model":
+        return cls.from_coefficients(coeffs["matrix"])
+
 
 GenusOneModel = Deg1Model | Deg2Model | Deg3Model | Deg4Model | Deg5Model
+
+MODEL_CLASSES = {cls.degree: cls for cls in get_args(GenusOneModel)}
+
+
+def class_for_degree(classes: dict, degree, what: str):
+    """``classes[degree]`` for a plain int degree (not JSON true or 1.0)."""
+    if type(degree) is not int or degree not in classes:
+        raise InputError(f"unsupported {what} degree: {degree!r}")
+    return classes[degree]
 
 
 def equations(model: GenusOneModel) -> list[Poly]:
     """The defining polynomial(s) of the model's curve."""
-    if isinstance(model, Deg1Model):
-        return [model.equation()]
-    if isinstance(model, Deg2Model):
-        return [model.equation()]
-    if isinstance(model, Deg3Model):
-        return [model.cubic]
-    if isinstance(model, Deg4Model):
-        return [model.q1, model.q2]
-    if isinstance(model, Deg5Model):
-        return model.pfaffians()
-    raise InputError(f"not a genus one model: {model!r}")
+    return model.equations()
 
 
 # ----------------------------------------------------------------------
@@ -270,30 +349,9 @@ def weierstrass_model(w: Deg1Model, degree: int) -> GenusOneModel:
     (1:x:y:x^2:xy) respectively; restriction to this family is what
     normalises all the invariants.
     """
-    a1, a2, a3, a4, a6 = w.coefficients()
-    if degree == 2:
-        return Deg2Model.from_coefficients((0, a1, a3), (0, 1, a2, a4, a6))
-    if degree == 3:
-        x, y, z = generators(DEG3_RING)
-        cubic = (y * y * z + a1 * x * y * z + a3 * y * z * z
-                 - x ** 3 - a2 * x * x * z - a4 * x * z * z - a6 * z ** 3)
-        return Deg3Model(cubic)
-    if degree == 4:
-        x1, x2, x3, x4 = generators(DEG4_RING)
-        q1 = x1 * x4 - x2 * x2
-        q2 = (x3 * x3 + a1 * x2 * x3 + a3 * x1 * x3
-              - x2 * x4 - a2 * x2 * x2 - a4 * x1 * x2 - a6 * x1 * x1)
-        return Deg4Model(q1, q2)
-    if degree == 5:
-        x1, x2, x3, x4, x5 = generators(DEG5_RING)
-        ell = a1 * x5 - a2 * x4 + a3 * x3 - a4 * x2 - a6 * x1
-        zero = Poly.zero(DEG5_RING)
-        upper = (ell, x5, x4, x3,   # (1,2) (1,3) (1,4) (1,5)
-                 x4, x3, x2,        # (2,3) (2,4) (2,5)
-                 -x2, zero,         # (3,4) (3,5)
-                 x1)                # (4,5)
-        return Deg5Model(upper)
-    raise InputError(f"no Weierstrass model of degree {degree} (expected 2..5)")
+    if degree not in (2, 3, 4, 5):
+        raise InputError(f"no Weierstrass model of degree {degree} (expected 2..5)")
+    return MODEL_CLASSES[degree].weierstrass(*w.coefficients())
 
 
 # ----------------------------------------------------------------------
@@ -342,11 +400,7 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     rows = completion + new_basis
 
     # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors.
-    gens = generators(DEG5_RING)
-    images = {
-        v: sum((rows[i][j] * gens[i] for i in range(5)), Poly.zero(DEG5_RING))
-        for j, v in enumerate(DEG5_RING)
-    }
+    images = linear_substitution(DEG5_RING, rows)
     moved = [p.substitute(images) for p in pfaffians]
 
     quad_monos = monomials(DEG5_RING, 2)
@@ -375,44 +429,16 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
 # JSON model files
 # ----------------------------------------------------------------------
 
-def _fmt(values):
-    return [format_scalar(v) for v in values]
-
-
 def model_to_dict(model: GenusOneModel) -> dict:
-    if isinstance(model, Deg1Model):
-        return {"degree": 1, "coefficients": _fmt(model.coefficients())}
-    if isinstance(model, Deg2Model):
-        p, q = model.coefficients()
-        return {"degree": 2, "coefficients": {"p": _fmt(p), "q": _fmt(q)}}
-    if isinstance(model, Deg3Model):
-        return {"degree": 3, "coefficients": _fmt(model.coefficients())}
-    if isinstance(model, Deg4Model):
-        q1, q2 = model.coefficients()
-        return {"degree": 4, "coefficients": {"q1": _fmt(q1), "q2": _fmt(q2)}}
-    if isinstance(model, Deg5Model):
-        entries = [_fmt(e) for e in model.coefficients()]
-        return {"degree": 5, "coefficients": {"matrix": entries}}
-    raise InputError(f"not a genus one model: {model!r}")
+    return {"degree": model.degree, "coefficients": model.to_json()}
 
 
 def model_from_dict(data) -> GenusOneModel:
     try:
-        degree = data["degree"]
-        coeffs = data["coefficients"]
-        if degree == 1:
-            return Deg1Model(*[as_scalar(c) for c in coeffs])
-        if degree == 2:
-            return Deg2Model.from_coefficients(coeffs["p"], coeffs["q"])
-        if degree == 3:
-            return Deg3Model.from_coefficients(coeffs)
-        if degree == 4:
-            return Deg4Model.from_coefficients(coeffs["q1"], coeffs["q2"])
-        if degree == 5:
-            return Deg5Model.from_coefficients(coeffs["matrix"])
+        cls = class_for_degree(MODEL_CLASSES, data["degree"], "model")
+        return cls.from_json(data["coefficients"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model data: {exc}") from exc
-    raise InputError(f"unsupported model degree: {degree!r}")
 
 
 def dumps_model(model: GenusOneModel) -> str:

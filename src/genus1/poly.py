@@ -31,7 +31,8 @@ def as_scalar(value) -> Scalar:
     """Coerce ``value`` to an exact scalar.
 
     Accepts ints, Fractions and strings like ``"5"`` or ``"-3/4"``.
-    Floats are rejected: they would silently break exactness.
+    Floats are rejected: they would silently break exactness.  A zero
+    denominator is a ValueError, like any other malformed number string.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -40,7 +41,10 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        return as_scalar(Fraction(value.strip()))
+        try:
+            return as_scalar(Fraction(value.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

@@ -18,18 +18,26 @@ k-th power under the action.
 ``gamma`` is the embedding of the degree-1 group into the degree-n group
 compatible with the Weierstrass family: applying gamma(g) to a Weierstrass
 model is the same as pushing g through the family map.
+
+Per-degree behaviour lives on the transformation classes (``identity``,
+``det_character``, ``apply``, ``compose`` and, for n = 2..5, ``gamma``);
+the module-level functions dispatch on the transformation or through
+``TRANSFORM_CLASSES``.  The JSON keys are the dataclass field names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import get_args
+
 from .errors import InputError, InternalCheckError
-from .linalg import mat_mul, scalar_det
+from .linalg import identity_matrix, mat_mul, scalar_det
 from .models import (DEG1_RING, DEG2_RING, DEG3_RING, DEG4_RING, DEG5_RING,
                      Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                     GenusOneModel)
-from .poly import Poly, Scalar, as_scalar, format_scalar, generators
+                     GenusOneModel, class_for_degree, json_scalars,
+                     linear_substitution)
+from .poly import Poly, Scalar, as_scalar, generators
 
 
 def _upow(base: Scalar, k: int) -> Scalar:
@@ -43,6 +51,10 @@ def _matrix(data, n: int, what: str):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
+
+
+def _rho(r) -> Poly:
+    return Poly(DEG2_RING, {(2, 0): r[0], (1, 1): r[1], (0, 2): r[2]})
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,43 @@ class Deg1Transform:
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
         if self.u == 0:
             raise InputError("degree-1 transformation needs u != 0")
+
+    @classmethod
+    def identity(cls) -> "Deg1Transform":
+        return cls(1, 0, 0, 0)
+
+    def det_character(self) -> Scalar:
+        return _upow(self.u, -1)
+
+    def apply(self, m: Deg1Model) -> Deg1Model:
+        x, y, z = generators(DEG1_RING)
+        u, r, s, t = self.u, self.r, self.s, self.t
+        images = {
+            "x": u * u * x + r * z,
+            "y": u ** 3 * y + u * u * s * x + t * z,
+            "z": z,
+        }
+        scaled = m.equation().substitute(images) * _upow(u, -6)
+        new = Deg1Model(
+            scaled.coefficient((1, 1, 1)),
+            -scaled.coefficient((2, 0, 1)),
+            scaled.coefficient((0, 1, 2)),
+            -scaled.coefficient((1, 0, 2)),
+            -scaled.coefficient((0, 0, 3)),
+        )
+        if new.equation() != scaled:
+            raise InternalCheckError("degree-1 substitution left a non-Weierstrass polynomial")
+        return new
+
+    def compose(self, g2: "Deg1Transform") -> "Deg1Transform":
+        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
+        u2, r2, s2, t2 = g2.u, g2.r, g2.s, g2.t
+        return Deg1Transform(
+            u1 * u2,
+            u2 * u2 * r1 + r2,
+            u2 * s1 + s2,
+            u2 ** 3 * t1 + u2 * u2 * s2 * r1 + t2,
+        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +128,33 @@ class Deg2Transform:
         if self.mu * scalar_det(self.B) == 0:
             raise InputError("degree-2 transformation needs mu det B != 0")
 
+    @classmethod
+    def identity(cls) -> "Deg2Transform":
+        return cls(1, (0, 0, 0), identity_matrix(2))
+
+    @classmethod
+    def gamma(cls, u, r, s, t) -> "Deg2Transform":
+        u2 = u * u
+        return cls(_upow(u, -3), (0, u2 * s, t), ((u2, 0), (r, 1)))
+
+    def det_character(self) -> Scalar:
+        return self.mu * scalar_det(self.B)
+
+    def apply(self, m: Deg2Model) -> Deg2Model:
+        sub = linear_substitution(DEG2_RING, self.B)
+        p_b = m.p.substitute(sub)
+        q_b = m.q.substitute(sub)
+        rho = _rho(self.r)
+        new_p = self.mu * (p_b + 2 * rho)
+        new_q = self.mu * self.mu * (q_b - p_b * rho - rho * rho)
+        return Deg2Model(new_p, new_q)
+
+    def compose(self, g2: "Deg2Transform") -> "Deg2Transform":
+        inv_mu2 = _upow(g2.mu, -1)
+        rho = inv_mu2 * _rho(self.r) + _rho(g2.r).substitute(linear_substitution(DEG2_RING, self.B))
+        r = (rho.coefficient((2, 0)), rho.coefficient((1, 1)), rho.coefficient((0, 2)))
+        return Deg2Transform(self.mu * g2.mu, r, mat_mul(self.B, g2.B))
+
 
 @dataclass(frozen=True)
 class Deg3Transform:
@@ -93,203 +169,86 @@ class Deg3Transform:
         if self.mu * scalar_det(self.B) == 0:
             raise InputError("degree-3 transformation needs mu det B != 0")
 
+    @classmethod
+    def identity(cls) -> "Deg3Transform":
+        return cls(1, identity_matrix(3))
+
+    @classmethod
+    def gamma(cls, u, r, s, t) -> "Deg3Transform":
+        # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z'
+        # (the matrix in ring order x, y, z; the cubic rescales by u^-6).
+        u2 = u * u
+        return cls(_upow(u, -6), ((u2, u2 * s, 0), (0, u ** 3, 0), (r, t, 1)))
+
+    def det_character(self) -> Scalar:
+        return self.mu * scalar_det(self.B)
+
+    def apply(self, m: Deg3Model) -> Deg3Model:
+        return Deg3Model(self.mu * m.cubic.substitute(linear_substitution(DEG3_RING, self.B)))
+
+    def compose(self, g2: "Deg3Transform") -> "Deg3Transform":
+        return Deg3Transform(self.mu * g2.mu, mat_mul(self.B, g2.B))
+
+
+class _MatrixPair:
+    """The groups of degrees 4 and 5: pairs (A, B) of invertible matrices
+    of sizes SIZES, composed entrywise."""
+
+    def __post_init__(self):
+        size_a, size_b = self.SIZES
+        object.__setattr__(self, "A", _matrix(self.A, size_a, "A"))
+        object.__setattr__(self, "B", _matrix(self.B, size_b, "B"))
+        if scalar_det(self.A) * scalar_det(self.B) == 0:
+            raise InputError(f"degree-{self.degree} transformation needs det A det B != 0")
+
+    @classmethod
+    def identity(cls):
+        return cls(*map(identity_matrix, cls.SIZES))
+
+    def compose(self, g2):
+        return type(self)(mat_mul(self.A, g2.A), mat_mul(self.B, g2.B))
+
 
 @dataclass(frozen=True)
-class Deg4Transform:
+class Deg4Transform(_MatrixPair):
     A: tuple
     B: tuple
 
     degree = 4
+    SIZES = (2, 4)
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", _matrix(self.A, 2, "A"))
-        object.__setattr__(self, "B", _matrix(self.B, 4, "B"))
-        if scalar_det(self.A) * scalar_det(self.B) == 0:
-            raise InputError("degree-4 transformation needs det A det B != 0")
+    @classmethod
+    def gamma(cls, u, r, s, t) -> "Deg4Transform":
+        u2 = u * u
+        a = ((_upow(u, -4), 0), (_upow(u, -6) * r, _upow(u, -6)))
+        b = ((1, r, t, r * r),
+             (0, u2, u2 * s, 2 * u2 * r),
+             (0, 0, u ** 3, 0),
+             (0, 0, 0, u ** 4))
+        return cls(a, b)
+
+    def det_character(self) -> Scalar:
+        return scalar_det(self.A) * scalar_det(self.B)
+
+    def apply(self, m: Deg4Model) -> Deg4Model:
+        sub = linear_substitution(DEG4_RING, self.B)
+        q1 = m.q1.substitute(sub)
+        q2 = m.q2.substitute(sub)
+        return Deg4Model(self.A[0][0] * q1 + self.A[0][1] * q2,
+                         self.A[1][0] * q1 + self.A[1][1] * q2)
 
 
 @dataclass(frozen=True)
-class Deg5Transform:
+class Deg5Transform(_MatrixPair):
     A: tuple
     B: tuple
 
     degree = 5
+    SIZES = (5, 5)
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", _matrix(self.A, 5, "A"))
-        object.__setattr__(self, "B", _matrix(self.B, 5, "B"))
-        if scalar_det(self.A) * scalar_det(self.B) == 0:
-            raise InputError("degree-5 transformation needs det A det B != 0")
-
-
-Transformation = (Deg1Transform | Deg2Transform | Deg3Transform
-                  | Deg4Transform | Deg5Transform)
-
-
-def identity_transform(degree: int) -> Transformation:
-    eye = lambda n: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    if degree == 1:
-        return Deg1Transform(1, 0, 0, 0)
-    if degree == 2:
-        return Deg2Transform(1, (0, 0, 0), eye(2))
-    if degree == 3:
-        return Deg3Transform(1, eye(3))
-    if degree == 4:
-        return Deg4Transform(eye(2), eye(4))
-    if degree == 5:
-        return Deg5Transform(eye(5), eye(5))
-    raise InputError(f"no transformation group of degree {degree}")
-
-
-def det_character(g: Transformation) -> Scalar:
-    """The multiplicative character by whose powers invariants rescale."""
-    if isinstance(g, Deg1Transform):
-        return _upow(g.u, -1)
-    if isinstance(g, (Deg2Transform, Deg3Transform)):
-        return g.mu * scalar_det(g.B)
-    if isinstance(g, Deg4Transform):
-        return scalar_det(g.A) * scalar_det(g.B)
-    if isinstance(g, Deg5Transform):
-        det_a = scalar_det(g.A)
-        return det_a * det_a * scalar_det(g.B)
-    raise InputError(f"not a transformation: {g!r}")
-
-
-# ----------------------------------------------------------------------
-# the action on models
-# ----------------------------------------------------------------------
-
-def _substitution(ring, B) -> dict:
-    """Images of the substitution x_j = sum_i B_ij x_i'."""
-    gens = generators(ring)
-    n = len(ring)
-    return {
-        ring[j]: sum((B[i][j] * gens[i] for i in range(n)), Poly.zero(ring))
-        for j in range(n)
-    }
-
-
-def _apply_deg1(g: Deg1Transform, m: Deg1Model) -> Deg1Model:
-    x, y, z = generators(DEG1_RING)
-    u, r, s, t = g.u, g.r, g.s, g.t
-    images = {
-        "x": u * u * x + r * z,
-        "y": u ** 3 * y + u * u * s * x + t * z,
-        "z": z,
-    }
-    scaled = m.equation().substitute(images) * _upow(u, -6)
-    new = Deg1Model(
-        scaled.coefficient((1, 1, 1)),
-        -scaled.coefficient((2, 0, 1)),
-        scaled.coefficient((0, 1, 2)),
-        -scaled.coefficient((1, 0, 2)),
-        -scaled.coefficient((0, 0, 3)),
-    )
-    if new.equation() != scaled:
-        raise InternalCheckError("degree-1 substitution left a non-Weierstrass polynomial")
-    return new
-
-
-def _rho(r) -> Poly:
-    return Poly(DEG2_RING, {(2, 0): r[0], (1, 1): r[1], (0, 2): r[2]})
-
-
-def _apply_deg2(g: Deg2Transform, m: Deg2Model) -> Deg2Model:
-    sub = _substitution(DEG2_RING, g.B)
-    p_b = m.p.substitute(sub)
-    q_b = m.q.substitute(sub)
-    rho = _rho(g.r)
-    new_p = g.mu * (p_b + 2 * rho)
-    new_q = g.mu * g.mu * (q_b - p_b * rho - rho * rho)
-    return Deg2Model(new_p, new_q)
-
-
-def apply(g: Transformation, m: GenusOneModel) -> GenusOneModel:
-    """The transformed model g . m (degrees of g and m must agree)."""
-    if g.degree != m.degree:
-        raise InputError(f"transformation degree {g.degree} != model degree {m.degree}")
-    if isinstance(g, Deg1Transform):
-        return _apply_deg1(g, m)
-    if isinstance(g, Deg2Transform):
-        return _apply_deg2(g, m)
-    if isinstance(g, Deg3Transform):
-        return Deg3Model(g.mu * m.cubic.substitute(_substitution(DEG3_RING, g.B)))
-    if isinstance(g, Deg4Transform):
-        sub = _substitution(DEG4_RING, g.B)
-        q1 = m.q1.substitute(sub)
-        q2 = m.q2.substitute(sub)
-        return Deg4Model(g.A[0][0] * q1 + g.A[0][1] * q2,
-                         g.A[1][0] * q1 + g.A[1][1] * q2)
-    if isinstance(g, Deg5Transform):
-        sub = _substitution(DEG5_RING, g.B)
-        phi = [[entry.substitute(sub) for entry in row] for row in m.matrix()]
-        a = g.A
-        zero = Poly.zero(DEG5_RING)
-        rows = [
-            [
-                sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)
-                     if a[i][k] and a[j][l] and phi[k][l]), zero)
-                for j in range(5)
-            ]
-            for i in range(5)
-        ]
-        return Deg5Model.from_matrix(rows)
-    raise InputError(f"not a transformation: {g!r}")
-
-
-def compose(g1: Transformation, g2: Transformation) -> Transformation:
-    """The transformation with apply(g1, apply(g2, m)) == apply(compose(g1, g2), m)."""
-    if g1.degree != g2.degree:
-        raise InputError("cannot compose transformations of different degrees")
-    if isinstance(g1, Deg1Transform):
-        u1, r1, s1, t1 = g1.u, g1.r, g1.s, g1.t
-        u2, r2, s2, t2 = g2.u, g2.r, g2.s, g2.t
-        return Deg1Transform(
-            u1 * u2,
-            u2 * u2 * r1 + r2,
-            u2 * s1 + s2,
-            u2 ** 3 * t1 + u2 * u2 * s2 * r1 + t2,
-        )
-    if isinstance(g1, Deg2Transform):
-        inv_mu2 = _upow(g2.mu, -1)
-        rho = inv_mu2 * _rho(g1.r) + _rho(g2.r).substitute(_substitution(DEG2_RING, g1.B))
-        r = (rho.coefficient((2, 0)), rho.coefficient((1, 1)), rho.coefficient((0, 2)))
-        return Deg2Transform(g1.mu * g2.mu, r, mat_mul(g1.B, g2.B))
-    if isinstance(g1, Deg3Transform):
-        return Deg3Transform(g1.mu * g2.mu, mat_mul(g1.B, g2.B))
-    if isinstance(g1, Deg4Transform):
-        return Deg4Transform(mat_mul(g1.A, g2.A), mat_mul(g1.B, g2.B))
-    if isinstance(g1, Deg5Transform):
-        return Deg5Transform(mat_mul(g1.A, g2.A), mat_mul(g1.B, g2.B))
-    raise InputError(f"not a transformation: {g1!r}")
-
-
-# ----------------------------------------------------------------------
-# gamma_n : degree-1 transformations -> degree-n transformations
-# ----------------------------------------------------------------------
-
-def gamma(g: Deg1Transform, degree: int) -> Transformation:
-    """Embed [u; r, s, t] into the degree-n group, compatibly with the
-    Weierstrass family: apply(gamma(g), pi_n(w)) == pi_n(apply(g, w)), and
-    the det character is preserved."""
-    if not isinstance(g, Deg1Transform):
-        raise InputError("gamma expects a degree-1 transformation")
-    u, r, s, t = g.u, g.r, g.s, g.t
-    u2, u3, u4, u5 = u * u, u ** 3, u ** 4, u ** 5
-    if degree == 2:
-        return Deg2Transform(_upow(u, -3), (0, u2 * s, t), ((u2, 0), (r, 1)))
-    if degree == 3:
-        # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z'
-        # (the matrix in ring order x, y, z; the cubic rescales by u^-6).
-        return Deg3Transform(_upow(u, -6), ((u2, u2 * s, 0), (0, u3, 0), (r, t, 1)))
-    if degree == 4:
-        a = ((_upow(u, -4), 0), (_upow(u, -6) * r, _upow(u, -6)))
-        b = ((1, r, t, r * r),
-             (0, u2, u2 * s, 2 * u2 * r),
-             (0, 0, u3, 0),
-             (0, 0, 0, u4))
-        return Deg4Transform(a, b)
-    if degree == 5:
+    @classmethod
+    def gamma(cls, u, r, s, t) -> "Deg5Transform":
+        u2, u3, u4, u5 = u * u, u ** 3, u ** 4, u ** 5
         iu2 = _upow(u, -2)
         iu3 = _upow(u, -3)
         a = ((iu2 * 1, iu2 * -s, iu2 * (2 * r - s * s), iu2 * (r * s - t),
@@ -303,8 +262,74 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
              (0, 0, iu3 * u3, 0, iu3 * u3 * r),
              (0, 0, 0, iu3 * u4, iu3 * u4 * s),
              (0, 0, 0, 0, iu3 * u5))
-        return Deg5Transform(a, b)
-    raise InputError(f"gamma has no target of degree {degree} (expected 2..5)")
+        return cls(a, b)
+
+    def det_character(self) -> Scalar:
+        det_a = scalar_det(self.A)
+        return det_a * det_a * scalar_det(self.B)
+
+    def apply(self, m: Deg5Model) -> Deg5Model:
+        sub = linear_substitution(DEG5_RING, self.B)
+        phi = [[entry.substitute(sub) for entry in row] for row in m.matrix()]
+        a = self.A
+        zero = Poly.zero(DEG5_RING)
+        rows = [
+            [
+                sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)
+                     if a[i][k] and a[j][l] and phi[k][l]), zero)
+                for j in range(5)
+            ]
+            for i in range(5)
+        ]
+        return Deg5Model.from_matrix(rows)
+
+
+Transformation = (Deg1Transform | Deg2Transform | Deg3Transform
+                  | Deg4Transform | Deg5Transform)
+
+TRANSFORM_CLASSES = {cls.degree: cls for cls in get_args(Transformation)}
+
+
+def identity_transform(degree: int) -> Transformation:
+    return class_for_degree(TRANSFORM_CLASSES, degree, "transformation").identity()
+
+
+def det_character(g: Transformation) -> Scalar:
+    """The multiplicative character by whose powers invariants rescale."""
+    return g.det_character()
+
+
+# ----------------------------------------------------------------------
+# the action on models
+# ----------------------------------------------------------------------
+
+def apply(g: Transformation, m: GenusOneModel) -> GenusOneModel:
+    """The transformed model g . m (degrees of g and m must agree)."""
+    if g.degree != m.degree:
+        raise InputError(f"transformation degree {g.degree} != model degree {m.degree}")
+    return g.apply(m)
+
+
+def compose(g1: Transformation, g2: Transformation) -> Transformation:
+    """The transformation with apply(g1, apply(g2, m)) == apply(compose(g1, g2), m)."""
+    if g1.degree != g2.degree:
+        raise InputError("cannot compose transformations of different degrees")
+    return g1.compose(g2)
+
+
+# ----------------------------------------------------------------------
+# gamma_n : degree-1 transformations -> degree-n transformations
+# ----------------------------------------------------------------------
+
+def gamma(g: Deg1Transform, degree: int) -> Transformation:
+    """Embed [u; r, s, t] into the degree-n group, compatibly with the
+    Weierstrass family: apply(gamma(g), pi_n(w)) == pi_n(apply(g, w)), and
+    the det character is preserved."""
+    if not isinstance(g, Deg1Transform):
+        raise InputError("gamma expects a degree-1 transformation")
+    if degree not in (2, 3, 4, 5):
+        raise InputError(f"gamma has no target of degree {degree} (expected 2..5)")
+    return TRANSFORM_CLASSES[degree].gamma(g.u, g.r, g.s, g.t)
 
 
 # ----------------------------------------------------------------------
@@ -312,34 +337,14 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
 # ----------------------------------------------------------------------
 
 def transformation_to_dict(g: Transformation) -> dict:
-    fmt = format_scalar
-    rows = lambda m: [[fmt(x) for x in row] for row in m]
-    if isinstance(g, Deg1Transform):
-        return {"degree": 1, "u": fmt(g.u), "r": fmt(g.r), "s": fmt(g.s), "t": fmt(g.t)}
-    if isinstance(g, Deg2Transform):
-        return {"degree": 2, "mu": fmt(g.mu), "r": [fmt(x) for x in g.r], "B": rows(g.B)}
-    if isinstance(g, Deg3Transform):
-        return {"degree": 3, "mu": fmt(g.mu), "B": rows(g.B)}
-    if isinstance(g, Deg4Transform):
-        return {"degree": 4, "A": rows(g.A), "B": rows(g.B)}
-    if isinstance(g, Deg5Transform):
-        return {"degree": 5, "A": rows(g.A), "B": rows(g.B)}
-    raise InputError(f"not a transformation: {g!r}")
+    data = {"degree": g.degree}
+    data.update((f.name, json_scalars(getattr(g, f.name))) for f in fields(g))
+    return data
 
 
 def transformation_from_dict(data) -> Transformation:
     try:
-        degree = data["degree"]
-        if degree == 1:
-            return Deg1Transform(data["u"], data["r"], data["s"], data["t"])
-        if degree == 2:
-            return Deg2Transform(data["mu"], data["r"], data["B"])
-        if degree == 3:
-            return Deg3Transform(data["mu"], data["B"])
-        if degree == 4:
-            return Deg4Transform(data["A"], data["B"])
-        if degree == 5:
-            return Deg5Transform(data["A"], data["B"])
+        cls = class_for_degree(TRANSFORM_CLASSES, data["degree"], "transformation")
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed transformation data: {exc}") from exc
-    raise InputError(f"unsupported transformation degree: {degree!r}")

@@ -143,6 +143,22 @@ class TestExitCodes:
         path.write_text("{nope")
         code, _, _ = invoke(capsys, ["invariants", str(path)])
         assert code == 2
+        for degree in (True, 1.0, "1"):
+            path.write_text(json.dumps({"degree": degree, "coefficients": ["0"] * 5}))
+            code, _, _ = invoke(capsys, ["invariants", str(path)])
+            assert code == 2
+
+    def test_zero_denominator_is_2(self, capsys, tmp_path, model_file):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"degree": 1, "coefficients": ["0", "0", "0", "1/0", "0"]}))
+        code, _, _ = invoke(capsys, ["invariants", str(path)])
+        assert code == 2
+        path = model_file(Deg1Model(0, 0, 0, -1, 0))
+        g = {"degree": 1, "u": "1/0", "r": "0", "s": "0", "t": "0"}
+        code, _, _ = invoke(capsys, ["transform", path, "--transformation", json.dumps(g)])
+        assert code == 2
+        code, _, _ = invoke(capsys, ["weierstrass", "0", "0", "0", "1/0", "0"])
+        assert code == 2
 
     def test_missing_file_is_2(self, capsys):
         code, _, _ = invoke(capsys, ["invariants", "/no/such/file.json"])
@@ -167,6 +183,10 @@ class TestExitCodes:
         path = model_file(Deg1Model(0, 0, 0, -1, 0))
         code, _, _ = invoke(capsys, ["transform", path, "--transformation", "{oops"])
         assert code == 2
+        for degree in (True, 1.0, "1"):
+            g = {"degree": degree, "u": "1", "r": "0", "s": "0", "t": "0"}
+            code, _, _ = invoke(capsys, ["transform", path, "--transformation", json.dumps(g)])
+            assert code == 2
 
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])

@@ -160,7 +160,9 @@ class TestDegree4:
 
     def test_auxiliary_quadrics_identity(self):
         # adj(s adj A + t adj B) = a^2 A s^3 + a T1 s^2 t + e T2 s t^2 + e^2 B t^3
-        # whenever a = det A and e = det B; check on a random nondegenerate pair
+        # whenever a = det A and e = det B; check on random nondegenerate
+        # pairs.  Both sides are binary cubics in (s, t), so agreeing at five
+        # pairwise independent points (s, t) makes them equal.
         rng = random.Random(4)
         from genus1.linalg import adjugate, scalar_det
         checked = 0
@@ -175,19 +177,19 @@ class TestDegree4:
             q1p, q2p = deg4_auxiliary_quadrics(m)
             t1 = _symmetric_matrix(q1p)
             t2 = _symmetric_matrix(q2p)
-            ring = ("s", "t")
-            s, t = generators(ring)
-            adj_a = adjugate([[Poly.constant(ring, x) for x in row] for row in mat_a])
-            adj_b = adjugate([[Poly.constant(ring, x) for x in row] for row in mat_b])
-            pencil = [[s * adj_a[i][j] + t * adj_b[i][j] for j in range(4)] for i in range(4)]
-            mixed = adjugate(pencil)
-            for i in range(4):
-                for j in range(4):
-                    expected = (a * a * mat_a[i][j] * s ** 3
-                                + a * t1[i][j] * s ** 2 * t
-                                + e * t2[i][j] * s * t ** 2
-                                + e * e * mat_b[i][j] * t ** 3)
-                    assert mixed[i][j] == expected
+            adj_a = adjugate(mat_a)
+            adj_b = adjugate(mat_b)
+            for s, t in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3)]:
+                pencil = [[s * adj_a[i][j] + t * adj_b[i][j] for j in range(4)]
+                          for i in range(4)]
+                mixed = adjugate(pencil)
+                for i in range(4):
+                    for j in range(4):
+                        expected = (a * a * mat_a[i][j] * s ** 3
+                                    + a * t1[i][j] * s ** 2 * t
+                                    + e * t2[i][j] * s * t ** 2
+                                    + e * e * mat_b[i][j] * t ** 3)
+                        assert mixed[i][j] == expected
             checked += 1
 
 
@@ -206,11 +208,19 @@ class TestDegree4Matrix:
         assert discriminant_deg4_matrix(m) == 0
 
     def test_random_models(self):
+        # random pairs, then degenerate pencils: coefficients in {-1, 0, 1},
+        # which must include pairs with det A = 0 and pairs with det B = 0
+        from genus1.linalg import scalar_det
         rng = random.Random(5)
-        for _ in range(8):
-            m = random_model(rng, 4)
+        models = [random_model(rng, 4) for _ in range(8)]
+        models += [random_model(rng, 4, -1, 1) for _ in range(24)]
+        singular_a = singular_b = 0
+        for m in models:
             delta = invariants_deg4(m).delta
             assert discriminant_deg4_matrix(m) == DISC_MATRIX_SIGN[4] * 16 * delta
+            singular_a += scalar_det(_symmetric_matrix(m.q1)) == 0
+            singular_b += scalar_det(_symmetric_matrix(m.q2)) == 0
+        assert singular_a and singular_b
 
 
 class TestDegree5:

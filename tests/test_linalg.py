@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from genus1 import (Poly, determinant, generators, is_alternating,
                     kernel_basis, pfaffian4, scalar_det, scalar_rank,
                     solve_linear)
-from genus1.linalg import alternating_from_upper, mat_mul, perm_sign
+from genus1.linalg import adjugate, alternating_from_upper, mat_mul, perm_sign
 
 RING = ("x", "y", "z", "w")
 X, Y, Z, W = generators(RING)
@@ -108,6 +108,18 @@ class TestScalarElimination:
         m = [[Fraction(1, 2), 1], [1, 4]]
         assert scalar_det(m) == 1
         assert scalar_det([[1, 2], [2, 4]]) == 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_adjugate_times_matrix_is_det(self, data):
+        # M adj(M) = adj(M) M = det(M) I, singular matrices included
+        n = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
+        mat = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        det_i = [[scalar_det(mat) * (i == j) for j in range(n)] for i in range(n)]
+        adj = adjugate(mat)
+        assert [list(row) for row in mat_mul(mat, adj)] == det_i
+        assert [list(row) for row in mat_mul(adj, mat)] == det_i
 
     @settings(deadline=None, max_examples=50)
     @given(st.data())

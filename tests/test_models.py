@@ -145,3 +145,8 @@ class TestModelFiles:
             model_from_dict({"degree": 1, "coefficients": ["1", "2"]})
         with pytest.raises(InputError):
             model_from_dict({"degree": 5, "coefficients": {"matrix": [[1] * 5] * 9}})
+        for degree in (True, 1.0, "1"):
+            with pytest.raises(InputError):
+                model_from_dict({"degree": degree, "coefficients": ["1", "2", "3", "4", "5"]})
+        with pytest.raises(InputError):
+            model_from_dict({"degree": 1, "coefficients": ["1", "2", "3", "4", "1/0"]})

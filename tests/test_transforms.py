@@ -124,3 +124,8 @@ class TestSerialization:
             Deg4Transform(((1, 1), (1, 1)), identity_matrix(4))
         with pytest.raises(InputError):
             transformation_from_dict({"degree": 3, "mu": "0", "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        for degree in (True, 1.0, "1"):
+            with pytest.raises(InputError):
+                transformation_from_dict({"degree": degree, "u": "1", "r": "0", "s": "0", "t": "0"})
+        with pytest.raises(InputError):
+            transformation_from_dict({"degree": 1, "u": "1/0", "r": "0", "s": "0", "t": "0"})
