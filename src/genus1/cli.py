@@ -111,7 +111,7 @@ def _cmd_transform(args) -> int:
     model = _read_model(args.model)
     try:
         data = json.loads(args.transformation)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid transformation JSON: {exc}") from exc
     g = transformation_from_dict(data)
     sys.stdout.write(dumps_model(apply(g, model)))
@@ -202,6 +202,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # Exact values have no size limit, so neither has their decimal text:
+    # lift the int/str digit limit (4300 by default) for this process only,
+    # not for programs that import the package.
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -303,13 +303,13 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     jac = [[p.derivative(v) for v in DEG5_RING] for p in pf]
     secant = determinant(jac)
 
-    # dS/dx_i is a quadric in the Pfaffians; 70 equations, 15 unknowns.
+    # dS/dx_i is a quadric in the Pfaffians; 70 equations, 15 unknowns,
+    # one right-hand side per gradient, all solved by one elimination.
     system = [[product_rows[k][mi] for k in range(15)] for mi in range(len(mono4))]
+    gradients = [secant.derivative(xi) for xi in DEG5_RING]
+    solutions = solve_linear(system, [[g.coefficient(e) for e in mono4] for g in gradients])
     aux = []
-    for xi in DEG5_RING:
-        gradient = secant.derivative(xi)
-        rhs = [gradient.coefficient(e) for e in mono4]
-        sol = solve_linear(system, rhs)
+    for xi, sol in zip(DEG5_RING, solutions):
         if sol is None:
             raise InternalCheckError(f"no quadric expresses dS/d{xi} in the Pfaffians")
         terms = {}

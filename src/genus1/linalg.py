@@ -8,12 +8,23 @@ Two families of routines live here.
   subsets, and ``pfaffian4`` for 4x4 alternating matrices.  These are used
   on small matrices (at most 5x5 in the degree-5 pipeline) whose entries
   are polynomials, where elimination would cause coefficient blowup.
+  The expansion works on packed exponents (Monagan and Pearce, "Sparse
+  polynomial multiplication and division in Maple 14", 2009): each
+  monomial is one int holding a fixed-width bit field per variable, so a
+  monomial product is a single int addition instead of a tuple build.
+  The field width comes from the input: it holds the sum over the rows
+  of their largest entry degree, which bounds every exponent of every
+  minor, so no field can carry into the next.  Results are ordinary
+  ``Poly`` values of the entries' ring.
 
 * Scalar matrices (rows of ints / Fractions): rank, determinant, linear
   solving and kernel bases, all through a single Bareiss fraction-free
   echelon pass on an integer matrix obtained by clearing denominators
   row by row.  Intermediate entries stay integral, which keeps the 15x15
   and 70x15 systems of the degree-5 algorithm fast and exact.
+  ``solve_linear`` takes several right-hand sides at once and eliminates
+  once for all of them (the five gradient columns of the degree-5
+  auxiliary quadrics).
 
 Pivots are always the first nonzero entry scanning rows top-down and
 columns left-right, so every result is deterministic.
@@ -40,38 +51,66 @@ def _check_square(rows) -> int:
 
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials of one ring.
 
     Expansion by minors along the first remaining row, memoised on the
     set of unused columns, so each of the 2^n minors is computed once.
+    The expansion runs on packed exponents: every entry becomes a dict
+    from one int to a coefficient, the exponent of variable i sitting in
+    bits [i w, (i + 1) w), so a product of monomials is one int addition.
+
+    Each term of a minor over rows r..n-1 is a product of one entry per
+    row, so none of its exponents exceeds D, the sum over all rows of the
+    largest total degree of an entry in the row.  A field width w with
+    2^w > D therefore never carries into the next field, and unpacking
+    once at the end is exact.  Entries from different rings raise
+    ValueError, as Poly arithmetic does.
     """
     n = _check_square(rows)
     ring = rows[0][0].variables
-    zero = Poly.zero(ring)
-    memo: dict[tuple[int, int], Poly] = {}
+    for row in rows:
+        for entry in row:
+            if entry.variables != ring:
+                raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
+    bound = sum(max(max(entry.degree() for entry in row), 0) for row in rows)
+    width = max(bound.bit_length(), 1)
+    shifts = [width * i for i in range(len(ring))]
+    packed = [[{sum(e << s for e, s in zip(exps, shifts)): c
+                for exps, c in entry.terms.items()} for entry in row]
+              for row in rows]
+    last = packed[n - 1]
+    memo: dict[int, dict[int, Scalar]] = {}
 
-    def minor(r: int, mask: int) -> Poly:
-        if r == n:
-            return Poly.constant(ring, 1)
-        key = (r, mask)
-        cached = memo.get(key)
+    def minor(r: int, mask: int) -> dict[int, Scalar]:
+        # rows r..n-1 against the columns in mask (r = n - popcount(mask))
+        if r == n - 1:
+            return last[mask.bit_length() - 1]
+        cached = memo.get(mask)
         if cached is not None:
             return cached
-        total = zero
+        total: dict[int, Scalar] = {}
+        get = total.get
         sign = 1
-        for j in range(n):
+        for j, entry in enumerate(packed[r]):
             bit = 1 << j
             if not (mask & bit):
                 continue
-            entry = rows[r][j]
             if entry:
-                sub = minor(r + 1, mask & ~bit)
-                total = total + entry * sub if sign > 0 else total - entry * sub
+                sub = minor(r + 1, mask ^ bit).items()
+                for e1, c1 in entry.items():
+                    if sign < 0:
+                        c1 = -c1
+                    for e2, c2 in sub:
+                        e = e1 + e2
+                        total[e] = get(e, 0) + c1 * c2
             sign = -sign
-        memo[key] = total
+        total = {e: c for e, c in total.items() if c}
+        memo[mask] = total
         return total
 
-    return minor(0, (1 << n) - 1)
+    field = (1 << width) - 1
+    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
+                             for e, c in minor(0, (1 << n) - 1).items()})
 
 
 def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
@@ -122,27 +161,26 @@ def _norm(x: Scalar) -> Scalar:
     return x
 
 
-def _integerize(rows, rhs=None):
-    """Scale each row (and its rhs entry) to integers; return the factors."""
+def _integerize(rows):
+    """Scale each row to integers; return the rows and the factors."""
     int_rows = []
-    scaled_rhs = [] if rhs is not None else None
     factors = []
-    for i, row in enumerate(rows):
+    for row in rows:
         entries = [as_scalar(x) for x in row]
-        extra = [as_scalar(rhs[i])] if rhs is not None else []
-        mult = lcm(*(x.denominator for x in entries + extra if isinstance(x, Fraction)), 1)
+        mult = lcm(*(x.denominator for x in entries if isinstance(x, Fraction)), 1)
         int_rows.append([int(x * mult) for x in entries])
-        if rhs is not None:
-            scaled_rhs.append(int(extra[0] * mult))
         factors.append(mult)
-    return int_rows, scaled_rhs, factors
+    return int_rows, factors
 
 
-def _bareiss_echelon(m: list[list[int]]):
+def _bareiss_echelon(m: list[list[int]], n_pivot_cols: int | None = None):
     """In-place fraction-free row echelon form of an integer matrix.
 
-    Returns (pivot_columns, permutation_sign).  After the k-th step every
-    entry is a (k+1)-minor of the original matrix, so all the interior
+    Pivots are sought in the first ``n_pivot_cols`` columns (all by
+    default); the row operations apply to every column, so the columns
+    after them are carried along as right-hand sides.  Returns
+    (pivot_columns, permutation_sign).  After the k-th step every entry
+    is a (k+1)-minor of the original matrix, so all the interior
     divisions are exact.
     """
     n_rows = len(m)
@@ -151,7 +189,7 @@ def _bareiss_echelon(m: list[list[int]]):
     sign = 1
     prev = 1
     r = 0
-    for c in range(n_cols):
+    for c in range(n_cols if n_pivot_cols is None else n_pivot_cols):
         if r == n_rows:
             break
         pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
@@ -178,7 +216,7 @@ def scalar_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
     if not rows or not rows[0]:
         return 0
-    m, _, _ = _integerize(rows)
+    m, _ = _integerize(rows)
     piv_cols, _ = _bareiss_echelon(m)
     return len(piv_cols)
 
@@ -186,7 +224,7 @@ def scalar_rank(rows: Sequence[Sequence]) -> int:
 def scalar_det(rows: Sequence[Sequence]) -> Scalar:
     """Exact determinant of a square scalar matrix (Bareiss)."""
     n = _check_square(rows)
-    m, _, factors = _integerize(rows)
+    m, factors = _integerize(rows)
     piv_cols, sign = _bareiss_echelon(m)
     if len(piv_cols) < n:
         return 0
@@ -198,34 +236,48 @@ def scalar_det(rows: Sequence[Sequence]) -> Scalar:
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
-    """One exact solution of A x = b, or None if the system is inconsistent.
+    """Exact solutions of A x = b for one right-hand side b or several.
+
+    ``rhs`` is either one column b, a sequence of scalars, and the result
+    is one solution or None if A x = b is inconsistent; or a list of
+    columns [b1, ..., bk] (each a list or tuple), and the result is the
+    list of the k results, in order.  One Bareiss elimination of A,
+    augmented with every column, serves all of them: column i is
+    consistent exactly when its entries below the rank of A vanish.
 
     Overdetermined systems are fine.  Free variables (if any) are set to
     zero; when the solution is unique this returns it.
     """
+    several = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    columns = rhs if several else [rhs]
     n_rows = len(rows)
-    if len(rhs) != n_rows:
+    if any(len(b) != n_rows for b in columns):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     if n_rows == 0:
-        return []
+        return [[] for _ in columns] if several else []
     n_cols = len(rows[0])
     if any(len(r) != n_cols for r in rows):
         raise ValueError("ragged matrix")
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, _, _ = _integerize(aug)
-    piv_cols, _ = _bareiss_echelon(m)
-    if piv_cols and piv_cols[-1] == n_cols:
-        return None  # a pivot in the rhs column: inconsistent
-    x: list = [0] * n_cols
-    for k in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[k]
-        row = m[k]
-        acc = Fraction(row[n_cols])
-        for j in range(c + 1, n_cols):
-            if row[j] and x[j]:
-                acc -= row[j] * Fraction(x[j])
-        x[c] = _norm(acc / row[c])
-    return x
+    aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
+    m, _ = _integerize(aug)
+    piv_cols, _ = _bareiss_echelon(m, n_cols)
+    rank = len(piv_cols)
+    solutions = []
+    for col in range(n_cols, n_cols + len(columns)):
+        if any(row[col] for row in m[rank:]):
+            solutions.append(None)  # inconsistent
+            continue
+        x: list = [0] * n_cols
+        for k in range(rank - 1, -1, -1):
+            c = piv_cols[k]
+            row = m[k]
+            acc = Fraction(row[col])
+            for j in range(c + 1, n_cols):
+                if row[j] and x[j]:
+                    acc -= row[j] * Fraction(x[j])
+            x[c] = _norm(acc / row[c])
+        solutions.append(x)
+    return solutions if several else solutions[0]
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
@@ -238,7 +290,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
     if not rows:
         return []
     n_cols = len(rows[0])
-    m, _, _ = _integerize(rows)
+    m, _ = _integerize(rows)
     piv_cols, _ = _bareiss_echelon(m)
     pivots = list(enumerate(piv_cols))
     free_cols = [c for c in range(n_cols) if c not in piv_cols]

@@ -56,6 +56,14 @@ def json_scalars(values):
     return format_scalar(values)
 
 
+def json_list(value) -> list:
+    """A JSON array from a model file; a string there is an error, not a
+    sequence of one-character coefficients."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array of coefficients, not {type(value).__name__}")
+    return value
+
+
 def linear_substitution(ring, B) -> dict:
     """Images of the substitution x_j = sum_i B_ij x_i'."""
     gens = generators(ring)
@@ -107,7 +115,7 @@ class Deg1Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg1Model":
-        return cls(*coeffs)
+        return cls(*json_list(coeffs))
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,7 @@ class Deg2Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg2Model":
-        return cls.from_coefficients(coeffs["p"], coeffs["q"])
+        return cls.from_coefficients(json_list(coeffs["p"]), json_list(coeffs["q"]))
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,7 @@ class Deg3Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg3Model":
-        return cls.from_coefficients(coeffs)
+        return cls.from_coefficients(json_list(coeffs))
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,7 @@ class Deg4Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg4Model":
-        return cls.from_coefficients(coeffs["q1"], coeffs["q2"])
+        return cls.from_coefficients(json_list(coeffs["q1"]), json_list(coeffs["q2"]))
 
 
 @dataclass(frozen=True)
@@ -318,7 +326,7 @@ class Deg5Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg5Model":
-        return cls.from_coefficients(coeffs["matrix"])
+        return cls.from_coefficients([json_list(entry) for entry in json_list(coeffs["matrix"])])
 
 
 GenusOneModel = Deg1Model | Deg2Model | Deg3Model | Deg4Model | Deg5Model
@@ -448,6 +456,8 @@ def dumps_model(model: GenusOneModel) -> str:
 def loads_model(text: str) -> GenusOneModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the int/str digit limit;
+        # RecursionError is nesting deeper than the decoder's stack
         raise InputError(f"invalid JSON: {exc}") from exc
     return model_from_dict(data)

@@ -35,6 +35,16 @@ WUTHRICH_QUADRIC_COEFFS = {
            (0, 1, 0, 1, 0): -7, (0, 1, 0, 0, 1): -4, (0, 0, 1, 1, 0): 4},
 }
 
+# Model-file coefficients with a JSON string where a list belongs, one per
+# degree; each string has the right length, so only the type rejects it.
+STRING_COEFFICIENTS = [
+    (1, "00010"),
+    (2, {"p": "000", "q": ["0", "1", "0", "0", "0"]}),
+    (3, "1000000000"),
+    (4, {"q1": "0000000000", "q2": ["0"] * 10}),
+    (5, {"matrix": ["00000"] + [["0"] * 5] * 9}),
+]
+
 
 def wuthrich_model() -> Deg5Model:
     return Deg5Model.from_coefficients(WUTHRICH_ENTRIES)

@@ -1,13 +1,18 @@
 """The command line interface: verbs, pipelines, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from genus1 import Deg1Model, dumps_model, weierstrass_model
 from genus1.cli import run
 
-from helpers import WUTHRICH_C4, WUTHRICH_C6, wuthrich_model
+from helpers import (STRING_COEFFICIENTS, WUTHRICH_C4, WUTHRICH_C6,
+                     wuthrich_model)
 
 
 @pytest.fixture
@@ -147,6 +152,17 @@ class TestExitCodes:
             path.write_text(json.dumps({"degree": degree, "coefficients": ["0"] * 5}))
             code, _, _ = invoke(capsys, ["invariants", str(path)])
             assert code == 2
+        for degree, coefficients in STRING_COEFFICIENTS:
+            path.write_text(json.dumps({"degree": degree, "coefficients": coefficients}))
+            code, out, _ = invoke(capsys, ["invariants", str(path)])
+            assert (code, out) == (2, "")
+        # Within this process the int/str digit limit holds, so a JSON
+        # integer past it is bad input; nesting past the decoder's stack too.
+        for text in ('{"degree": 1, "coefficients": [0, 0, 0, 1%s, 0]}' % ("0" * 4400),
+                     "[" * 100000):
+            path.write_text(text)
+            code, out, _ = invoke(capsys, ["invariants", str(path)])
+            assert (code, out) == (2, "")
 
     def test_zero_denominator_is_2(self, capsys, tmp_path, model_file):
         path = tmp_path / "bad.json"
@@ -194,3 +210,30 @@ class TestExitCodes:
         path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 5))
         code, _, _ = invoke(capsys, ["project", path, "--point", "1,1,0,x,0"])
         assert code == 2
+
+
+def test_long_integers_in_a_cli_pipeline():
+    # Values past Python's default 4300-digit int/str limit, read and printed
+    # by separate CLI processes.  The expected text is built from strings,
+    # since this process keeps the default limit.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cli = [sys.executable, "-m", "genus1.cli"]
+
+    def pipeline(coefficients, degree):
+        made = subprocess.run(cli + ["weierstrass", *coefficients, "--degree", degree],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (made.returncode, made.stderr) == (0, "")
+        done = subprocess.run(cli + ["invariants", "-"], input=made.stdout,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    # a4 = 10^1500: c4 = -48 a4, c6 = 0, Delta = -64 a4^3 (4502 digits)
+    assert pipeline(["0", "0", "0", "1" + "0" * 1500, "0"], "1") == (
+        f"c4 = -48{'0' * 1500}\nc6 = 0\nDelta = -64{'0' * 4500}\n")
+    # a 4401-digit a6 = 10^4400 as an argument: c4 = 0, c6 = -864 a6,
+    # Delta = -432 a6^2
+    assert pipeline(["0", "0", "0", "0", "1" + "0" * 4400], "3") == (
+        f"c4 = 0\nc6 = -864{'0' * 4400}\nDelta = -432{'0' * 8800}\n")

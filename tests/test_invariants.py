@@ -2,12 +2,14 @@
 discriminants and derived quantities."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg2Model, Deg3Model,
-                    Deg4Model, Deg5Model, Poly, SingularModelError, apply,
+                    Deg4Model, Deg5Model, DegenerateModelError,
+                    InternalCheckError, Poly, SingularModelError, apply,
                     contract_quintics, deg4_auxiliary_quadrics,
                     deg5_covariants, det_character, discriminant_deg3_matrix,
                     discriminant_deg4_matrix, discriminant_deg5_matrix,
@@ -227,6 +229,27 @@ class TestDegree5:
     def test_zero_matrix_is_degenerate(self):
         m = Deg5Model((Poly.zero(DEG5_RING),) * 10)
         assert invariants_deg5(m) == (0, 0, 0)
+
+    def test_dependent_products_are_degenerate(self):
+        # Entries in x1, x2 only: the Pfaffians are binary quadrics, so the
+        # 15 products p_i p_j span at most the 5 binary quartics.
+        entries = [(1, 2, 0, 0, 0), (0, 1, 0, 0, 0), (3, 0, 0, 0, 0), (1, 1, 0, 0, 0),
+                   (0, 2, 0, 0, 0), (1, -1, 0, 0, 0), (2, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+                   (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+        m = Deg5Model.from_coefficients(entries)
+        assert any(m.pfaffians())
+        with pytest.raises(DegenerateModelError):
+            deg5_covariants(m)
+        assert invariants_deg5(m) == (0, 0, 0)
+
+    def test_inconsistent_gradient_column_raises(self, monkeypatch):
+        # the last of the five columns solved at once comes back inconsistent
+        module = sys.modules["genus1.invariants"]
+        solve = module.solve_linear
+        monkeypatch.setattr(module, "solve_linear",
+                            lambda rows, columns: solve(rows, columns)[:4] + [None])
+        with pytest.raises(InternalCheckError, match="dS/dx5"):
+            deg5_covariants(wuthrich_model())
 
     def test_restriction(self):
         for a, b in [(-1, 0), (0, 1), (2, 3)]:

@@ -1,6 +1,7 @@
 """Determinants, Pfaffians and exact elimination."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,41 @@ def small_poly():
     return st.lists(term, max_size=3).map(lambda items: Poly(RING, dict(items)))
 
 
+def leibniz(rows):
+    """Reference determinant: the sum over permutations, in Poly arithmetic."""
+    n = len(rows)
+    total = Poly.zero(rows[0][0].variables)
+    for perm in permutations(range(n)):
+        term = Poly.constant(total.variables, perm_sign(perm))
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+RING6 = ("a", "b", "c", "d", "e", "f")
+COEFFS = st.sampled_from([1, -1, 2, -3, 7, 10 ** 20, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def mixed_matrix(draw):
+    """n x n, n = 1..5, over a 4- or 6-variable ring: entries of mixed and
+    non-homogeneous degree, zero entries, sometimes a zero row.  Pure
+    powers of the first variable let its exponent reach the degree bound
+    that sets the packed field width."""
+    ring = draw(st.sampled_from([RING, RING6]))
+    n = draw(st.integers(1, 5))
+    pure = st.integers(0, 6).map(lambda k: (k,) + (0,) * (len(ring) - 1))
+    mixed = st.tuples(*[st.integers(0, 3)] * len(ring))
+    term = st.tuples(st.one_of(pure, mixed), COEFFS)
+    entry = st.one_of(st.just(Poly.zero(ring)),
+                      st.lists(term, max_size=3).map(lambda items: Poly(ring, dict(items))))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Poly.zero(ring)] * n
+    return rows
+
+
 def matrix_strategy(n):
     return st.lists(st.lists(small_poly(), min_size=n, max_size=n),
                     min_size=n, max_size=n)
@@ -42,6 +78,24 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(ValueError):
             determinant([[X, Y]])
+
+    def test_mixed_rings_rejected(self):
+        other = Poly.variable(("x", "y", "z", "u"), "u")
+        with pytest.raises(ValueError):
+            determinant([[X, Y], [Z, other]])
+        with pytest.raises(ValueError):
+            determinant([[other, Y], [Z, W]])
+
+    def test_exponent_fills_its_field(self):
+        # Row degrees 7 and 8 give the bound 15, a 4-bit field per variable;
+        # x reaches x^15, the largest value its field holds, next to y and z.
+        rows = [[X ** 7, Y ** 7], [Z ** 8, X ** 8]]
+        assert determinant(rows) == X ** 15 - Y ** 7 * Z ** 8 == leibniz(rows)
+
+    @settings(deadline=None, max_examples=60)
+    @given(rows=mixed_matrix())
+    def test_matches_leibniz(self, rows):
+        assert determinant(rows) == leibniz(rows)
 
     @settings(deadline=None, max_examples=30)
     @given(rows=matrix_strategy(3))
@@ -103,6 +157,30 @@ class TestScalarElimination:
     def test_solve_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_linear([[1, 2]], [1, 2])
+        with pytest.raises(ValueError):
+            solve_linear([[1, 2]], [[1], [1, 2]])
+
+    def test_solve_several_columns(self):
+        # one column per result, an inconsistent one giving None
+        assert solve_linear([[1], [1]], [[1, 1], [1, 2], (2, 2)]) == [[1], None, [2]]
+        # overdetermined and rank deficient: free variables set to zero
+        mat = [[1, 2], [2, 4], [3, 6]]
+        assert solve_linear(mat, [1, 2, 3]) == [1, 0]
+        assert solve_linear(mat, [[1, 2, 3], [1, 2, 4], [0, 0, 0]]) == [[1, 0], None, [0, 0]]
+        assert solve_linear([], [[], []]) == [[], []]
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.data())
+    def test_several_columns_match_single_solves(self, data):
+        rows = data.draw(st.integers(1, 6))
+        cols = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([-3, -1, 0, 0, 1, 2, 5, Fraction(1, 2), Fraction(-2, 3)])
+        mat = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        if data.draw(st.booleans()):
+            mat = mat + [list(mat[0])]  # a dependent row
+        k = data.draw(st.integers(1, 4))
+        columns = [[data.draw(entry) for _ in mat] for _ in range(k)]
+        assert solve_linear(mat, columns) == [solve_linear(mat, b) for b in columns]
 
     def test_det_fractions(self):
         m = [[Fraction(1, 2), 1], [1, 4]]

@@ -10,7 +10,8 @@ from genus1 import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
                     weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 
-from helpers import random_model, wuthrich_model, WUTHRICH_QUADRIC_COEFFS
+from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
+                     random_model, wuthrich_model)
 
 
 class TestEquations:
@@ -150,3 +151,13 @@ class TestModelFiles:
                 model_from_dict({"degree": degree, "coefficients": ["1", "2", "3", "4", "5"]})
         with pytest.raises(InputError):
             model_from_dict({"degree": 1, "coefficients": ["1", "2", "3", "4", "1/0"]})
+        # a JSON integer past the int/str digit limit, and nesting past the
+        # decoder's recursion limit
+        with pytest.raises(InputError):
+            loads_model('{"degree": 1, "coefficients": [0, 0, 0, 1%s, 0]}' % ("0" * 4400))
+        with pytest.raises(InputError):
+            loads_model("[" * 100000)
+        # a string where a coefficient list belongs is not split into characters
+        for degree, coefficients in STRING_COEFFICIENTS:
+            with pytest.raises(InputError):
+                model_from_dict({"degree": degree, "coefficients": coefficients})
