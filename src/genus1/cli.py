@@ -40,12 +40,12 @@ def _parse_scalar(text: str):
 
 
 def _read_model(path: str):
-    if path == "-":
-        return loads_model(sys.stdin.read())
     try:
+        if path == "-":
+            return loads_model(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return loads_model(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path!r}: {exc}") from exc
 
 

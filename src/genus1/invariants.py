@@ -35,23 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
 from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
                      scalar_rank, solve_linear)
-from .models import (DEG3_RING, DEG4_RING, DEG5_RING,
-                     QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model,
-                     Deg4Model, Deg5Model, GenusOneModel)
+from .models import (DEG3_RING, DEG4_RING, DEG5_RING, Deg1Model, Deg2Model,
+                     Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, exact_divide, generators, monomials
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
 
-# (i, j) index pairs, i <= j, of the 15 products p_i p_j.
-_PAIRS15 = [(i, j) for i in range(5) for j in range(i, 5)]
+# _UNITS[t] is the exponent of x_t alone: it reads the x_t coefficient of
+# a linear form.
+_UNITS = monomials(DEG5_RING, 1)
 
 # Fixed sign of each determinant-based discriminant (depends only on the
 # row/column orderings chosen below; fixed once against the formula path
@@ -76,6 +76,35 @@ class InvariantTriple(NamedTuple):
 def _triple(c4: Scalar, c6: Scalar) -> InvariantTriple:
     delta = (Fraction(c4) ** 3 - Fraction(c6) ** 2) / 1728
     return InvariantTriple(as_scalar(c4), as_scalar(c6), as_scalar(delta))
+
+
+def _quadric_indices(ring):
+    """((i, j), exponent of x_i x_j) for i <= j, in the order of
+    monomials(ring, 2), which enumerates the same pairs."""
+    return zip(combinations_with_replacement(range(len(ring)), 2), monomials(ring, 2))
+
+
+def _quadric_det(quadrics, ring) -> Scalar:
+    """Determinant of the coefficient matrix of a square list of quadrics."""
+    cols = monomials(ring, 2)
+    return scalar_det([[q.coefficient(e) for e in cols] for q in quadrics])
+
+
+def _quartic_invariants(quartic: Poly):
+    """The invariants I and J of a binary quartic a, b, c, d, e (the
+    coefficients of its monomials from the first variable's 4th power)."""
+    a, b, c, d, e = (quartic.coefficient((4 - i, i)) for i in range(5))
+    return (12 * a * e - 3 * b * d + c * c,
+            72 * a * c * e - 27 * a * d * d - 27 * b * b * e + 9 * b * c * d - 2 * c ** 3)
+
+
+def _omega_indices(r: int, s: int, n: int):
+    """Complete the 1-based pair (r, s) to a permutation of 0..n-1 with an
+    ascending tail; return the tail and the sign of the permutation."""
+    if r == s or not {r, s} <= set(range(1, n + 1)):
+        raise InputError(f"omega quadrics need two distinct indices in 1..{n}")
+    rest = [k for k in range(n) if k not in (r - 1, s - 1)]
+    return rest, perm_sign((r - 1, s - 1, *rest))
 
 
 # ----------------------------------------------------------------------
@@ -108,11 +137,8 @@ def invariants_deg1(m: Deg1Model) -> InvariantTriple:
 
 def invariants_deg2(m: Deg2Model) -> InvariantTriple:
     # Complete the square: y^2 + py = q becomes y^2 = q + p^2/4.
-    quartic = m.q + m.p * m.p * Fraction(1, 4)
-    a, b, c, d, e = (quartic.coefficient((4 - i, i)) for i in range(5))
-    c4 = 16 * (12 * a * e - 3 * b * d + c * c)
-    c6 = 32 * (72 * a * c * e - 27 * a * d * d - 27 * b * b * e + 9 * b * c * d - 2 * c ** 3)
-    return _triple(as_scalar(c4), as_scalar(c6))
+    i, j = _quartic_invariants(m.q + m.p * m.p * Fraction(1, 4))
+    return _triple(as_scalar(16 * i), as_scalar(32 * j))
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +189,8 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
     """
     cubic = m.cubic
     hess = hessian(cubic)
-    quadrics = ([cubic.derivative(v) for v in DEG3_RING]
-                + [hess.derivative(v) for v in DEG3_RING])
-    cols = monomials(DEG3_RING, 2)
-    return scalar_det([[q.coefficient(e) for e in cols] for q in quadrics])
+    return _quadric_det([cubic.derivative(v) for v in DEG3_RING]
+                        + [hess.derivative(v) for v in DEG3_RING], DEG3_RING)
 
 
 # ----------------------------------------------------------------------
@@ -175,32 +199,17 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 
 def _symmetric_matrix(q: Poly):
     """The symmetric matrix M with q = (1/2) x^T M x."""
-    n = len(DEG4_RING)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = q.coefficient(tuple(e))
-            row.append(2 * c if i == j else c)
-        out.append(row)
+    n = len(q.variables)
+    out = [[0] * n for _ in range(n)]
+    for (i, j), e in _quadric_indices(q.variables):
+        c = q.coefficient(e)
+        out[i][j] = out[j][i] = 2 * c if i == j else c
     return out
 
 
 def _quadric_from_matrix(mat, ring) -> Poly:
-    n = len(ring)
-    terms = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = Fraction(mat[i][j]) / 2 if i == j else mat[i][j]
-            if c:
-                terms[tuple(e)] = as_scalar(c)
-    return Poly(ring, terms)
+    return Poly(ring, {e: Fraction(mat[i][j]) / 2 if i == j else mat[i][j]
+                       for (i, j), e in _quadric_indices(ring)})
 
 
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
@@ -210,11 +219,8 @@ def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     ring = ("s", "t")
     s, t = generators(ring)
     pencil = [[mat_a[i][j] * s + mat_b[i][j] * t for j in range(4)] for i in range(4)]
-    quartic = determinant(pencil)
-    a, b, c, d, e = (quartic.coefficient((4 - i, i)) for i in range(5))
-    c4 = 12 * a * e - 3 * b * d + c * c
-    c6 = Fraction(72 * a * c * e - 27 * a * d * d - 27 * b * b * e + 9 * b * c * d - 2 * c ** 3) / 2
-    return _triple(as_scalar(c4), as_scalar(c6))
+    c4, j = _quartic_invariants(determinant(pencil))
+    return _triple(as_scalar(c4), as_scalar(Fraction(j) / 2))
 
 
 def deg4_auxiliary_quadrics(m: Deg4Model):
@@ -252,10 +258,7 @@ def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
     to a permutation with ascending tail and form the signed 2x2 minor of
     the gradients of q1, q2 on the remaining variables.  Antisymmetric
     under swapping r and s."""
-    if r == s or not {r, s} <= {1, 2, 3, 4}:
-        raise InputError("omega quadrics need two distinct indices in 1..4")
-    u, v = (k for k in range(4) if k not in (r - 1, s - 1))
-    sign = perm_sign((r - 1, s - 1, u, v))
+    (u, v), sign = _omega_indices(r, s, 4)
     xu, xv = DEG4_RING[u], DEG4_RING[v]
     omega = (m.q1.derivative(xu) * m.q2.derivative(xv)
              - m.q1.derivative(xv) * m.q2.derivative(xu))
@@ -266,11 +269,8 @@ def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
     """Determinant of the 10x10 coefficient matrix of q1, q2, q1', q2' and
     the six quadrics Omega_{r,s}; equal to DISC_MATRIX_SIGN[4] * 16 * Delta."""
     q1p, q2p = deg4_auxiliary_quadrics(m)
-    quadrics = [m.q1, m.q2, q1p, q2p]
-    quadrics += [deg4_omega_quadric(m, r, s)
-                 for r in range(1, 5) for s in range(r + 1, 5)]
-    return scalar_det([[q.coefficient(e) for e in QUADRIC_MONOMIALS_DEG4]
-                       for q in quadrics])
+    omegas = [deg4_omega_quadric(m, r, s) for r, s in combinations(range(1, 5), 2)]
+    return _quadric_det([m.q1, m.q2, q1p, q2p] + omegas, DEG4_RING)
 
 
 # ----------------------------------------------------------------------
@@ -288,71 +288,61 @@ class Deg5Covariants:
     pencil_quintic: Poly   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
 
 
+def _deg5_frame(m: Deg5Model):
+    """What every degree-5 covariant reads off the model: the Pfaffians
+    p_k, their Jacobian jac[k][t] = dp_k/dx_t (linear forms) and the
+    scalars dphi[t][i][j], the x_t coefficient of phi_ij."""
+    pf = m.pfaffians()
+    jac = [[p.derivative(v) for v in DEG5_RING] for p in pf]
+    dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in _UNITS]
+    return pf, jac, dphi
+
+
+def _linear_matrix(tensor, gens) -> list[list[Poly]]:
+    """The matrix with entries sum_k tensor[i][j][k] gens[k], for scalars
+    tensor[i][j][k] and polynomials gens[k] of one ring."""
+    zero = Poly.zero(gens[0].variables)
+    return [[sum((c * g for c, g in zip(cell, gens) if c), zero) for cell in row]
+            for row in tensor]
+
+
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     """Build the covariants of the degree-5 evaluation algorithm; raises
     DegenerateModelError when the products p_i p_j are linearly dependent
     (in which case all the invariants vanish)."""
-    pf = model.pfaffians()
+    pf, jac, dphi = _deg5_frame(model)
 
+    # the k-th unknown is the coefficient of the k-th monomial v_i v_j, and
+    # its column of the system holds the coefficients of p_i p_j
     mono4 = monomials(DEG5_RING, 4)
-    quartics = [pf[i] * pf[j] for i, j in _PAIRS15]
+    unknowns = list(_quadric_indices(V_RING))
+    quartics = [pf[i] * pf[j] for (i, j), _ in unknowns]
     product_rows = [[q.coefficient(e) for e in mono4] for q in quartics]
     if scalar_rank(product_rows) != 15:
         raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
 
-    jac = [[p.derivative(v) for v in DEG5_RING] for p in pf]
     secant = determinant(jac)
 
     # dS/dx_i is a quadric in the Pfaffians; 70 equations, 15 unknowns,
     # one right-hand side per gradient, all solved by one elimination.
-    system = [[product_rows[k][mi] for k in range(15)] for mi in range(len(mono4))]
     gradients = [secant.derivative(xi) for xi in DEG5_RING]
-    solutions = solve_linear(system, [[g.coefficient(e) for e in mono4] for g in gradients])
+    solutions = solve_linear(list(zip(*product_rows)),
+                             [[g.coefficient(e) for e in mono4] for g in gradients])
     aux = []
     for xi, sol in zip(DEG5_RING, solutions):
         if sol is None:
             raise InternalCheckError(f"no quadric expresses dS/d{xi} in the Pfaffians")
-        terms = {}
-        for c, (j, k) in zip(sol, _PAIRS15):
-            if c:
-                e = [0] * 5
-                e[j] += 1
-                e[k] += 1
-                terms[tuple(e)] = c
-        aux.append(Poly(V_RING, terms))
+        aux.append(Poly(V_RING, {e: c for (_, e), c in zip(unknowns, sol)}))
 
-    v_gens = generators(V_RING)
-    zero_v = Poly.zero(V_RING)
-    dual_rows = []
-    for i, xi in enumerate(DEG5_RING):
-        row = []
-        for xj in DEG5_RING:
-            entry = zero_v
-            for k in range(5):
-                c = pf[k].derivative(xi).derivative(xj).constant_value()
-                if c:
-                    entry = entry + c * v_gens[k]
-            row.append(entry)
-        dual_rows.append(row)
-    dual_quintic = determinant(dual_rows)
+    # d^2 p_k / dx_i dx_j is the x_j coefficient of the linear form dp_k/dx_i
+    hessians = [[[row[i].coefficient(e) for row in jac] for e in _UNITS] for i in range(5)]
+    dual_quintic = determinant(_linear_matrix(hessians, generators(V_RING)))
 
     lam = Poly.variable(PENCIL_RING, "lam")
-    pencil_gens = generators(PENCIL_RING)
-    phi = model.matrix()
-    unit = [tuple(int(a == i) for a in range(5)) for i in range(5)]
-    zero_n = Poly.zero(PENCIL_RING)
-    pencil_rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            entry = lam * aux[i].derivative(V_RING[j]).lift(PENCIL_RING)
-            for k in range(5):
-                c = phi[j][k].coefficient(unit[i])
-                if c:
-                    entry = entry + c * pencil_gens[k + 1]
-            row.append(entry)
-        pencil_rows.append(row)
-    pencil_quintic = determinant(pencil_rows)
+    linear = _linear_matrix(dphi, generators(PENCIL_RING)[1:])
+    pencil_quintic = determinant(
+        [[lam * aux[i].derivative(v).lift(PENCIL_RING) + linear[i][j]
+          for j, v in enumerate(V_RING)] for i in range(5)])
 
     return Deg5Covariants(tuple(pf), secant, tuple(aux), dual_quintic, pencil_quintic)
 
@@ -400,6 +390,15 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
     return _triple(c4, c6)
 
 
+def _deg5_omega(frame, r: int, s: int) -> Poly:
+    (t3, t4, t5), sign = _omega_indices(r, s, 5)
+    _, jac, dphi = frame
+    # sum_j dphi_ij/dx_t4 * dp_j/dx_t5, one linear form per i
+    (inner,) = _linear_matrix([dphi[t4]], [row[t5] for row in jac])
+    omega = sum((row[t3] * f for row, f in zip(jac, inner)), Poly.zero(DEG5_RING))
+    return omega if sign > 0 else -omega
+
+
 def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
     """The quadric Omega_{r,s} (indices 1-based, r != s): complete (r, s)
     to a permutation with ascending tail (t3, t4, t5) and form
@@ -408,24 +407,7 @@ def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
 
     Antisymmetric under swapping r and s, and only well defined modulo
     the span of the Pfaffians."""
-    if r == s or not {r, s} <= {1, 2, 3, 4, 5}:
-        raise InputError("omega quadrics need two distinct indices in 1..5")
-    pf = m.pfaffians()
-    phi = m.matrix()
-    rest = [k for k in range(5) if k not in (r - 1, s - 1)]
-    sign = perm_sign((r - 1, s - 1, *rest))
-    unit = [tuple(int(a == i) for a in range(5)) for i in range(5)]
-    left = [p.derivative(DEG5_RING[rest[0]]) for p in pf]
-    right = [p.derivative(DEG5_RING[rest[2]]) for p in pf]
-    omega = Poly.zero(DEG5_RING)
-    for i in range(5):
-        if not left[i]:
-            continue
-        for j in range(5):
-            c = phi[i][j].coefficient(unit[rest[1]])
-            if c:
-                omega = omega + c * left[i] * right[j]
-    return omega if sign > 0 else -omega
+    return _deg5_omega(_deg5_frame(m), r, s)
 
 
 def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
@@ -435,11 +417,9 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
     Omega_{r,s} is only defined modulo the span of the Pfaffians, but the
     determinant is insensitive to that since the p-rows span that space.
     """
-    quadrics = m.pfaffians()
-    quadrics += [deg5_omega_quadric(m, r, s)
-                 for r in range(1, 6) for s in range(r + 1, 6)]
-    cols = monomials(DEG5_RING, 2)
-    return scalar_det([[q.coefficient(e) for e in cols] for q in quadrics])
+    frame = _deg5_frame(m)
+    omegas = [_deg5_omega(frame, r, s) for r, s in combinations(range(1, 6), 2)]
+    return _quadric_det(frame[0] + omegas, DEG5_RING)
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +520,7 @@ def a1_char2(m: GenusOneModel) -> int:
         # off-diagonal entries of the symmetric matrices are the xi xj coefficients
         a, b = _symmetric_matrix(m.q1), _symmetric_matrix(m.q2)
         total = 0
-        for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        for i, j in combinations(range(4), 2):
             k, l = (x for x in range(4) if x not in (i, j))
             total += a[i][j] * b[k][l]
         return total % 2

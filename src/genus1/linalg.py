@@ -212,6 +212,21 @@ def _bareiss_echelon(m: list[list[int]], n_pivot_cols: int | None = None):
     return piv_cols, sign
 
 
+def _back_substitute(m, piv_cols, x: list, col: int | None = None) -> list:
+    """Fill in the pivot entries of x, last pivot first, from an echelon
+    form m: row k reads sum_j m[k][j] x_j = m[k][col] (0 if col is None),
+    and x already holds the values of the free variables."""
+    for k in range(len(piv_cols) - 1, -1, -1):
+        c = piv_cols[k]
+        row = m[k]
+        acc = Fraction(0 if col is None else row[col])
+        for j in range(c + 1, len(x)):
+            if row[j] and x[j]:
+                acc -= row[j] * Fraction(x[j])
+        x[c] = _norm(acc / row[c])
+    return x
+
+
 def scalar_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
     if not rows or not rows[0]:
@@ -262,21 +277,9 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
     m, _ = _integerize(aug)
     piv_cols, _ = _bareiss_echelon(m, n_cols)
     rank = len(piv_cols)
-    solutions = []
-    for col in range(n_cols, n_cols + len(columns)):
-        if any(row[col] for row in m[rank:]):
-            solutions.append(None)  # inconsistent
-            continue
-        x: list = [0] * n_cols
-        for k in range(rank - 1, -1, -1):
-            c = piv_cols[k]
-            row = m[k]
-            acc = Fraction(row[col])
-            for j in range(c + 1, n_cols):
-                if row[j] and x[j]:
-                    acc -= row[j] * Fraction(x[j])
-            x[c] = _norm(acc / row[c])
-        solutions.append(x)
+    solutions = [None if any(row[col] for row in m[rank:])  # inconsistent
+                 else _back_substitute(m, piv_cols, [0] * n_cols, col)
+                 for col in range(n_cols, n_cols + len(columns))]
     return solutions if several else solutions[0]
 
 
@@ -292,21 +295,8 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
     n_cols = len(rows[0])
     m, _ = _integerize(rows)
     piv_cols, _ = _bareiss_echelon(m)
-    pivots = list(enumerate(piv_cols))
-    free_cols = [c for c in range(n_cols) if c not in piv_cols]
-    basis = []
-    for f in free_cols:
-        v: list = [0] * n_cols
-        v[f] = 1
-        for k, c in reversed(pivots):
-            row = m[k]
-            acc = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if row[j] and v[j]:
-                    acc += row[j] * Fraction(v[j])
-            v[c] = _norm(-acc / row[c])
-        basis.append(v)
-    return basis
+    return [_back_substitute(m, piv_cols, [int(c == f) for c in range(n_cols)])
+            for f in range(n_cols) if f not in piv_cols]
 
 
 # ----------------------------------------------------------------------

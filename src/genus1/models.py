@@ -282,12 +282,7 @@ class Deg5Model:
         for coeffs in entries:
             if len(coeffs) != 5:
                 raise InputError("each matrix entry needs 5 coefficients")
-            terms = {}
-            for i, c in enumerate(coeffs):
-                e = [0] * 5
-                e[i] = 1
-                terms[tuple(e)] = as_scalar(c)
-            upper.append(Poly(DEG5_RING, terms))
+            upper.append(Poly(DEG5_RING, dict(zip(monomials(DEG5_RING, 1), coeffs))))
         return cls(tuple(upper))
 
     @classmethod
@@ -301,8 +296,8 @@ class Deg5Model:
                     x1))               # (4,5)
 
     def coefficients(self):
-        unit = [tuple(int(i == k) for i in range(5)) for k in range(5)]
-        return tuple(tuple(entry.coefficient(e) for e in unit) for entry in self.upper)
+        units = monomials(DEG5_RING, 1)
+        return tuple(tuple(entry.coefficient(e) for e in units) for entry in self.upper)
 
     def matrix(self) -> list[list[Poly]]:
         return alternating_from_upper(DEG5_RING, self.upper, 5)
@@ -389,13 +384,13 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     if any(p.evaluate(point) != 0 for p in pfaffians):
         raise InputError("the point does not lie on the curve")
     jac = [[p.derivative(v).evaluate(point) for v in DEG5_RING] for p in pfaffians]
-    if scalar_rank(jac) != 3:
+    kernel = kernel_basis(jac)  # contains the point; rank 3 leaves 2 dimensions
+    if len(kernel) != 2:
         raise DegenerateModelError("the point is a singular point of the model")
 
     # Rows of the substitution matrix are the new basis vectors: three
     # standard vectors completing the tangent plane, then a second kernel
     # vector, then the point itself.
-    kernel = kernel_basis(jac)  # 2-dimensional, contains the point
     second = next(k for k in kernel if scalar_rank([k, point]) == 2)
     new_basis = [second, point]
     completion = []

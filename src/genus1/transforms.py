@@ -46,8 +46,16 @@ def _upow(base: Scalar, k: int) -> Scalar:
     return int(value) if value.denominator == 1 else value
 
 
+def _scalars(data, what: str) -> tuple:
+    """A sequence of exact scalars; a string there is an error, not a
+    sequence of one-character scalars."""
+    if isinstance(data, str):
+        raise InputError(f"{what} must be a list of scalars, not a string")
+    return tuple(as_scalar(x) for x in data)
+
+
 def _matrix(data, n: int, what: str):
-    rows = tuple(tuple(as_scalar(x) for x in row) for row in data)
+    rows = tuple(_scalars(row, what) for row in data)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
@@ -120,7 +128,7 @@ class Deg2Transform:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", as_scalar(self.mu))
-        r = tuple(as_scalar(x) for x in self.r)
+        r = _scalars(self.r, "r")
         if len(r) != 3:
             raise InputError("degree-2 transformation needs r = (r0, r1, r2)")
         object.__setattr__(self, "r", r)

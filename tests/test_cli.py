@@ -1,5 +1,6 @@
 """The command line interface: verbs, pipelines, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -143,11 +144,18 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, ["j", path])
         assert code == 1
 
-    def test_malformed_json_is_2(self, capsys, tmp_path):
+    def test_malformed_json_is_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         code, _, _ = invoke(capsys, ["invariants", str(path)])
         assert code == 2
+        # bytes that are not UTF-8, in a file and on a strictly decoded stdin
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, _ = invoke(capsys, ["invariants", str(path)])
+        assert (code, out) == (2, "")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        code, out, _ = invoke(capsys, ["invariants", "-"])
+        assert (code, out) == (2, "")
         for degree in (True, 1.0, "1"):
             path.write_text(json.dumps({"degree": degree, "coefficients": ["0"] * 5}))
             code, _, _ = invoke(capsys, ["invariants", str(path)])
@@ -203,6 +211,14 @@ class TestExitCodes:
             g = {"degree": degree, "u": "1", "r": "0", "s": "0", "t": "0"}
             code, _, _ = invoke(capsys, ["transform", path, "--transformation", json.dumps(g)])
             assert code == 2
+        # a string where a list belongs, on a model of the same degree
+        curve = Deg1Model(0, 0, 0, -1, 0)
+        for degree, g in ((3, {"mu": "1", "B": ["100", "010", "001"]}),
+                          (2, {"mu": "1", "r": "000", "B": [["1", "0"], ["0", "1"]]})):
+            path = model_file(weierstrass_model(curve, degree))
+            g = json.dumps({"degree": degree, **g})
+            code, out, _ = invoke(capsys, ["transform", path, "--transformation", g])
+            assert (code, out) == (2, "")
 
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])

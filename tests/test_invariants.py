@@ -11,9 +11,10 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg2Model, Deg3Model,
                     Deg4Model, Deg5Model, DegenerateModelError,
                     InternalCheckError, Poly, SingularModelError, apply,
                     contract_quintics, deg4_auxiliary_quadrics,
-                    deg5_covariants, det_character, discriminant_deg3_matrix,
-                    discriminant_deg4_matrix, discriminant_deg5_matrix,
-                    generators, hessian, invariants, invariants_deg1,
+                    deg5_covariants, det_character, determinant,
+                    discriminant_deg3_matrix, discriminant_deg4_matrix,
+                    discriminant_deg5_matrix, generators, hessian,
+                    invariants, invariants_deg1,
                     invariants_deg2, invariants_deg3, invariants_deg4,
                     invariants_deg5, j_invariant, jacobian, tate_quantities,
                     weierstrass_model)
@@ -268,6 +269,18 @@ class TestDegree5:
         for xi, q in zip(DEG5_RING, cov.aux_quadrics):
             assert q.substitute(images) == cov.secant_quintic.derivative(xi)
 
+    def test_dual_quintic_from_second_derivatives(self):
+        # the definition: det(sum_k d^2 p_k/dx_i dx_j v_k)
+        v = generators(("v1", "v2", "v3", "v4", "v5"))
+        rng = random.Random(23)
+        for m in (wuthrich_model(), random_model(rng, 5), random_model(rng, 5)):
+            pf = m.pfaffians()
+            rows = [[sum((pf[k].derivative(xi).derivative(xj).constant_value() * v[k]
+                          for k in range(5)), 0 * v[0])
+                     for xj in DEG5_RING] for xi in DEG5_RING]
+            dual = deg5_covariants(m).dual_quintic
+            assert dual and determinant(rows) == dual
+
     def test_contraction_shape(self):
         # only odd powers of lam, lam^5 coefficient 128 c4^2, lam^1 40 c4
         cov = deg5_covariants(wuthrich_model())
@@ -417,3 +430,4 @@ class TestOmegaQuadrics:
         shifted = pf + [omegas[0] + 3 * pf[2] - pf[4]] + omegas[1:]
         rows2 = [[q.coefficient(e) for e in cols] for q in shifted]
         assert scalar_det(rows2) == base
+        assert discriminant_deg5_matrix(m) == base

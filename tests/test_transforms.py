@@ -129,3 +129,8 @@ class TestSerialization:
                 transformation_from_dict({"degree": degree, "u": "1", "r": "0", "s": "0", "t": "0"})
         with pytest.raises(InputError):
             transformation_from_dict({"degree": 1, "u": "1/0", "r": "0", "s": "0", "t": "0"})
+        # a string where a list belongs is not a list of one-digit scalars
+        with pytest.raises(InputError):
+            transformation_from_dict({"degree": 3, "mu": "1", "B": ["100", "010", "001"]})
+        with pytest.raises(InputError):
+            transformation_from_dict({"degree": 2, "mu": "1", "r": "000", "B": [[1, 0], [0, 1]]})
