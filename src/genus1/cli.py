@@ -10,7 +10,7 @@ standard output so they compose in a pipeline:
 
 Exit codes: 0 success, 1 singular model where a smooth one is required
 (jacobian / j on Delta = 0), 2 malformed input or violated precondition,
-3 failed internal consistency check.
+3 failed internal consistency check or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -198,6 +198,10 @@ def run(argv) -> int:
         return 2
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug: report it in the exit-code contract, not a traceback
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
 from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
-                     scalar_rank, solve_linear)
+                     solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING, Deg1Model, Deg2Model,
                      Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, exact_divide, generators, monomials
@@ -312,22 +312,21 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     (in which case all the invariants vanish)."""
     pf, jac, dphi = _deg5_frame(model)
 
-    # the k-th unknown is the coefficient of the k-th monomial v_i v_j, and
-    # its column of the system holds the coefficients of p_i p_j
+    secant = determinant(jac)
+
+    # dS/dx_i is a quadric in the Pfaffians: 70 equations, one per quartic
+    # monomial, and 15 unknowns, the k-th the coefficient of the k-th
+    # monomial v_i v_j, whose column holds the coefficients of p_i p_j.
+    # One elimination solves for every gradient and its rank is the check
+    # that the 15 products are independent.
     mono4 = monomials(DEG5_RING, 4)
     unknowns = list(_quadric_indices(V_RING))
     quartics = [pf[i] * pf[j] for (i, j), _ in unknowns]
-    product_rows = [[q.coefficient(e) for e in mono4] for q in quartics]
-    if scalar_rank(product_rows) != 15:
-        raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
-
-    secant = determinant(jac)
-
-    # dS/dx_i is a quadric in the Pfaffians; 70 equations, 15 unknowns,
-    # one right-hand side per gradient, all solved by one elimination.
     gradients = [secant.derivative(xi) for xi in DEG5_RING]
-    solutions = solve_linear(list(zip(*product_rows)),
-                             [[g.coefficient(e) for e in mono4] for g in gradients])
+    rank, solutions = solve_linear([[q.coefficient(e) for q in quartics] for e in mono4],
+                                   [[g.coefficient(e) for e in mono4] for g in gradients])
+    if rank != 15:
+        raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
     aux = []
     for xi, sol in zip(DEG5_RING, solutions):
         if sol is None:

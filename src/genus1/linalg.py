@@ -22,9 +22,10 @@ Two families of routines live here.
   echelon pass on an integer matrix obtained by clearing denominators
   row by row.  Intermediate entries stay integral, which keeps the 15x15
   and 70x15 systems of the degree-5 algorithm fast and exact.
-  ``solve_linear`` takes several right-hand sides at once and eliminates
-  once for all of them (the five gradient columns of the degree-5
-  auxiliary quadrics).
+  Each question is one pass: ``solve_linear`` takes every right-hand
+  side at once and reports the rank of the same echelon (the five
+  gradient columns of the degree-5 auxiliary quadrics and their rank-15
+  check), and ``pivot_columns`` gives the greedy basis of a column space.
 
 Pivots are always the first nonzero entry scanning rows top-down and
 columns left-right, so every result is deterministic.
@@ -108,9 +109,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         memo[mask] = total
         return total
 
+    full = minor(0, (1 << n) - 1)
+    minor = None  # break minor's self-reference: the cycle kept its memo until a full GC
     field = (1 << width) - 1
     return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
-                             for e, c in minor(0, (1 << n) - 1).items()})
+                             for e, c in full.items()})
 
 
 def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
@@ -154,12 +157,6 @@ def alternating_from_upper(ring, upper: Sequence[Poly], n: int):
 # ----------------------------------------------------------------------
 # scalar matrices (ints / Fractions)
 # ----------------------------------------------------------------------
-
-def _norm(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
 
 def _integerize(rows):
     """Scale each row to integers; return the rows and the factors."""
@@ -223,17 +220,23 @@ def _back_substitute(m, piv_cols, x: list, col: int | None = None) -> list:
         for j in range(c + 1, len(x)):
             if row[j] and x[j]:
                 acc -= row[j] * Fraction(x[j])
-        x[c] = _norm(acc / row[c])
+        x[c] = as_scalar(acc / row[c])
     return x
+
+
+def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
+    """The pivot columns of the echelon form, ascending: each is
+    independent of the columns before it, so they pick the first basis of
+    the column space scanning left to right."""
+    if not rows or not rows[0]:
+        return []
+    m, _ = _integerize(rows)
+    return _bareiss_echelon(m)[0]
 
 
 def scalar_rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
-    if not rows or not rows[0]:
-        return 0
-    m, _ = _integerize(rows)
-    piv_cols, _ = _bareiss_echelon(m)
-    return len(piv_cols)
+    return len(pivot_columns(rows))
 
 
 def scalar_det(rows: Sequence[Sequence]) -> Scalar:
@@ -247,29 +250,25 @@ def scalar_det(rows: Sequence[Sequence]) -> Scalar:
     denom = 1
     for f in factors:
         denom *= f
-    return _norm(Fraction(det, denom))
+    return as_scalar(Fraction(det, denom))
 
 
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
-    """Exact solutions of A x = b for one right-hand side b or several.
+def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
+    """Exact solutions of A x = b for each column b in ``columns``.
 
-    ``rhs`` is either one column b, a sequence of scalars, and the result
-    is one solution or None if A x = b is inconsistent; or a list of
-    columns [b1, ..., bk] (each a list or tuple), and the result is the
-    list of the k results, in order.  One Bareiss elimination of A,
-    augmented with every column, serves all of them: column i is
+    Returns (rank of A, solutions): one solution per column, in order, or
+    None where A x = b is inconsistent.  One Bareiss elimination of A,
+    augmented with every column, serves all of them: column b is
     consistent exactly when its entries below the rank of A vanish.
 
     Overdetermined systems are fine.  Free variables (if any) are set to
     zero; when the solution is unique this returns it.
     """
-    several = bool(rhs) and isinstance(rhs[0], (list, tuple))
-    columns = rhs if several else [rhs]
     n_rows = len(rows)
     if any(len(b) != n_rows for b in columns):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     if n_rows == 0:
-        return [[] for _ in columns] if several else []
+        return 0, [[] for _ in columns]
     n_cols = len(rows[0])
     if any(len(r) != n_cols for r in rows):
         raise ValueError("ragged matrix")
@@ -277,10 +276,9 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence):
     m, _ = _integerize(aug)
     piv_cols, _ = _bareiss_echelon(m, n_cols)
     rank = len(piv_cols)
-    solutions = [None if any(row[col] for row in m[rank:])  # inconsistent
-                 else _back_substitute(m, piv_cols, [0] * n_cols, col)
-                 for col in range(n_cols, n_cols + len(columns))]
-    return solutions if several else solutions[0]
+    return rank, [None if any(row[col] for row in m[rank:])  # inconsistent
+                  else _back_substitute(m, piv_cols, [0] * n_cols, col)
+                  for col in range(n_cols, n_cols + len(columns))]
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
@@ -308,7 +306,7 @@ def mat_mul(a, b):
     if any(len(row) != k for row in a):
         raise ValueError("matrix shapes do not match")
     return tuple(
-        tuple(_norm(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m))
+        tuple(as_scalar(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m))
         for i in range(n)
     )
 

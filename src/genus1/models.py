@@ -33,7 +33,7 @@ from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import (alternating_from_upper, is_alternating, kernel_basis,
-                     pfaffian4, scalar_rank)
+                     pfaffian4, pivot_columns, scalar_rank)
 from .poly import Poly, Scalar, as_scalar, format_scalar, generators, monomials
 
 DEG1_RING = ("x", "y", "z")
@@ -390,17 +390,12 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
 
     # Rows of the substitution matrix are the new basis vectors: three
     # standard vectors completing the tangent plane, then a second kernel
-    # vector, then the point itself.
-    second = next(k for k in kernel if scalar_rank([k, point]) == 2)
-    new_basis = [second, point]
-    completion = []
-    for i in range(5):
-        e = [int(j == i) for j in range(5)]
-        if scalar_rank(completion + [e] + new_basis) == len(completion) + 3:
-            completion.append(e)
-        if len(completion) == 3:
-            break
-    rows = completion + new_basis
+    # vector, then the point itself.  The pivot columns of [point, kernel,
+    # e_1..e_5] choose them: the point, the first kernel vector not
+    # proportional to it, then each e_i independent of those before it.
+    candidates = [point] + kernel + [[int(j == i) for j in range(5)] for i in range(5)]
+    chosen = [candidates[c] for c in pivot_columns(list(zip(*candidates)))]
+    rows = chosen[2:] + [chosen[1], point]
 
     # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors.
     images = linear_substitution(DEG5_RING, rows)

@@ -19,6 +19,7 @@ exponent tuple (so the first variable in the ring is the biggest).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
@@ -27,12 +28,18 @@ from typing import Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
+# "n" or "n/d" with an optional sign: no exponent or decimal point, so the
+# value has no more digits than the text and the int/str digit limit holds.
+_SCALAR_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
 def as_scalar(value) -> Scalar:
-    """Coerce ``value`` to an exact scalar.
+    """Coerce ``value`` to an exact scalar; an integral Fraction becomes an int.
 
     Accepts ints, Fractions and strings like ``"5"`` or ``"-3/4"``.
     Floats are rejected: they would silently break exactness.  A zero
-    denominator is a ValueError, like any other malformed number string.
+    denominator, an exponent (``"1e5"``) or a decimal point is a
+    ValueError, like any other malformed number string.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -41,6 +48,8 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
+        if not _SCALAR_TEXT.fullmatch(value):
+            raise ValueError(f"not an exact number n or n/d: {value!r}")
         try:
             return as_scalar(Fraction(value.strip()))
         except ZeroDivisionError:
@@ -51,12 +60,6 @@ def as_scalar(value) -> Scalar:
 def format_scalar(value: Scalar) -> str:
     """Render a scalar as ``"n"`` or ``"n/d"`` (the CLI output format)."""
     return str(as_scalar(value))
-
-
-def _norm_coeff(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class Poly:
@@ -289,7 +292,7 @@ class Poly:
                 if e:
                     term *= v ** e
             total += term
-        return _norm_coeff(total)
+        return as_scalar(total)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
         """Substitute a polynomial for every variable of this ring.
@@ -418,7 +421,7 @@ def exact_divide(num: Poly, den: Poly):
         diff = tuple(map(lambda a, b: a - b, exps, den_exps))
         if any(e < 0 for e in diff):
             return None
-        c = _norm_coeff(Fraction(coeff) / Fraction(den_coeff))
+        c = as_scalar(Fraction(coeff) / Fraction(den_coeff))
         quotient[diff] = c
         rest = rest - Poly._make(num.variables, {diff: c}) * den
     return Poly(num.variables, quotient)

@@ -42,8 +42,7 @@ from .poly import Poly, Scalar, as_scalar, generators
 
 def _upow(base: Scalar, k: int) -> Scalar:
     """base**k for possibly negative k, staying exact."""
-    value = Fraction(base) ** k
-    return int(value) if value.denominator == 1 else value
+    return as_scalar(Fraction(base) ** k)
 
 
 def _scalars(data, what: str) -> tuple:

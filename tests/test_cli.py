@@ -1,13 +1,17 @@
 """The command line interface: verbs, pipelines, exit codes."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus1 import Deg1Model, dumps_model, weierstrass_model
 from genus1.cli import run
@@ -164,6 +168,11 @@ class TestExitCodes:
             path.write_text(json.dumps({"degree": degree, "coefficients": coefficients}))
             code, out, _ = invoke(capsys, ["invariants", str(path)])
             assert (code, out) == (2, "")
+        # exponent and decimal strings are not the documented "n" or "n/d"
+        for text in ("1e5000", "0.5"):
+            path.write_text(json.dumps({"degree": 1, "coefficients": ["0", "0", "0", text, "0"]}))
+            code, out, _ = invoke(capsys, ["invariants", str(path)])
+            assert (code, out) == (2, "")
         # Within this process the int/str digit limit holds, so a JSON
         # integer past it is bad input; nesting past the decoder's stack too.
         for text in ('{"degree": 1, "coefficients": [0, 0, 0, 1%s, 0]}' % ("0" * 4400),
@@ -223,9 +232,28 @@ class TestExitCodes:
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])
         assert code == 2
+        # an exponent is not an exact number here: "1e5000" would be 5001 digits
+        for text in ("1e5000", "1.5"):
+            code, out, err = invoke(capsys, ["weierstrass", text, "0", "0", "0", "0"])
+            assert (code, out) == (2, "")
+            assert "Traceback" not in err
         path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 5))
         code, _, _ = invoke(capsys, ["project", path, "--point", "1,1,0,x,0"])
         assert code == 2
+        code, _, _ = invoke(capsys, ["project", path, "--point", "0,0,0,0,1e5"])
+        assert code == 2
+
+    def test_unexpected_exception_is_3(self, capsys, model_file, monkeypatch):
+        # a bug outside the package's own errors still ends in the exit-code
+        # contract: exit 3 and one line on stderr, not a traceback
+        def broken(model):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(sys.modules["genus1.cli"], "invariants", broken)
+        path = model_file(Deg1Model(0, 0, 0, -1, 0))
+        code, out, err = invoke(capsys, ["invariants", path])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["internal error: RuntimeError: boom on two lines"]
 
 
 def test_long_integers_in_a_cli_pipeline():
@@ -253,3 +281,52 @@ def test_long_integers_in_a_cli_pipeline():
     # Delta = -432 a6^2
     assert pipeline(["0", "0", "0", "0", "1" + "0" * 4400], "3") == (
         f"c4 = 0\nc6 = -864{'0' * 4400}\nDelta = -432{'0' * 8800}\n")
+
+
+# Model-reading verbs, each run on a model read from standard input.
+MODEL_VERBS = [["invariants"], ["jacobian"], ["j"], ["pfaffians"], ["discriminant"],
+               ["discriminant", "--method", "matrix"], ["project", "--point", "0,0,0,0,1"],
+               ["a1-char2"],
+               ["transform", "--transformation", '{"degree": 1, "u": "1", "r": "0", "s": "0", "t": "0"}']]
+
+SCALARS = st.integers(-3, 3) | st.sampled_from(["0", "1", "-2", "1/2"])
+JSON_SCALARS = (SCALARS | st.booleans() | st.none()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from(["1/0", "1e5", "0.5", "x", ""]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=10)
+                   | st.dictionaries(st.sampled_from(["p", "q", "q1", "q2", "matrix"]),
+                                     inner, max_size=3)),
+    max_leaves=60)
+
+
+def _vector(n):
+    return st.lists(SCALARS, min_size=n, max_size=n)
+
+
+# Well-formed models of each degree (often singular or degenerate), then
+# arbitrary JSON with and without a degree.
+MODEL_JSON = (st.fixed_dictionaries({"degree": st.just(1), "coefficients": _vector(5)})
+              | st.fixed_dictionaries({"degree": st.just(2), "coefficients": st.fixed_dictionaries(
+                  {"p": _vector(3), "q": _vector(5)})})
+              | st.fixed_dictionaries({"degree": st.just(3), "coefficients": _vector(10)})
+              | st.fixed_dictionaries({"degree": st.just(4), "coefficients": st.fixed_dictionaries(
+                  {"q1": _vector(10), "q2": _vector(10)})})
+              | st.fixed_dictionaries({"degree": st.just(5), "coefficients": st.fixed_dictionaries(
+                  {"matrix": st.lists(_vector(5), min_size=10, max_size=10)})})
+              | st.fixed_dictionaries({
+                  "degree": st.sampled_from([1, 2, 3, 4, 5, 0, 6, "1", True, None, 2.0]),
+                  "coefficients": JSON_VALUES})
+              | JSON_VALUES)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=MODEL_JSON, verb=st.sampled_from(MODEL_VERBS))
+def test_any_json_model_ends_in_a_documented_exit_code(data, verb):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (mock.patch.object(sys, "stdin", io.StringIO(json.dumps(data))),
+          contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+        code = run([verb[0], "-", *verb[1:]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

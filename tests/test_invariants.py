@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg2Model, Deg3Model,
                     Deg4Model, Deg5Model, DegenerateModelError,
@@ -247,8 +249,12 @@ class TestDegree5:
         # the last of the five columns solved at once comes back inconsistent
         module = sys.modules["genus1.invariants"]
         solve = module.solve_linear
-        monkeypatch.setattr(module, "solve_linear",
-                            lambda rows, columns: solve(rows, columns)[:4] + [None])
+
+        def last_inconsistent(rows, columns):
+            rank, solutions = solve(rows, columns)
+            return rank, solutions[:4] + [None]
+
+        monkeypatch.setattr(module, "solve_linear", last_inconsistent)
         with pytest.raises(InternalCheckError, match="dS/dx5"):
             deg5_covariants(wuthrich_model())
 
@@ -316,6 +322,46 @@ class TestDegree5Matrix:
             m = random_model(rng, 5)
             delta = invariants_deg5(m).delta
             assert discriminant_deg5_matrix(m) == DISC_MATRIX_SIGN[5] * 32 * delta
+
+
+def _disc_identity_holds(m):
+    d = m.degree
+    matrix = {3: discriminant_deg3_matrix, 4: discriminant_deg4_matrix,
+              5: discriminant_deg5_matrix}[d](m)
+    return matrix == DISC_MATRIX_SIGN[d] * {3: 1728, 4: 16, 5: 32}[d] * invariants(m).delta
+
+
+BIG = st.integers(-10 ** 20, 10 ** 20)
+
+
+class TestMatrixDiscriminantByProperty:
+    """The formula discriminant against the independent determinant path,
+    on degenerate and large-coefficient models as well as random ones."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+        min_size=10, max_size=10)))
+    def test_small_quintics(self, entries):
+        # entries in fewer than 5 variables are often degenerate (rank of the
+        # products p_i p_j below 15), where both sides must vanish
+        m = Deg5Model.from_coefficients([row + [0] * (5 - len(row)) for row in entries])
+        assert _disc_identity_holds(m)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(BIG, min_size=10, max_size=10))
+    def test_large_cubics(self, coeffs):
+        assert _disc_identity_holds(Deg3Model.from_coefficients(coeffs))
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(BIG, min_size=10, max_size=10), st.lists(BIG, min_size=10, max_size=10))
+    def test_large_quadric_pairs(self, q1, q2):
+        assert _disc_identity_holds(Deg4Model.from_coefficients(q1, q2))
+
+    @settings(deadline=None, max_examples=3)
+    @given(st.lists(st.lists(BIG, min_size=5, max_size=5), min_size=10, max_size=10))
+    def test_large_quintics(self, entries):
+        assert _disc_identity_holds(Deg5Model.from_coefficients(entries))
 
 
 class TestWeightLaw:

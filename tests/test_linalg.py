@@ -1,5 +1,6 @@
 """Determinants, Pfaffians and exact elimination."""
 
+import gc
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus1 import (Poly, determinant, generators, is_alternating,
-                    kernel_basis, pfaffian4, scalar_det, scalar_rank,
-                    solve_linear)
+                    kernel_basis, pfaffian4, pivot_columns, scalar_det,
+                    scalar_rank, solve_linear)
 from genus1.linalg import adjugate, alternating_from_upper, mat_mul, perm_sign
 
 RING = ("x", "y", "z", "w")
@@ -92,6 +93,17 @@ class TestDeterminant:
         rows = [[X ** 7, Y ** 7], [Z ** 8, X ** 8]]
         assert determinant(rows) == X ** 15 - Y ** 7 * Z ** 8 == leibniz(rows)
 
+    def test_leaves_no_garbage_cycle(self):
+        # the memo of minors is freed on return, not left for a full collection
+        rows = [[X, Y, Z], [Y, Z, W], [Z, W, X + 1]]
+        gc.collect()
+        gc.disable()
+        try:
+            determinant(rows)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @settings(deadline=None, max_examples=60)
     @given(rows=mixed_matrix())
     def test_matches_leibniz(self, rows):
@@ -145,29 +157,54 @@ class TestScalarElimination:
         assert scalar_rank([[0] * 5, [0] * 5]) == 0
         assert scalar_rank([[1, 2], [2, 4]]) == 1
 
+    def test_pivot_column_examples(self):
+        assert pivot_columns([[0, 1, 2], [0, 2, 4]]) == [1]
+        assert pivot_columns([[1, 1, 0], [1, 1, 1]]) == [0, 2]
+        assert pivot_columns([]) == pivot_columns([[], []]) == []
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_pivot_columns_are_the_greedy_basis(self, data):
+        # column c is a pivot exactly when it raises the rank of the columns before it
+        rows = data.draw(st.integers(1, 5))
+        cols = data.draw(st.integers(1, 6))
+        entry = st.sampled_from([-2, -1, 0, 0, 0, 1, 3, Fraction(1, 2), Fraction(-4, 3)])
+        mat = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+        if data.draw(st.booleans()):
+            mat.append([2 * x for x in mat[0]])  # a dependent row
+        for c in data.draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in mat:
+                row[c] = 0  # a zero column
+        prefix_rank = [scalar_rank([row[:c] for row in mat]) for c in range(cols + 1)]
+        greedy = [c for c in range(cols) if prefix_rank[c + 1] > prefix_rank[c]]
+        assert pivot_columns(mat) == greedy
+        assert scalar_rank(mat) == len(greedy)
+
     def test_solve_identity(self):
-        assert solve_linear([[1, 0], [0, 1]], [3, 5]) == [3, 5]
+        assert solve_linear([[1, 0], [0, 1]], [[3, 5]]) == (2, [[3, 5]])
 
     def test_solve_inconsistent(self):
-        assert solve_linear([[1], [1]], [1, 2]) is None
+        assert solve_linear([[1], [1]], [[1, 2]]) == (1, [None])
 
     def test_solve_rational(self):
-        assert solve_linear([[2]], [1]) == [Fraction(1, 2)]
+        assert solve_linear([[2]], [[1]]) == (1, [[Fraction(1, 2)]])
 
     def test_solve_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_linear([[1, 2]], [1, 2])
+            solve_linear([[1, 2]], [[1, 2]])
         with pytest.raises(ValueError):
             solve_linear([[1, 2]], [[1], [1, 2]])
 
     def test_solve_several_columns(self):
         # one column per result, an inconsistent one giving None
-        assert solve_linear([[1], [1]], [[1, 1], [1, 2], (2, 2)]) == [[1], None, [2]]
+        assert solve_linear([[1], [1]], [[1, 1], [1, 2], (2, 2)]) == (1, [[1], None, [2]])
         # overdetermined and rank deficient: free variables set to zero
         mat = [[1, 2], [2, 4], [3, 6]]
-        assert solve_linear(mat, [1, 2, 3]) == [1, 0]
-        assert solve_linear(mat, [[1, 2, 3], [1, 2, 4], [0, 0, 0]]) == [[1, 0], None, [0, 0]]
-        assert solve_linear([], [[], []]) == [[], []]
+        assert solve_linear(mat, [[1, 2, 3]]) == (1, [[1, 0]])
+        assert solve_linear(mat, [[1, 2, 3], [1, 2, 4], [0, 0, 0]]) == (1, [[1, 0], None, [0, 0]])
+        assert solve_linear([], [[], []]) == (0, [[], []])
+        # no right-hand side at all: the rank alone
+        assert solve_linear(mat, []) == (1, [])
 
     @settings(deadline=None, max_examples=50)
     @given(st.data())
@@ -180,7 +217,9 @@ class TestScalarElimination:
             mat = mat + [list(mat[0])]  # a dependent row
         k = data.draw(st.integers(1, 4))
         columns = [[data.draw(entry) for _ in mat] for _ in range(k)]
-        assert solve_linear(mat, columns) == [solve_linear(mat, b) for b in columns]
+        rank, solutions = solve_linear(mat, columns)
+        assert rank == scalar_rank(mat)
+        assert solutions == [solve_linear(mat, [b])[1][0] for b in columns]
 
     def test_det_fractions(self):
         m = [[Fraction(1, 2), 1], [1, 4]]
@@ -206,7 +245,8 @@ class TestScalarElimination:
         cols = data.draw(st.integers(1, 4))
         mat = [[data.draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(rows)]
         rhs = [data.draw(st.integers(-4, 4)) for _ in range(rows)]
-        sol = solve_linear(mat, rhs)
+        rank, (sol,) = solve_linear(mat, [rhs])
+        assert rank == scalar_rank(mat)
         if sol is None:
             # inconsistent: the augmented matrix has strictly larger rank
             aug = [row + [rhs[i]] for i, row in enumerate(mat)]

@@ -52,6 +52,16 @@ class TestBasics:
         with pytest.raises(TypeError):
             as_scalar(1.25)
 
+    def test_scalar_strings(self):
+        # only "n" and "n/d", with an optional sign and surrounding whitespace
+        assert as_scalar(" -3/4 ") == Fraction(-3, 4)
+        assert as_scalar("+6/3\n") == 2
+        assert type(as_scalar("6/3")) is int
+        # an exponent would turn a few characters into thousands of digits
+        for text in ("1e5000", "1E5", "1.5", ".5", "1_000", "-3/-4", "3/ 4", "", "-", "0x10"):
+            with pytest.raises(ValueError):
+                as_scalar(text)
+
     def test_pow(self):
         x, y = generators(XY)
         assert (x + y) ** 0 == 1

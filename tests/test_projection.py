@@ -2,12 +2,21 @@
 
 import pytest
 
-from genus1 import (Deg1Model, DegenerateModelError, InputError, invariants,
-                    j_invariant, project_from_point, weierstrass_model)
+from genus1 import (Deg1Model, Deg4Model, Deg5Transform, DegenerateModelError,
+                    InputError, apply, invariants, j_invariant,
+                    project_from_point, weierstrass_model)
 
 
 def pi5(a, b):
     return weierstrass_model(Deg1Model(0, 0, 0, a, b), 5)
+
+
+# A degree-5 transformation with the substitution x = x' B: the point
+# (1:1:0:1:0) of pi5(-1, 0) moves to x' = (1, 1, 0, 1, 0) B^-1 ~ (3:-1:-2:1:-1).
+MOVE = Deg5Transform(((1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                      (0, 0, 0, 1, 0), (0, 2, 0, 0, 1)),
+                     ((1, 1, 0, 0, 0), (0, 1, 0, -1, 0), (0, 0, 1, 0, 0),
+                      (0, 0, 2, 1, 1), (1, 0, 0, 0, 1)))
 
 
 class TestProjection:
@@ -45,6 +54,22 @@ class TestProjection:
         # (x, y) = (-1, 0) maps to (1:-1:0:1:0)
         model = pi5(-1, 0)
         projected = project_from_point(model, (1, -1, 0, 1, 0))
+        assert j_invariant(projected) == 1728
+
+
+    # The exact models pin the basis choice (second kernel vector and the
+    # completing standard vectors); coefficients in graded-lex order.
+    @pytest.mark.parametrize("model, point, q1, q2", [
+        (pi5(-1, 0), (1, 1, 0, 1, 0),
+         [0, 0, 0, -1, 0, 1, 2, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1, 1, 0]),
+        (pi5(-1, 0), (1, 0, 0, 0, 0),
+         [0, 0, 1, 0, 0, 0, -1, 0, 0, 0], [-1, 0, 0, 0, 1, 0, 0, 0, -1, 0]),
+        (apply(MOVE, pi5(-1, 0)), (3, -1, -2, 1, -1),
+         [-2, -6, 1, 1, -4, 2, 3, -2, -2, 0], [1, 3, 0, 0, 2, 0, 0, 1, 1, 0]),
+    ])
+    def test_exact_projected_models(self, model, point, q1, q2):
+        projected = project_from_point(model, point)
+        assert projected == Deg4Model.from_coefficients(q1, q2)
         assert j_invariant(projected) == 1728
 
 
