@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
@@ -42,16 +41,12 @@ from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
 from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
                      solve_linear)
-from .models import (DEG3_RING, DEG4_RING, DEG5_RING, Deg1Model, Deg2Model,
-                     Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
+from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
+                     Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, exact_divide, generators, monomials
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
-
-# _UNITS[t] is the exponent of x_t alone: it reads the x_t coefficient of
-# a linear form.
-_UNITS = monomials(DEG5_RING, 1)
 
 # Fixed sign of each determinant-based discriminant (depends only on the
 # row/column orderings chosen below; fixed once against the formula path
@@ -294,7 +289,7 @@ def _deg5_frame(m: Deg5Model):
     scalars dphi[t][i][j], the x_t coefficient of phi_ij."""
     pf = m.pfaffians()
     jac = [[p.derivative(v) for v in DEG5_RING] for p in pf]
-    dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in _UNITS]
+    dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in DEG5_UNITS]
     return pf, jac, dphi
 
 
@@ -334,7 +329,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
         aux.append(Poly(V_RING, {e: c for (_, e), c in zip(unknowns, sol)}))
 
     # d^2 p_k / dx_i dx_j is the x_j coefficient of the linear form dp_k/dx_i
-    hessians = [[[row[i].coefficient(e) for row in jac] for e in _UNITS] for i in range(5)]
+    hessians = [[[row[i].coefficient(e) for row in jac] for e in DEG5_UNITS] for i in range(5)]
     dual_quintic = determinant(_linear_matrix(hessians, generators(V_RING)))
 
     lam = Poly.variable(PENCIL_RING, "lam")
@@ -460,37 +455,11 @@ def j_invariant(m: GenusOneModel) -> Scalar:
 # the weight-1 invariant in characteristic 2
 # ----------------------------------------------------------------------
 
-def _compose_perm(a, b):
-    return tuple(a[b[i] - 1] for i in range(5))
-
-
-@lru_cache(maxsize=1)
-def _coset_reps():
-    """Lexicographically least representatives of the left cosets of
-    D5 = <(12345), (25)(34)> in S5 (twelve of them)."""
-    rotation = (2, 3, 4, 5, 1)
-    reflection = (1, 5, 4, 3, 2)
-    group = {(1, 2, 3, 4, 5)}
-    frontier = [(1, 2, 3, 4, 5)]
-    while frontier:
-        g = frontier.pop()
-        for h in (rotation, reflection):
-            new = _compose_perm(g, h)
-            if new not in group:
-                group.add(new)
-                frontier.append(new)
-    if len(group) != 10:
-        raise InternalCheckError("the dihedral subgroup of S5 has the wrong order")
-    reps = []
-    seen = set()
-    for sigma in permutations((1, 2, 3, 4, 5)):
-        if sigma in seen:
-            continue
-        reps.append(sigma)
-        seen.update(_compose_perm(sigma, d) for d in group)
-    if len(reps) != 12:
-        raise InternalCheckError("expected 12 cosets of D5 in S5")
-    return tuple(reps)
+# Left coset representatives of the dihedral group D5 = <(12345), (25)(34)>
+# in S5, one per undirected 5-cycle through 1: the cycle read from 1 in the
+# direction whose second vertex is below its last.  Each is the
+# lexicographically least permutation of its coset.
+D5_COSET_REPS = tuple((1,) + p for p in permutations((2, 3, 4, 5)) if p[0] < p[-1])
 
 
 def a1_char2(m: GenusOneModel) -> int:
@@ -525,7 +494,7 @@ def a1_char2(m: GenusOneModel) -> int:
         return total % 2
     phi = m.matrix()
     total = 0
-    for sigma in _coset_reps():
+    for sigma in D5_COSET_REPS:
         product = Poly.constant(DEG5_RING, 1)
         for i in range(5):
             product = product * phi[sigma[i] - 1][sigma[(i + 1) % 5] - 1]

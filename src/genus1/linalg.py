@@ -1,13 +1,15 @@
-"""Exact linear algebra: polynomial determinants, Pfaffians, and
-fraction-free elimination over the rationals.
+"""Exact linear algebra: polynomial determinants and fraction-free
+elimination over the rationals.
 
 Two families of routines live here.
 
 * Polynomial matrices (lists of rows of :class:`~genus1.poly.Poly`):
   ``determinant`` via expansion by minors with memoisation on column
-  subsets, and ``pfaffian4`` for 4x4 alternating matrices.  These are used
-  on small matrices (at most 5x5 in the degree-5 pipeline) whose entries
-  are polynomials, where elimination would cause coefficient blowup.
+  subsets, and ``is_alternating`` to validate an alternating matrix read
+  from outside (the degree-5 Pfaffians live on ``Deg5Model``, which
+  stores only the upper triangle).  Determinants are taken on small
+  matrices (at most 5x5 in the degree-5 pipeline) whose entries are
+  polynomials, where elimination would cause coefficient blowup.
   The expansion works on packed exponents (Monagan and Pearce, "Sparse
   polynomial multiplication and division in Maple 14", 2009): each
   monomial is one int holding a fixed-width bit field per variable, so a
@@ -127,31 +129,6 @@ def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
             if rows[j][i] != -rows[i][j]:
                 return False
     return True
-
-
-def pfaffian4(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Pfaffian of a 4x4 alternating matrix: m01*m23 - m02*m13 + m03*m12."""
-    if len(rows) != 4 or not is_alternating(rows):
-        raise ValueError("pfaffian4 needs a 4x4 alternating matrix")
-    return rows[0][1] * rows[2][3] - rows[0][2] * rows[1][3] + rows[0][3] * rows[1][2]
-
-
-def alternating_from_upper(ring, upper: Sequence[Poly], n: int):
-    """Build an n x n alternating matrix from its upper triangle.
-
-    ``upper`` is row-major: (0,1), (0,2), ..., (n-2, n-1).
-    """
-    if len(upper) != n * (n - 1) // 2:
-        raise ValueError("wrong number of upper-triangle entries")
-    zero = Poly.zero(ring)
-    rows = [[zero] * n for _ in range(n)]
-    it = iter(upper)
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = next(it)
-            rows[i][j] = entry
-            rows[j][i] = -entry
-    return rows
 
 
 # ----------------------------------------------------------------------

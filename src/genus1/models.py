@@ -11,9 +11,13 @@ A genus one model is the coefficient data cutting out a genus one curve:
 * degree 5 -- a 5x5 alternating matrix of linear forms in x1..x5, whose
   4x4 Pfaffians cut out the curve.
 
-Degree-5 models are stored by their upper triangle only; alternation is
-structural, not data.  All model classes are frozen dataclasses; the
-polynomial rings are the fixed module-level tuples below.
+Degree-5 models are stored by their upper triangle only (positions
+``DEG5_PAIRS``); alternation is structural, not data.  The Pfaffians and
+the degree-5 group action read the ten entries directly; ``matrix`` and
+``from_matrix`` convert to and from the full matrix, and only
+``from_matrix``, which takes outside input, checks alternation.  All model
+classes are frozen dataclasses; the polynomial rings are the fixed
+module-level tuples below.
 
 This module also provides the Weierstrass-family embeddings pi_n sending
 a degree-1 model to an equivalent model of degree n = 2..5, projection of
@@ -32,8 +36,7 @@ from dataclasses import dataclass
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
-from .linalg import (alternating_from_upper, is_alternating, kernel_basis,
-                     pfaffian4, pivot_columns, scalar_rank)
+from .linalg import is_alternating, kernel_basis, pivot_columns, scalar_rank
 from .poly import Poly, Scalar, as_scalar, format_scalar, generators, monomials
 
 DEG1_RING = ("x", "y", "z")
@@ -45,6 +48,9 @@ DEG5_RING = ("x1", "x2", "x3", "x4", "x5")
 
 # Upper-triangle positions of a 5x5 alternating matrix, row-major.
 DEG5_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+
+# The exponents of x1..x5 alone: the coefficient order of a linear form.
+DEG5_UNITS = monomials(DEG5_RING, 1)
 
 QUADRIC_MONOMIALS_DEG4 = monomials(DEG4_RING, 2)
 
@@ -282,7 +288,7 @@ class Deg5Model:
         for coeffs in entries:
             if len(coeffs) != 5:
                 raise InputError("each matrix entry needs 5 coefficients")
-            upper.append(Poly(DEG5_RING, dict(zip(monomials(DEG5_RING, 1), coeffs))))
+            upper.append(Poly(DEG5_RING, dict(zip(DEG5_UNITS, coeffs))))
         return cls(tuple(upper))
 
     @classmethod
@@ -296,20 +302,27 @@ class Deg5Model:
                     x1))               # (4,5)
 
     def coefficients(self):
-        units = monomials(DEG5_RING, 1)
-        return tuple(tuple(entry.coefficient(e) for e in units) for entry in self.upper)
+        return tuple(tuple(entry.coefficient(e) for e in DEG5_UNITS) for entry in self.upper)
 
     def matrix(self) -> list[list[Poly]]:
-        return alternating_from_upper(DEG5_RING, self.upper, 5)
+        """The full alternating matrix: phi_ji = -phi_ij, zero diagonal."""
+        rows = [[Poly.zero(DEG5_RING)] * 5 for _ in range(5)]
+        for (i, j), entry in zip(DEG5_PAIRS, self.upper):
+            rows[i][j] = entry
+            rows[j][i] = -entry
+        return rows
 
     def pfaffians(self) -> list[Poly]:
-        """Submaximal Pfaffians p_i = (-1)^(i+1) pf(matrix with row/col i deleted)."""
-        rows = self.matrix()
+        """Submaximal Pfaffians p_i = (-1)^(i+1) pf(matrix with row/col i deleted).
+
+        With a < b < c < d the other four indices, that Pfaffian is
+        phi_ab phi_cd - phi_ac phi_bd + phi_ad phi_bc, all upper entries.
+        """
+        phi = dict(zip(DEG5_PAIRS, self.upper))
         out = []
         for i in range(5):
-            keep = [k for k in range(5) if k != i]
-            sub = [[rows[r][c] for c in keep] for r in keep]
-            p = pfaffian4(sub)
+            a, b, c, d = (k for k in range(5) if k != i)
+            p = phi[a, b] * phi[c, d] - phi[a, c] * phi[b, d] + phi[a, d] * phi[b, c]
             out.append(p if i % 2 == 0 else -p)
         return out
 

@@ -33,9 +33,9 @@ from typing import get_args
 
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
-from .models import (DEG1_RING, DEG2_RING, DEG3_RING, DEG4_RING, DEG5_RING,
-                     Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                     GenusOneModel, class_for_degree, json_scalars,
+from .models import (DEG1_RING, DEG2_RING, DEG3_RING, DEG4_RING, DEG5_PAIRS,
+                     DEG5_RING, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
+                     Deg5Model, GenusOneModel, class_for_degree, json_scalars,
                      linear_substitution)
 from .poly import Poly, Scalar, as_scalar, generators
 
@@ -45,16 +45,20 @@ def _upow(base: Scalar, k: int) -> Scalar:
     return as_scalar(Fraction(base) ** k)
 
 
+def _sequence(data, what: str):
+    """A list or tuple; a string there is not a sequence of one-character
+    scalars, nor is a JSON object a sequence of its keys."""
+    if not isinstance(data, (list, tuple)):
+        raise InputError(f"{what} must be a list, not {type(data).__name__}")
+    return data
+
+
 def _scalars(data, what: str) -> tuple:
-    """A sequence of exact scalars; a string there is an error, not a
-    sequence of one-character scalars."""
-    if isinstance(data, str):
-        raise InputError(f"{what} must be a list of scalars, not a string")
-    return tuple(as_scalar(x) for x in data)
+    return tuple(as_scalar(x) for x in _sequence(data, what))
 
 
 def _matrix(data, n: int, what: str):
-    rows = tuple(_scalars(row, what) for row in data)
+    rows = tuple(_scalars(row, what) for row in _sequence(data, what))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
@@ -276,19 +280,18 @@ class Deg5Transform(_MatrixPair):
         return det_a * det_a * scalar_det(self.B)
 
     def apply(self, m: Deg5Model) -> Deg5Model:
+        # Upper entries of A phi A^T, using phi_lk = -phi_kl:
+        # (A phi A^T)_ij = sum_{k<l} (a_ik a_jl - a_il a_jk) phi_kl.
         sub = linear_substitution(DEG5_RING, self.B)
-        phi = [[entry.substitute(sub) for entry in row] for row in m.matrix()]
+        phi = [(k, l, entry.substitute(sub))
+               for (k, l), entry in zip(DEG5_PAIRS, m.upper) if entry]
         a = self.A
         zero = Poly.zero(DEG5_RING)
-        rows = [
-            [
-                sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)
-                     if a[i][k] and a[j][l] and phi[k][l]), zero)
-                for j in range(5)
-            ]
-            for i in range(5)
-        ]
-        return Deg5Model.from_matrix(rows)
+        upper = []
+        for i, j in DEG5_PAIRS:
+            minors = ((a[i][k] * a[j][l] - a[i][l] * a[j][k], entry) for k, l, entry in phi)
+            upper.append(sum((c * entry for c, entry in minors if c), zero))
+        return Deg5Model(tuple(upper))
 
 
 Transformation = (Deg1Transform | Deg2Transform | Deg3Transform

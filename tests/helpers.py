@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
                     Deg5Model, Deg5Transform, scalar_det)
@@ -44,6 +46,27 @@ STRING_COEFFICIENTS = [
     (4, {"q1": "0000000000", "q2": ["0"] * 10}),
     (5, {"matrix": ["00000"] + [["0"] * 5] * 9}),
 ]
+
+
+# Coefficients for property tests: small integers (zero among them),
+# Fractions, and integers around 10^20.
+BIG = st.integers(-10 ** 20, 10 ** 20)
+SCALARS = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=5), BIG)
+
+
+def deg5_models(scalars=SCALARS):
+    """Degree-5 models whose entries are zero as often as not."""
+    entry = st.one_of(st.just([0] * 5), st.lists(scalars, min_size=5, max_size=5))
+    return st.lists(entry, min_size=10, max_size=10).map(Deg5Model.from_coefficients)
+
+
+# Entries of transformation matrices: small integers and Fractions.
+MATRIX_ENTRIES = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+def invertible_matrices(n, scalars=st.integers(-2, 2)):
+    rows = st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n)
+    return rows.filter(lambda m: scalar_det(m) != 0)
 
 
 def wuthrich_model() -> Deg5Model:

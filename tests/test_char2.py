@@ -2,21 +2,27 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from genus1 import (Deg1Model, Deg2Model, Deg4Model, InputError, a1_char2,
                     weierstrass_model)
-from genus1.invariants import _coset_reps
+from genus1.invariants import D5_COSET_REPS
 
 from helpers import random_model
 
 
 def test_coset_representatives():
-    reps = _coset_reps()
-    assert len(reps) == 12
-    assert reps[0] == (1, 2, 3, 4, 5)
-    assert len(set(reps)) == 12
+    # the coset sigma D5 holds the readings of sigma as a 5-cycle from each
+    # start in each direction; the least reading represents it
+    def canonical(sigma):
+        rotations = [sigma[k:] + sigma[:k] for k in range(5)]
+        return min(rotations + [r[::-1] for r in rotations])
+
+    classes = sorted({canonical(sigma) for sigma in permutations((1, 2, 3, 4, 5))})
+    assert D5_COSET_REPS == tuple(classes)
+    assert len(D5_COSET_REPS) == 12
 
 
 def test_degree4_single_term():

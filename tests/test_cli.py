@@ -220,10 +220,18 @@ class TestExitCodes:
             g = {"degree": degree, "u": "1", "r": "0", "s": "0", "t": "0"}
             code, _, _ = invoke(capsys, ["transform", path, "--transformation", json.dumps(g)])
             assert code == 2
-        # a string where a list belongs, on a model of the same degree
+        # a string or a JSON object where a list belongs, on a model of the
+        # same degree: neither is a sequence of its characters or keys
         curve = Deg1Model(0, 0, 0, -1, 0)
         for degree, g in ((3, {"mu": "1", "B": ["100", "010", "001"]}),
-                          (2, {"mu": "1", "r": "000", "B": [["1", "0"], ["0", "1"]]})):
+                          (2, {"mu": "1", "r": "000", "B": [["1", "0"], ["0", "1"]]}),
+                          (2, {"mu": "1", "r": {"0": 1, "1": 2, "2": 3},
+                               "B": [{"1": 0, "0": 0}, {"0": 0, "1": 0}]}),
+                          (2, {"mu": "1", "r": [0, 0, 0],
+                               "B": [{"1": 0, "0": 0}, {"0": 0, "1": 0}]}),
+                          (3, {"mu": "1", "B": [{"1": 0, "0": 0, "2": 0},
+                                                {"0": 0, "1": 0, "2": 0},
+                                                {"0": 0, "2": 0, "1": 0}]})):
             path = model_file(weierstrass_model(curve, degree))
             g = json.dumps({"degree": degree, **g})
             code, out, _ = invoke(capsys, ["transform", path, "--transformation", g])

@@ -6,11 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg2Model, Deg3Model,
-                    Deg4Model, Deg5Model, DegenerateModelError,
+from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
+                    Deg2Transform, Deg3Model, Deg3Transform, Deg4Model,
+                    Deg4Transform, Deg5Model, Deg5Transform, DegenerateModelError,
                     InternalCheckError, Poly, SingularModelError, apply,
                     contract_quintics, deg4_auxiliary_quadrics,
                     deg5_covariants, det_character, determinant,
@@ -23,7 +24,8 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg2Model, Deg3Model,
 from genus1.invariants import _symmetric_matrix
 from genus1.models import DEG3_RING, DEG5_RING
 
-from helpers import (WUTHRICH_C4, WUTHRICH_C6, random_model,
+from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
+                     deg5_models, invertible_matrices, random_model,
                      random_transformation, wuthrich_model)
 
 XYZ = generators(DEG3_RING)
@@ -331,9 +333,6 @@ def _disc_identity_holds(m):
     return matrix == DISC_MATRIX_SIGN[d] * {3: 1728, 4: 16, 5: 32}[d] * invariants(m).delta
 
 
-BIG = st.integers(-10 ** 20, 10 ** 20)
-
-
 class TestMatrixDiscriminantByProperty:
     """The formula discriminant against the independent determinant path,
     on degenerate and large-coefficient models as well as random ones."""
@@ -477,3 +476,74 @@ class TestOmegaQuadrics:
         rows2 = [[q.coefficient(e) for e in cols] for q in shifted]
         assert scalar_det(rows2) == base
         assert discriminant_deg5_matrix(m) == base
+
+
+# Model coefficients for the laws below: small ones give many Delta = 0
+# models (all zeros, repeated roots), BIG gives 20-digit ones.
+COEFFS = st.one_of(st.integers(-2, 2), BIG)
+UNITS = st.sampled_from([1, -1, 2, 3, Fraction(1, 2)])
+SMALL = st.integers(-2, 2)
+
+
+def coefficient_lists(n):
+    return st.lists(COEFFS, min_size=n, max_size=n)
+
+
+MODELS = {
+    1: coefficient_lists(5).map(lambda c: Deg1Model(*c)),
+    2: st.builds(Deg2Model.from_coefficients, coefficient_lists(3), coefficient_lists(5)),
+    3: coefficient_lists(10).map(Deg3Model.from_coefficients),
+    4: st.builds(Deg4Model.from_coefficients, coefficient_lists(10), coefficient_lists(10)),
+    5: deg5_models(COEFFS),
+}
+
+TRANSFORMATIONS = {
+    1: st.builds(Deg1Transform, UNITS, SMALL, SMALL, SMALL),
+    2: st.builds(Deg2Transform, UNITS, st.tuples(SMALL, SMALL, SMALL),
+                 invertible_matrices(2, MATRIX_ENTRIES)),
+    3: st.builds(Deg3Transform, UNITS, invertible_matrices(3, MATRIX_ENTRIES)),
+    4: st.builds(Deg4Transform, invertible_matrices(2, MATRIX_ENTRIES),
+                 invertible_matrices(4, MATRIX_ENTRIES)),
+    5: st.builds(Deg5Transform, invertible_matrices(5, MATRIX_ENTRIES),
+                 invertible_matrices(5, MATRIX_ENTRIES)),
+}
+
+
+def _weight_law_holds(g, m):
+    d = Fraction(det_character(g))
+    base, moved = invariants(m), invariants(apply(g, m))
+    return (Fraction(moved.c4), Fraction(moved.c6), Fraction(moved.delta)) == (
+        d ** 4 * base.c4, d ** 6 * base.c6, d ** 12 * base.delta)
+
+
+class TestInvariantLawsByProperty:
+    """The Weierstrass restriction and the weight law under apply, on
+    singular (Delta = 0) and large-coefficient models as well as random
+    ones.  Degree 5 runs fewer examples: each costs two quintic
+    evaluations of up to a quarter second."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(coefficient_lists(5), st.integers(2, 4))
+    @example([0, 0, 0, 0, 0], 4)       # cusp: Delta = 0, c4 = 0
+    @example([0, 0, 0, -3, 2], 3)      # node: Delta = 0, c4 != 0
+    def test_weierstrass_restriction(self, a, degree):
+        w = Deg1Model(*a)
+        assert invariants(weierstrass_model(w, degree)) == invariants(w)
+
+    @settings(deadline=None, max_examples=8)
+    @given(coefficient_lists(5))
+    @example([0, 0, 0, -3, 2])
+    def test_weierstrass_restriction_degree5(self, a):
+        w = Deg1Model(*a)
+        assert invariants(weierstrass_model(w, 5)) == invariants(w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(TRANSFORMATIONS[d], MODELS[d])))
+    def test_weight_law(self, pair):
+        assert _weight_law_holds(*pair)
+
+    @settings(deadline=None, max_examples=6)
+    @given(TRANSFORMATIONS[5], st.one_of(MODELS[5], st.builds(
+        weierstrass_model, MODELS[1], st.just(5))))
+    def test_weight_law_degree5(self, g, m):
+        assert _weight_law_holds(g, m)

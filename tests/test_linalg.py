@@ -1,4 +1,4 @@
-"""Determinants, Pfaffians and exact elimination."""
+"""Polynomial determinants and exact elimination."""
 
 import gc
 from fractions import Fraction
@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import (Poly, determinant, generators, is_alternating,
-                    kernel_basis, pfaffian4, pivot_columns, scalar_det,
-                    scalar_rank, solve_linear)
-from genus1.linalg import adjugate, alternating_from_upper, mat_mul, perm_sign
+from genus1 import (Poly, determinant, generators, kernel_basis, pivot_columns,
+                    scalar_det, scalar_rank, solve_linear)
+from genus1.linalg import adjugate, mat_mul, perm_sign
 
 RING = ("x", "y", "z", "w")
 X, Y, Z, W = generators(RING)
 ZERO = Poly.zero(RING)
-ONE = Poly.constant(RING, 1)
 
 
 def small_poly():
@@ -120,35 +118,6 @@ class TestDeterminant:
     def test_row_swap_negates(self, rows):
         swapped = [rows[1], rows[0], rows[2]]
         assert determinant(swapped) == -determinant(rows)
-
-
-class TestPfaffian:
-    def upper(self, a1, a2, a3, b3, b2, b1):
-        return alternating_from_upper(RING, [a1, a2, a3, b3, b2, b1], 4)
-
-    def test_single_product(self):
-        m = self.upper(X, ZERO, ZERO, ZERO, ZERO, Y)
-        assert pfaffian4(m) == X * Y
-
-    def test_zero_matrix(self):
-        m = self.upper(*[ZERO] * 6)
-        assert pfaffian4(m) == 0
-
-    def test_alternating_sum(self):
-        m = self.upper(*[ONE] * 6)
-        assert pfaffian4(m).constant_value() == 1  # 1 - 1 + 1
-
-    def test_rejects_non_alternating(self):
-        rows = [[ONE] * 4 for _ in range(4)]
-        assert not is_alternating(rows)
-        with pytest.raises(ValueError):
-            pfaffian4(rows)
-
-    @settings(deadline=None, max_examples=30)
-    @given(entries=st.lists(small_poly(), min_size=6, max_size=6))
-    def test_square_is_determinant(self, entries):
-        m = self.upper(*entries)
-        assert pfaffian4(m) ** 2 == determinant(m)
 
 
 class TestScalarElimination:

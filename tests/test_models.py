@@ -3,15 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from genus1 import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                    InputError, Poly, dumps_model, equations, generators,
-                    loads_model, model_from_dict, model_to_dict,
-                    weierstrass_model)
+                    InputError, Poly, determinant, dumps_model, equations,
+                    generators, is_alternating, loads_model, model_from_dict,
+                    model_to_dict, weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
-                     random_model, wuthrich_model)
+                     deg5_models, random_model, wuthrich_model)
+
+X1, X2 = generators(DEG5_RING)[:2]
+ZERO5 = Poly.zero(DEG5_RING)
 
 
 class TestEquations:
@@ -51,6 +55,46 @@ class TestEquations:
         x1, x2, x3, x4 = generators(DEG4_RING)
         m = Deg4Model(x1 * x4 - x2 * x2, x3 * x3 - x2 * x4)
         assert equations(m) == [m.q1, m.q2]
+
+
+class TestPfaffians:
+    """The Pfaffians read off the upper triangle, against the full matrix."""
+
+    def test_single_product(self):
+        # phi_12 = x1 and phi_34 = x2: only p_5 = phi_12 phi_34 survives
+        upper = [ZERO5] * 10
+        upper[0], upper[7] = X1, X2
+        assert Deg5Model(tuple(upper)).pfaffians() == [ZERO5] * 4 + [X1 * X2]
+
+    def test_zero_matrix(self):
+        assert Deg5Model((ZERO5,) * 10).pfaffians() == [ZERO5] * 5
+
+    def test_alternating_sum(self):
+        # every 4x4 Pfaffian is x1^2 - x1^2 + x1^2, signed (-1)^(i+1)
+        p = Deg5Model((X1,) * 10).pfaffians()
+        assert p == [X1 * X1, -X1 * X1, X1 * X1, -X1 * X1, X1 * X1]
+
+    def test_rejects_non_alternating(self):
+        rows = [[X1] * 5 for _ in range(5)]
+        assert not is_alternating(rows)
+        with pytest.raises(InputError):
+            Deg5Model.from_matrix(rows)
+
+    @settings(deadline=None, max_examples=30)
+    @given(deg5_models())
+    def test_matrix_kills_pfaffians(self, m):
+        rows, p = m.matrix(), m.pfaffians()
+        assert is_alternating(rows)
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, p)), ZERO5) == 0
+
+    @settings(deadline=None, max_examples=30)
+    @given(deg5_models())
+    def test_square_is_principal_minor(self, m):
+        rows, p = m.matrix(), m.pfaffians()
+        for i in range(5):
+            keep = [k for k in range(5) if k != i]
+            assert p[i] ** 2 == determinant([[rows[r][c] for c in keep] for r in keep])
 
 
 class TestWeierstrassFamily:

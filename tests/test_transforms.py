@@ -4,14 +4,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genus1 import (Deg1Model, Deg1Transform, Deg4Transform, Deg5Transform,
-                    InputError, apply, compose, det_character, gamma,
-                    identity_transform, transformation_from_dict,
-                    transformation_to_dict, weierstrass_model)
+from genus1 import (Deg1Model, Deg1Transform, Deg4Transform, Deg5Model,
+                    Deg5Transform, InputError, Poly, apply, compose,
+                    det_character, gamma, identity_transform,
+                    transformation_from_dict, transformation_to_dict,
+                    weierstrass_model)
 from genus1.linalg import identity_matrix
+from genus1.models import DEG5_RING, linear_substitution
 
-from helpers import random_model, random_transformation
+from helpers import (MATRIX_ENTRIES, deg5_models, invertible_matrices,
+                     random_model, random_transformation, wuthrich_model)
+
+
+def full_matrix_apply(g, m):
+    """A phi(B x) A^T over all 25 entries, the definition of the action."""
+    sub = linear_substitution(DEG5_RING, g.B)
+    phi = [[entry.substitute(sub) for entry in row] for row in m.matrix()]
+    a = g.A
+    rows = [[sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)),
+                 Poly.zero(DEG5_RING)) for j in range(5)] for i in range(5)]
+    return Deg5Model.from_matrix(rows)
 
 
 class TestDetCharacter:
@@ -58,6 +73,15 @@ class TestAction:
             for j in range(5):
                 factor = (2 if i == 0 else 1) * (2 if j == 0 else 1)
                 assert got[i][j] == factor * original[i][j]
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.one_of(st.just(wuthrich_model()), deg5_models()),
+           st.sampled_from([st.integers(-3, 3), MATRIX_ENTRIES]).flatmap(
+               lambda entries: st.tuples(invertible_matrices(5, entries),
+                                         invertible_matrices(5, entries))))
+    def test_degree5_matches_full_matrix_product(self, m, ab):
+        g = Deg5Transform(*ab)
+        assert apply(g, m) == full_matrix_apply(g, m)
 
     def test_group_law(self):
         rng = random.Random(6)
@@ -134,3 +158,12 @@ class TestSerialization:
             transformation_from_dict({"degree": 3, "mu": "1", "B": ["100", "010", "001"]})
         with pytest.raises(InputError):
             transformation_from_dict({"degree": 2, "mu": "1", "r": "000", "B": [[1, 0], [0, 1]]})
+        # nor is a JSON object a list of its keys: for r, a row of B or a matrix
+        bad = [{"degree": 2, "mu": "1", "r": {"0": 1, "1": 2, "2": 3}, "B": [[1, 0], [0, 1]]},
+               {"degree": 2, "mu": "1", "r": [0, 0, 0], "B": [{"1": 0, "0": 0}, {"0": 0, "1": 0}]},
+               {"degree": 3, "mu": "1", "B": [{"1": 0, "0": 0, "2": 0}, {"0": 0, "1": 0, "2": 0},
+                                              {"0": 0, "2": 0, "1": 0}]},
+               {"degree": 4, "A": {"0": [1, 0], "1": [0, 1]}, "B": identity_matrix(4)}]
+        for data in bad:
+            with pytest.raises(InputError):
+                transformation_from_dict(data)
