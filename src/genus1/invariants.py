@@ -131,61 +131,65 @@ def invariants_deg1(m: Deg1Model) -> InvariantTriple:
 # ----------------------------------------------------------------------
 
 def invariants_deg2(m: Deg2Model) -> InvariantTriple:
-    # Complete the square: y^2 + py = q becomes y^2 = q + p^2/4.
-    i, j = _quartic_invariants(m.q + m.p * m.p * Fraction(1, 4))
-    return _triple(as_scalar(16 * i), as_scalar(32 * j))
+    # y^2 + py = q becomes y^2 = q + p^2/4; as I, J have weights 16 and 64,
+    # c4 = 16 I, c6 = 32 J of that quartic are I and J/2 of 4q + p^2.
+    i, j = _quartic_invariants(4 * m.q + m.p * m.p)
+    return _triple(i, Fraction(j) / 2)
 
 
 # ----------------------------------------------------------------------
 # degree 3
 # ----------------------------------------------------------------------
 
+def _hessian_det(cubic: Poly, variables=("x", "y", "z")) -> Poly:
+    """det(d^2 U / dx_i dx_j), integral when U is."""
+    grads = [cubic.derivative(v) for v in variables]
+    return determinant([[g.derivative(v) for v in variables] for g in grads])
+
+
 def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
     """Hessian covariant -(1/2) det(d^2 U / dx_i dx_j) of a ternary cubic."""
-    grads = [cubic.derivative(v) for v in variables]
-    rows = [[g.derivative(v) for v in variables] for g in grads]
-    return determinant(rows) * Fraction(-1, 2)
+    return _hessian_det(cubic, variables) * Fraction(-1, 2)
 
 
 def invariants_deg3(m: Deg3Model) -> InvariantTriple:
-    """Invariants of a ternary cubic U via the Hessian syzygy.
+    """Invariants of a ternary cubic U via the Hessian syzygy, on the
+    integral G = det(d^2 U / dx_i dx_j) = -2 H(U).  With nu = -mu/2,
+    H(U + mu H) = -G(U + nu G)/2, and the syzygy reads
 
-    With H = H(U), the cubic H(U + mu H) expands as
+        G(U + nu G) = (1 - 12 c4 nu^2 + 16 c6 nu^3) G + (12 c4 nu - 48 c6 nu^2 + 48 c4^2 nu^3) U
 
-        (1 - 3 c4 mu^2 - 2 c6 mu^3) H + 3 (c4 mu + 2 c6 mu^2 + c4^2 mu^3) U
-
-    so c4 and c6 fall out of the mu and mu^2 coefficients by exact
-    division; both divisions succeed identically in the coefficients of U.
+    so c4 is the nu coefficient over 12 U, and c6 the nu^2 coefficient plus
+    12 c4 G over -48 U; both divisions are exact identically in U.
     """
     cubic = m.cubic
     if not cubic:
         return InvariantTriple(0, 0, 0)
-    ring = DEG3_RING + ("mu",)
+    ring = DEG3_RING + ("nu",)
     lifted = cubic.lift(ring)
-    hess = hessian(cubic).lift(ring)
-    mu = Poly.variable(ring, "mu")
-    expanded = hessian(lifted + mu * hess, DEG3_RING)
+    g = _hessian_det(cubic).lift(ring)
+    nu = Poly.variable(ring, "nu")
+    expanded = _hessian_det(lifted + nu * g, DEG3_RING)
 
-    quotient = exact_divide(expanded.coefficient_of("mu", 1), 3 * lifted)
+    quotient = exact_divide(expanded.coefficient_of("nu", 1), 12 * lifted)
     if quotient is None:
-        raise InternalCheckError("mu coefficient of the Hessian syzygy is not 3 c4 U")
+        raise InternalCheckError("nu coefficient of G(U + nu G) is not 12 c4 U")
     c4 = quotient.constant_value()
-    quotient = exact_divide(expanded.coefficient_of("mu", 2) + 3 * c4 * hess, 6 * lifted)
+    quotient = exact_divide(expanded.coefficient_of("nu", 2) + 12 * c4 * g, -48 * lifted)
     if quotient is None:
-        raise InternalCheckError("mu^2 coefficient of the Hessian syzygy is not 6 c6 U - 3 c4 H")
+        raise InternalCheckError("nu^2 coefficient of G(U + nu G) is not -12 c4 G - 48 c6 U")
     c6 = quotient.constant_value()
     return _triple(c4, c6)
 
 
 def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
-    """Determinant of the 6x6 coefficient matrix of the partials of U and H.
+    """Determinant of the 6x6 coefficient matrix of the partials of U and H,
+    equal to DISC_MATRIX_SIGN[3] * 1728 * Delta for every ternary cubic.
 
-    Equal to DISC_MATRIX_SIGN[3] * 1728 * Delta for every ternary cubic.
-    """
+    Three rows use the integral G = -2H for H, so the result is divided by (-2)^3."""
     cubic = m.cubic
-    hess = hessian(cubic)
-    return _quadric_det([cubic.derivative(v) for v in DEG3_RING]
-                        + [hess.derivative(v) for v in DEG3_RING], DEG3_RING)
+    rows = [f.derivative(v) for f in (cubic, _hessian_det(cubic)) for v in DEG3_RING]
+    return as_scalar(Fraction(_quadric_det(rows, DEG3_RING)) / -8)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +219,7 @@ def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     s, t = generators(ring)
     pencil = [[mat_a[i][j] * s + mat_b[i][j] * t for j in range(4)] for i in range(4)]
     c4, j = _quartic_invariants(determinant(pencil))
-    return _triple(as_scalar(c4), as_scalar(Fraction(j) / 2))
+    return _triple(c4, Fraction(j) / 2)
 
 
 def deg4_auxiliary_quadrics(m: Deg4Model):

@@ -81,11 +81,12 @@ def linear_substitution(ring, B) -> dict:
 
 
 def _check_form(p: Poly, ring, degree: int, what: str) -> Poly:
+    """``p`` checked as a form; integral Fractions (kept by Poly arithmetic) become ints."""
     if p.variables != ring:
         raise InputError(f"{what} must live in the ring {ring}")
     if not p.is_homogeneous(degree) and p:
         raise InputError(f"{what} must be homogeneous of degree {degree} (or zero)")
-    return p
+    return Poly._make(ring, {e: as_scalar(c) for e, c in p.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -134,16 +135,16 @@ class Deg2Model:
     degree = 2
 
     def __post_init__(self):
-        _check_form(self.p, DEG2_RING, 2, "p")
-        _check_form(self.q, DEG2_RING, 4, "q")
+        object.__setattr__(self, "p", _check_form(self.p, DEG2_RING, 2, "p"))
+        object.__setattr__(self, "q", _check_form(self.q, DEG2_RING, 4, "q"))
 
     @classmethod
     def from_coefficients(cls, p_coeffs: Sequence, q_coeffs: Sequence) -> "Deg2Model":
         """p as [alpha0, alpha1, alpha2] on x^2, xz, z^2; q as [a..e] on x^4..z^4."""
         if len(p_coeffs) != 3 or len(q_coeffs) != 5:
             raise InputError("degree-2 model needs 3 coefficients for p and 5 for q")
-        p = Poly(DEG2_RING, {(2 - i, i): as_scalar(c) for i, c in enumerate(p_coeffs)})
-        q = Poly(DEG2_RING, {(4 - i, i): as_scalar(c) for i, c in enumerate(q_coeffs)})
+        p = Poly(DEG2_RING, {(2 - i, i): c for i, c in enumerate(p_coeffs)})
+        q = Poly(DEG2_RING, {(4 - i, i): c for i, c in enumerate(q_coeffs)})
         return cls(p, q)
 
     @classmethod
@@ -185,14 +186,13 @@ class Deg3Model:
                  (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]
 
     def __post_init__(self):
-        _check_form(self.cubic, DEG3_RING, 3, "cubic")
+        object.__setattr__(self, "cubic", _check_form(self.cubic, DEG3_RING, 3, "cubic"))
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence) -> "Deg3Model":
         if len(coeffs) != 10:
             raise InputError("degree-3 model needs 10 coefficients")
-        terms = {e: as_scalar(c) for e, c in zip(cls.MONOMIALS, coeffs)}
-        return cls(Poly(DEG3_RING, terms))
+        return cls(Poly(DEG3_RING, dict(zip(cls.MONOMIALS, coeffs))))
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg3Model":
@@ -223,19 +223,16 @@ class Deg4Model:
     degree = 4
 
     def __post_init__(self):
-        _check_form(self.q1, DEG4_RING, 2, "q1")
-        _check_form(self.q2, DEG4_RING, 2, "q2")
+        object.__setattr__(self, "q1", _check_form(self.q1, DEG4_RING, 2, "q1"))
+        object.__setattr__(self, "q2", _check_form(self.q2, DEG4_RING, 2, "q2"))
 
     @classmethod
     def from_coefficients(cls, q1_coeffs: Sequence, q2_coeffs: Sequence) -> "Deg4Model":
         """Each quadric as 10 coefficients in graded-lex monomial order."""
         if len(q1_coeffs) != 10 or len(q2_coeffs) != 10:
             raise InputError("degree-4 model needs 10 coefficients per quadric")
-        polys = []
-        for coeffs in (q1_coeffs, q2_coeffs):
-            terms = {e: as_scalar(c) for e, c in zip(QUADRIC_MONOMIALS_DEG4, coeffs)}
-            polys.append(Poly(DEG4_RING, terms))
-        return cls(*polys)
+        return cls(*(Poly(DEG4_RING, dict(zip(QUADRIC_MONOMIALS_DEG4, coeffs)))
+                     for coeffs in (q1_coeffs, q2_coeffs)))
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg4Model":
@@ -271,9 +268,8 @@ class Deg5Model:
     def __post_init__(self):
         if len(self.upper) != 10:
             raise InputError("degree-5 model needs 10 upper-triangle entries")
-        object.__setattr__(self, "upper", tuple(self.upper))
-        for entry in self.upper:
-            _check_form(entry, DEG5_RING, 1, "matrix entry")
+        upper = tuple(_check_form(entry, DEG5_RING, 1, "matrix entry") for entry in self.upper)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def from_matrix(cls, rows) -> "Deg5Model":

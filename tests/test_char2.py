@@ -6,9 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from genus1 import (Deg1Model, Deg2Model, Deg4Model, InputError, a1_char2,
+from genus1 import (Deg1Model, Deg2Model, Deg2Transform, Deg3Model,
+                    Deg3Transform, Deg4Model, Deg4Transform, Deg5Model,
+                    Deg5Transform, InputError, a1_char2, apply, generators,
                     weierstrass_model)
 from genus1.invariants import D5_COSET_REPS
+from genus1.models import DEG3_RING
 
 from helpers import random_model
 
@@ -61,6 +64,41 @@ def test_invariance_under_integer_transformations():
     g = Deg3Transform(1, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
     assert det_character(g) % 2 == 1
     assert a1_char2(apply(g, m)) == a1_char2(m)
+
+
+def _scaled_identity(n, c):
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _halved_models():
+    """(moved, expected coefficients): a Fraction transformation of an
+    integer model whose result has integer coefficients, per degree."""
+    half = Fraction(1, 2)
+    x, y, z = generators(DEG3_RING)
+    yield pytest.param(apply(Deg2Transform(half, (0, 0, 0), ((2, 0), (0, 1))),
+                             Deg2Model.from_coefficients([0, 1, 0], [1, 0, 0, 0, 4])),
+                       ((0, 1, 0), (4, 0, 0, 0, 1)), id="degree2")
+    yield pytest.param(apply(Deg3Transform(half, _scaled_identity(3, 1)),
+                             Deg3Model(2 * x ** 3 + 2 * x * y * z + 2 * y ** 3 + 2 * z ** 3)),
+                       (1, 1, 1, 0, 0, 0, 0, 0, 0, 1), id="degree3")
+    # A = I/2 multiplies q1, q2 by 1/2 and the degree-5 matrix by 1/4
+    m4, m5 = (weierstrass_model(Deg1Model(1, 0, 0, 0, 0), n) for n in (4, 5))
+    yield pytest.param(apply(Deg4Transform(_scaled_identity(2, half), _scaled_identity(4, 1)),
+                             Deg4Model(2 * m4.q1, 2 * m4.q2)),
+                       m4.coefficients(), id="degree4")
+    yield pytest.param(apply(Deg5Transform(_scaled_identity(5, half), _scaled_identity(5, 1)),
+                             Deg5Model(tuple(4 * entry for entry in m5.upper))),
+                       m5.coefficients(), id="degree5")
+
+
+@pytest.mark.parametrize("moved, expected", _halved_models())
+def test_integral_fraction_coefficients_become_ints(moved, expected):
+    # Poly arithmetic keeps Fraction(1, 1); a model must not, or a1_char2
+    # rejects a model whose coefficients are all integers
+    coeffs = moved.coefficients()
+    assert coeffs == expected
+    assert all(type(c) is int for c in (coeffs if moved.degree == 3 else sum(coeffs, ())))
+    assert a1_char2(moved) == 1
 
 
 def test_non_integer_coefficients_rejected():

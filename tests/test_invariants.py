@@ -30,6 +30,24 @@ from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
 
 XYZ = generators(DEG3_RING)
 
+# Cubics for the Hessian-syzygy properties: small, 20-digit, and moved by
+# a Deg3Transform with mu = 1/2, which leaves Fraction coefficients; the
+# examples are the triple line, the triangle and the cuspidal cubic.
+SMALL_CUBIC_COEFFS = st.lists(st.integers(-3, 3), min_size=10, max_size=10)
+CUBICS = st.one_of(
+    SMALL_CUBIC_COEFFS.map(Deg3Model.from_coefficients),
+    st.lists(BIG, min_size=10, max_size=10).map(Deg3Model.from_coefficients),
+    st.builds(lambda coeffs, b: apply(Deg3Transform(Fraction(1, 2), b),
+                                      Deg3Model.from_coefficients(coeffs)),
+              SMALL_CUBIC_COEFFS, invertible_matrices(3)))
+
+
+def degenerate_cubic_examples(test):
+    x, y, z = XYZ
+    for cubic in (x ** 3, x * y * z, y * y * z - x ** 3):
+        test = example(Deg3Model(cubic))(test)
+    return test
+
 
 def short_weierstrass(a, b):
     return Deg1Model(0, 0, 0, a, b)
@@ -108,22 +126,42 @@ class TestDegree3:
     def test_zero_cubic(self):
         assert invariants_deg3(Deg3Model(Poly.zero(DEG3_RING))) == (0, 0, 0)
 
-    def test_syzygy_identity(self):
+    @settings(deadline=None, max_examples=30)
+    @given(CUBICS)
+    @degenerate_cubic_examples
+    def test_syzygy_identity(self, m):
         # H(lam U + mu H) = 3(c4 lam^2 mu + 2 c6 lam mu^2 + c4^2 mu^3) U
-        #                   + (lam^3 - 3 c4 lam mu^2 - 2 c6 mu^3) H
-        rng = random.Random(2)
+        #                   + (lam^3 - 3 c4 lam mu^2 - 2 c6 mu^3) H,
+        # through the public hessian, against the nu form invariants_deg3 uses
         ring = DEG3_RING + ("lam", "mu")
         lam = Poly.variable(ring, "lam")
         mu = Poly.variable(ring, "mu")
-        for _ in range(6):
-            m = random_model(rng, 3)
-            c4, c6, _ = invariants_deg3(m)
-            cubic = m.cubic.lift(ring)
-            hess = hessian(m.cubic).lift(ring)
-            lhs = hessian(lam * cubic + mu * hess, DEG3_RING)
-            rhs = (3 * (c4 * lam ** 2 * mu + 2 * c6 * lam * mu ** 2 + c4 ** 2 * mu ** 3) * cubic
-                   + (lam ** 3 - 3 * c4 * lam * mu ** 2 - 2 * c6 * mu ** 3) * hess)
-            assert lhs == rhs
+        c4, c6, _ = invariants_deg3(m)
+        cubic = m.cubic.lift(ring)
+        hess = hessian(m.cubic).lift(ring)
+        lhs = hessian(lam * cubic + mu * hess, DEG3_RING)
+        rhs = (3 * (c4 * lam ** 2 * mu + 2 * c6 * lam * mu ** 2 + c4 ** 2 * mu ** 3) * cubic
+               + (lam ** 3 - 3 * c4 * lam * mu ** 2 - 2 * c6 * mu ** 3) * hess)
+        assert lhs == rhs
+
+    def test_both_syzygy_divisions_are_checked(self, monkeypatch):
+        module = sys.modules["genus1.invariants"]
+        divide = module.exact_divide
+        m = weierstrass_model(short_weierstrass(-1, 0), 3)
+        monkeypatch.setattr(module, "exact_divide", lambda num, den: None)
+        with pytest.raises(InternalCheckError, match=r"^nu coefficient"):
+            invariants_deg3(m)
+
+        calls = []
+
+        def second_fails(num, den):
+            calls.append(den)
+            return divide(num, den) if len(calls) == 1 else None
+
+        monkeypatch.setattr(module, "exact_divide", second_fails)
+        with pytest.raises(InternalCheckError, match=r"^nu\^2 coefficient"):
+            invariants_deg3(m)
+        assert len(calls) == 2
 
 
 class TestDegree3Matrix:
@@ -348,9 +386,10 @@ class TestMatrixDiscriminantByProperty:
         assert _disc_identity_holds(m)
 
     @settings(deadline=None, max_examples=25)
-    @given(st.lists(BIG, min_size=10, max_size=10))
-    def test_large_cubics(self, coeffs):
-        assert _disc_identity_holds(Deg3Model.from_coefficients(coeffs))
+    @given(CUBICS)
+    @degenerate_cubic_examples
+    def test_large_cubics(self, m):
+        assert _disc_identity_holds(m)
 
     @settings(deadline=None, max_examples=25)
     @given(st.lists(BIG, min_size=10, max_size=10), st.lists(BIG, min_size=10, max_size=10))
