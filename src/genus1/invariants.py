@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
-                     solve_linear)
+from .linalg import (adjugate, determinant, kronecker_determinant, mat_mul,
+                     perm_sign, scalar_det, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, exact_divide, generators, monomials
@@ -338,7 +338,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
 
     lam = Poly.variable(PENCIL_RING, "lam")
     linear = _linear_matrix(dphi, generators(PENCIL_RING)[1:])
-    pencil_quintic = determinant(
+    pencil_quintic = kronecker_determinant(
         [[lam * aux[i].derivative(v).lift(PENCIL_RING) + linear[i][j]
           for j, v in enumerate(V_RING)] for i in range(5)])
 

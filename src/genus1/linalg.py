@@ -18,6 +18,16 @@ Two families of routines live here.
   of their largest entry degree, which bounds every exponent of every
   minor, so no field can carry into the next.  Results are ordinary
   ``Poly`` values of the entries' ring.
+  ``kronecker_determinant`` gives the same result with one variable
+  fewer to expand (Kronecker substitution; Harvey, "Faster polynomial
+  multiplication via multipoint Kronecker substitution", JSC 2009): it
+  scales each row to integers, sets the first variable t to X = 2^w and
+  reads the coefficient of t^k off the k-th balanced base-X digit.  The
+  width w is exact, not a guess: with B the product over the rows of the
+  l1 norms of their entries summed, every coefficient of the determinant
+  is at most B in absolute value, and X > 2B.  The degree-5 pencil
+  quintic det(lam Q + L) uses it, so every power of lam costs one
+  determinant in v1..v5.
 
 * Scalar matrices (rows of ints / Fractions): rank, determinant, linear
   solving and kernel bases, all through a single Bareiss fraction-free
@@ -53,6 +63,18 @@ def _check_square(rows) -> int:
     return n
 
 
+def _common_ring(rows) -> tuple:
+    """The ring of a square polynomial matrix; ValueError if it is not
+    square or its entries live in different rings."""
+    _check_square(rows)
+    ring = rows[0][0].variables
+    for row in rows:
+        for entry in row:
+            if entry.variables != ring:
+                raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
+    return ring
+
+
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
@@ -69,12 +91,8 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     once at the end is exact.  Entries from different rings raise
     ValueError, as Poly arithmetic does.
     """
-    n = _check_square(rows)
-    ring = rows[0][0].variables
-    for row in rows:
-        for entry in row:
-            if entry.variables != ring:
-                raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
+    ring = _common_ring(rows)
+    n = len(rows)
     bound = sum(max(max(entry.degree() for entry in row), 0) for row in rows)
     width = max(bound.bit_length(), 1)
     shifts = [width * i for i in range(len(ring))]
@@ -116,6 +134,62 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     field = (1 << width) - 1
     return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
                              for e, c in full.items()})
+
+
+def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """``determinant(rows)`` by Kronecker substitution in the first variable.
+
+    Each row is scaled to integers by the lcm of its denominators, and
+    the first variable t is set to X = 2^w, so a single determinant in
+    the other variables carries every power of t in the base-X digits of
+    its coefficients.  B, the product over the rows of the sum of the l1
+    norms of their entries, bounds every coefficient of the determinant
+    in all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so the
+    balanced base-X digits of each coefficient are exactly the
+    coefficients of t^0, t^1, ...  The substituted entries keep their
+    ring, with the exponent of t set to 0.
+    """
+    ring = _common_ring(rows)
+    if not ring:
+        return determinant(rows)
+    scaled = []
+    scale = bound = 1
+    for row in rows:
+        mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
+                     if isinstance(c, Fraction)), 1)
+        # int() also turns the integral Fractions a Poly sum may hold into ints
+        scaled.append([{e: int(c * mult) for e, c in entry.terms.items()} for entry in row])
+        scale *= mult
+        bound *= sum(abs(c) for terms in scaled[-1] for c in terms.values())
+    if not bound:  # a zero row
+        return Poly.zero(ring)
+    # every row has l1 norm >= 1, so each digit c_k of an entry is below
+    # X/2 in absolute value and no substituted coefficient cancels to 0
+    width = bound.bit_length() + 1
+    substituted = []
+    for row in scaled:
+        new_row = []
+        for terms in row:
+            packed: dict[tuple, int] = {}
+            for exps, c in terms.items():
+                rest = (0,) + exps[1:]
+                packed[rest] = packed.get(rest, 0) + (c << width * exps[0])
+            new_row.append(Poly._make(ring, packed))
+        substituted.append(new_row)
+    digit_mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out: dict[tuple, Scalar] = {}
+    for exps, c in determinant(substituted).terms.items():
+        k = 0
+        while c:
+            d = c & digit_mask
+            if d >= half:
+                d -= 1 << width
+            c = (c - d) >> width
+            if d:
+                out[(k,) + exps[1:]] = d if scale == 1 else as_scalar(Fraction(d, scale))
+            k += 1
+    return Poly._make(ring, out)
 
 
 def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:

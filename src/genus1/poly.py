@@ -5,7 +5,11 @@ non-negative integer per variable) to nonzero coefficients.  Coefficients
 are plain Python ints or ``fractions.Fraction`` values, so every operation
 is exact; no floating point is ever involved.  Integer coefficients are
 kept as ints (big-int arithmetic is much faster than Fraction arithmetic)
-and Fractions only appear when a division forces them.
+and Fractions only appear when a division forces them: construction, a
+scalar multiple and a scalar quotient turn an integral Fraction back into
+an int.  The hot loops, the product of two polynomials and ``+``, do not
+normalise, so a sum or product of Fraction coefficients may leave an
+integral Fraction behind.
 
 Every polynomial carries the ordered tuple of variable names of its ring.
 Arithmetic between polynomials requires identical variable tuples; this is
@@ -167,6 +171,9 @@ class Poly:
             other = as_scalar(other)
             if not other:
                 return Poly._make(self.variables, {})
+            if isinstance(other, Fraction):
+                return Poly._make(self.variables,
+                                  {e: as_scalar(c * other) for e, c in self.terms.items()})
             return Poly._make(self.variables, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:

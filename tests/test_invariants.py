@@ -25,8 +25,8 @@ from genus1.invariants import _symmetric_matrix
 from genus1.models import DEG3_RING, DEG5_RING
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
-                     deg5_models, invertible_matrices, random_model,
-                     random_transformation, wuthrich_model)
+                     deg5_models, invertible_matrices, random_matrix,
+                     random_model, random_transformation, wuthrich_model)
 
 XYZ = generators(DEG3_RING)
 
@@ -326,6 +326,44 @@ class TestDegree5:
                      for xj in DEG5_RING] for xi in DEG5_RING]
             dual = deg5_covariants(m).dual_quintic
             assert dual and determinant(rows) == dual
+
+    def test_pencil_quintic_from_its_definition(self):
+        # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k), by plain determinant
+        ring = ("lam", "v1", "v2", "v3", "v4", "v5")
+        lam, *v = generators(ring)
+        rng = random.Random(29)
+        big = Deg5Transform(random_matrix(rng, 5, -30, 30), random_matrix(rng, 5, -30, 30))
+        half = Fraction(1, 2)
+        fractional = Deg5Transform(((half, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                                    (0, 0, 0, Fraction(-2, 3), 0), (1, 0, 0, 0, 3)),
+                                   random_matrix(rng, 5, -2, 2))
+        models = [wuthrich_model(), random_model(rng, 5), random_model(rng, 5),
+                  apply(big, random_model(rng, 5)), apply(fractional, wuthrich_model())]
+        for m in models:
+            cov = deg5_covariants(m)
+            phi = m.matrix()
+            rows = [[lam * cov.aux_quadrics[i].derivative(vj).lift(ring)
+                     + sum((phi[j][k].derivative(xi).constant_value() * v[k]
+                            for k in range(5)), 0 * lam)
+                     for j, vj in enumerate(ring[1:])] for i, xi in enumerate(DEG5_RING)]
+            assert cov.pencil_quintic and determinant(rows) == cov.pencil_quintic
+        assert any(isinstance(c, Fraction) for c in cov.pencil_quintic.terms.values())
+
+    @pytest.mark.parametrize("power, message", [(2, "even powers of lam"),
+                                                (5, "not 128 c4\\^2")])
+    def test_contraction_checks_fire(self, monkeypatch, power, message):
+        # a stray lam^2 term, or a wrong lam^5 term, is an internal error
+        module = sys.modules["genus1.invariants"]
+        contract = module.contract_quintics
+
+        def perturbed(dual, pencil):
+            pairing = contract(dual, pencil)
+            pairing[power] = pairing.get(power, 0) + 1
+            return pairing
+
+        monkeypatch.setattr(module, "contract_quintics", perturbed)
+        with pytest.raises(InternalCheckError, match=message):
+            invariants_deg5(wuthrich_model())
 
     def test_contraction_shape(self):
         # only odd powers of lam, lam^5 coefficient 128 c4^2, lam^1 40 c4

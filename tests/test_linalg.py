@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import (Poly, determinant, generators, kernel_basis, pivot_columns,
-                    scalar_det, scalar_rank, solve_linear)
+from genus1 import (Poly, determinant, generators, kernel_basis,
+                    kronecker_determinant, pivot_columns, scalar_det,
+                    scalar_rank, solve_linear)
 from genus1.linalg import adjugate, mat_mul, perm_sign
 
 RING = ("x", "y", "z", "w")
@@ -105,7 +106,7 @@ class TestDeterminant:
     @settings(deadline=None, max_examples=60)
     @given(rows=mixed_matrix())
     def test_matches_leibniz(self, rows):
-        assert determinant(rows) == leibniz(rows)
+        assert determinant(rows) == leibniz(rows) == kronecker_determinant(rows)
 
     @settings(deadline=None, max_examples=30)
     @given(rows=matrix_strategy(3))
@@ -118,6 +119,75 @@ class TestDeterminant:
     def test_row_swap_negates(self, rows):
         swapped = [rows[1], rows[0], rows[2]]
         assert determinant(swapped) == -determinant(rows)
+
+
+class TestKroneckerDeterminant:
+    """determinant by the substitution x = 2^w in the first variable x."""
+
+    def test_coefficient_at_the_bound(self):
+        # B = 4 * 3 = 12 is the x^2 coefficient of the determinant itself
+        for sign in (1, -1):
+            rows = [[sign * 4 * X, ZERO], [ZERO, 3 * X]]
+            det = kronecker_determinant(rows)
+            assert det == sign * 12 * X ** 2 == determinant(rows)
+
+    def test_bound_with_two_terms_per_row(self):
+        # (2x + 2)(3x - 3): B = 4 * 6 = 24, coefficients 6, 0 and -6
+        rows = [[2 * X + 2, ZERO], [ZERO, 3 * X - 3]]
+        assert kronecker_determinant(rows) == 6 * X ** 2 - 6 == determinant(rows)
+
+    def test_borrow_chains(self):
+        # negative digits borrow from the next one up
+        for rows in ([[-X + 1, ZERO], [ZERO, X ** 2 - X - 1]],
+                     [[X ** 2 - X - 1, -X + 1], [-X + 1, X ** 2 - X - 1]],
+                     [[-X + Y, X - 1], [X ** 3 - X - 1, -X - Y]],
+                     [[-X - 1, ZERO, ZERO], [ZERO, -X - 1, ZERO], [ZERO, ZERO, X - 1]]):
+            assert kronecker_determinant(rows) == determinant(rows) == leibniz(rows)
+
+    def test_fraction_rows(self):
+        rows = [[X / 2 + Y, Fraction(-5, 3) * X], [Z / 6, X - W / 4]]
+        assert kronecker_determinant(rows) == determinant(rows) == leibniz(rows)
+
+    def test_integral_fraction_coefficients(self):
+        # a Poly sum keeps Fraction(1, 1): such a row needs no scaling but
+        # its coefficients must still become ints
+        one = X / 2 + X / 2
+        assert type(one.terms[(1, 0, 0, 0)]) is Fraction
+        rows = [[one, Y], [Z, one + W]]
+        det = kronecker_determinant(rows)
+        assert det == X ** 2 + X * W - Y * Z == determinant(rows)
+
+    def test_zero_row(self):
+        # B = 0: the determinant vanishes without an expansion
+        rows = [[X + 5, -7 * X ** 2], [ZERO, ZERO]]
+        assert kronecker_determinant(rows) == ZERO
+        assert kronecker_determinant([[ZERO]]) == ZERO
+
+    def test_no_first_variable(self):
+        rows = [[Y, Z], [W, Y + 10 ** 20]]
+        assert kronecker_determinant(rows) == determinant(rows)
+        assert kronecker_determinant([[Poly.constant((), 3)]]) == Poly.constant((), 3)
+
+    def test_non_square(self):
+        for rows in ([[X, Y]], [], [[X], [Y]]):
+            with pytest.raises(ValueError, match="not square"):
+                kronecker_determinant(rows)
+
+    def test_mixed_rings_rejected(self):
+        other = Poly.variable(("x", "y", "z", "u"), "u")
+        for rows in ([[X, Y], [Z, other]], [[other, Y], [Z, W]]):
+            with pytest.raises(ValueError, match="rings differ"):
+                kronecker_determinant(rows)
+
+    def test_leaves_no_garbage_cycle(self):
+        rows = [[X, Y, Z], [Y, Z, W], [Z, W, X + 1]]
+        gc.collect()
+        gc.disable()
+        try:
+            kronecker_determinant(rows)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestScalarElimination:

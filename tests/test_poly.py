@@ -46,6 +46,23 @@ class TestBasics:
         assert (x + 1) * (x - 1) == x * x - 1
         assert x / 2 == Fraction(1, 2) * x
 
+    def test_scalar_multiple_keeps_integers_int(self):
+        # a Fraction scalar with an integral product gives int coefficients
+        x, y = generators(XY)
+        assert ((2 * x) / 2).terms == {(1, 0): 1}
+        assert type(((2 * x) / 2).coefficient((1, 0))) is int
+        p = (4 * x + 3 * y) * Fraction(-3, 2)
+        assert p.terms == {(1, 0): -6, (0, 1): Fraction(-9, 2)}
+        assert type(p.coefficient((1, 0))) is int
+        assert type((Fraction(1, 4) * (8 * y)).coefficient((0, 1))) is int
+
+    def test_hessian_of_fermat_cubic_is_int(self):
+        from genus1 import hessian
+        x, y, z = generators(("x", "y", "z"))
+        h = hessian(x ** 3 + y ** 3 + z ** 3)
+        assert h.terms == {(1, 1, 1): -108}
+        assert type(h.terms[(1, 1, 1)]) is int
+
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             Poly.constant(XY, 0.5)
