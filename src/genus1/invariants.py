@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import add
 from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
@@ -287,43 +288,67 @@ class Deg5Covariants:
     pencil_quintic: Poly   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
 
 
+# The quadric monomials x_t x_u (t <= u) and the quartic monomials of
+# x1..x5, and for two quadric monomials the index of their product.
+_QUADRICS5 = list(_quadric_indices(DEG5_RING))
+_QUARTICS5 = monomials(DEG5_RING, 4)
+_PRODUCT_INDEX = [[_QUARTICS5.index(tuple(map(add, e1, e2))) for _, e2 in _QUADRICS5]
+                  for _, e1 in _QUADRICS5]
+# The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5).
+_PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
+
+
+def _hessian_tensor(quadric: Poly) -> list[list[Scalar]]:
+    """The scalars d^2 q/dx_t dx_u of a quadric in five variables, read off
+    its coefficients; row t holds the coefficients of dq/dx_t."""
+    h = [[0] * 5 for _ in range(5)]
+    for (t, u), e in _QUADRICS5:
+        h[t][u] = h[u][t] = as_scalar(quadric.coefficient(e) * (2 if t == u else 1))
+    return h
+
+
+def _linear_form(ring, units, coeffs) -> Poly:
+    return Poly._make(ring, {e: c for e, c in zip(units, coeffs) if c})
+
+
 def _deg5_frame(m: Deg5Model):
     """What every degree-5 covariant reads off the model: the Pfaffians
-    p_k, their Jacobian jac[k][t] = dp_k/dx_t (linear forms) and the
-    scalars dphi[t][i][j], the x_t coefficient of phi_ij."""
+    p_k, the scalars hess[k][t][u] = d^2 p_k/dx_t dx_u (so hess[k][t]
+    holds the coefficients of the linear form dp_k/dx_t) and the scalars
+    dphi[t][i][j], the x_t coefficient of phi_ij."""
     pf = m.pfaffians()
-    jac = [[p.derivative(v) for v in DEG5_RING] for p in pf]
     dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in DEG5_UNITS]
-    return pf, jac, dphi
-
-
-def _linear_matrix(tensor, gens) -> list[list[Poly]]:
-    """The matrix with entries sum_k tensor[i][j][k] gens[k], for scalars
-    tensor[i][j][k] and polynomials gens[k] of one ring."""
-    zero = Poly.zero(gens[0].variables)
-    return [[sum((c * g for c, g in zip(cell, gens) if c), zero) for cell in row]
-            for row in tensor]
+    return pf, [_hessian_tensor(p) for p in pf], dphi
 
 
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     """Build the covariants of the degree-5 evaluation algorithm; raises
     DegenerateModelError when the products p_i p_j are linearly dependent
     (in which case all the invariants vanish)."""
-    pf, jac, dphi = _deg5_frame(model)
+    pf, hess, dphi = _deg5_frame(model)
 
-    secant = determinant(jac)
+    secant = determinant([[_linear_form(DEG5_RING, DEG5_UNITS, grad) for grad in h]
+                          for h in hess])
 
     # dS/dx_i is a quadric in the Pfaffians: 70 equations, one per quartic
     # monomial, and 15 unknowns, the k-th the coefficient of the k-th
     # monomial v_i v_j, whose column holds the coefficients of p_i p_j.
     # One elimination solves for every gradient and its rank is the check
     # that the 15 products are independent.
-    mono4 = monomials(DEG5_RING, 4)
     unknowns = list(_quadric_indices(V_RING))
-    quartics = [pf[i] * pf[j] for (i, j), _ in unknowns]
+    terms = [[(a, c) for a, (_, e) in enumerate(_QUADRICS5) if (c := p.terms.get(e))]
+             for p in pf]
+    products = []
+    for (i, j), _ in unknowns:
+        column = [0] * len(_QUARTICS5)
+        for a, ca in terms[i]:
+            index = _PRODUCT_INDEX[a]
+            for b, cb in terms[j]:
+                column[index[b]] += ca * cb
+        products.append(column)
     gradients = [secant.derivative(xi) for xi in DEG5_RING]
-    rank, solutions = solve_linear([[q.coefficient(e) for q in quartics] for e in mono4],
-                                   [[g.coefficient(e) for e in mono4] for g in gradients])
+    rank, solutions = solve_linear(list(zip(*products)),
+                                   [[g.coefficient(e) for e in _QUARTICS5] for g in gradients])
     if rank != 15:
         raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
     aux = []
@@ -332,15 +357,15 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
             raise InternalCheckError(f"no quadric expresses dS/d{xi} in the Pfaffians")
         aux.append(Poly(V_RING, {e: c for (_, e), c in zip(unknowns, sol)}))
 
-    # d^2 p_k / dx_i dx_j is the x_j coefficient of the linear form dp_k/dx_i
-    hessians = [[[row[i].coefficient(e) for row in jac] for e in DEG5_UNITS] for i in range(5)]
-    dual_quintic = determinant(_linear_matrix(hessians, generators(V_RING)))
+    # entry (i, j) is sum_k d^2 p_k/dx_i dx_j v_k
+    dual_quintic = determinant([[_linear_form(V_RING, DEG5_UNITS, [h[i][j] for h in hess])
+                                 for j in range(5)] for i in range(5)])
 
-    lam = Poly.variable(PENCIL_RING, "lam")
-    linear = _linear_matrix(dphi, generators(PENCIL_RING)[1:])
+    # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
+    aux_hess = [_hessian_tensor(q) for q in aux]
     pencil_quintic = kronecker_determinant(
-        [[lam * aux[i].derivative(v).lift(PENCIL_RING) + linear[i][j]
-          for j, v in enumerate(V_RING)] for i in range(5)])
+        [[_linear_form(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j])
+          for j in range(5)] for i in range(5)])
 
     return Deg5Covariants(tuple(pf), secant, tuple(aux), dual_quintic, pencil_quintic)
 
@@ -390,11 +415,15 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
 
 def _deg5_omega(frame, r: int, s: int) -> Poly:
     (t3, t4, t5), sign = _omega_indices(r, s, 5)
-    _, jac, dphi = frame
-    # sum_j dphi_ij/dx_t4 * dp_j/dx_t5, one linear form per i
-    (inner,) = _linear_matrix([dphi[t4]], [row[t5] for row in jac])
-    omega = sum((row[t3] * f for row, f in zip(jac, inner)), Poly.zero(DEG5_RING))
-    return omega if sign > 0 else -omega
+    _, hess, dphi = frame
+    # inner[i][u]: the x_u coefficient of sum_j dphi_ij/dx_t4 * dp_j/dx_t5
+    inner = [[sum(a * hess[j][t5][u] for j, a in enumerate(row) if a) for u in range(5)]
+             for row in dphi[t4]]
+    # outer[t][u]: x_t coefficient of dp_i/dx_t3 times x_u coefficient of inner_i, summed over i
+    outer = [[sum(hess[i][t3][t] * inner[i][u] for i in range(5)) for u in range(5)]
+             for t in range(5)]
+    return Poly(DEG5_RING, {e: sign * (outer[t][u] + outer[u][t] if t != u else outer[t][t])
+                            for (t, u), e in _QUADRICS5})
 
 
 def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:

@@ -30,14 +30,20 @@ Two families of routines live here.
   determinant in v1..v5.
 
 * Scalar matrices (rows of ints / Fractions): rank, determinant, linear
-  solving and kernel bases, all through a single Bareiss fraction-free
-  echelon pass on an integer matrix obtained by clearing denominators
-  row by row.  Intermediate entries stay integral, which keeps the 15x15
-  and 70x15 systems of the degree-5 algorithm fast and exact.
-  Each question is one pass: ``solve_linear`` takes every right-hand
-  side at once and reports the rank of the same echelon (the five
-  gradient columns of the degree-5 auxiliary quadrics and their rank-15
-  check), and ``pivot_columns`` gives the greedy basis of a column space.
+  solving and kernel bases, through Bareiss fraction-free elimination
+  (Bareiss, "Sylvester's identity and multistep integer-preserving
+  Gaussian elimination", Math. Comp. 1968) of an integer matrix obtained
+  by clearing denominators row by row.  Intermediate entries stay
+  integral, and so does back-substitution: it solves for d x, d the last
+  pivot, where Cramer's rule makes every division exact.
+  ``solve_linear`` takes every right-hand side at once (the five
+  gradient columns of the degree-5 auxiliary quadrics).  It eliminates
+  only a basis of A's rows, the pivot columns of A^T (A's first rows
+  when they are independent), whose rank is A's (the rank-15 check);
+  back-substitution gives d x, every equation of A is checked as
+  A (d x) = d b in integers, and the result is divided by d once.
+  ``pivot_columns`` gives the greedy basis of a column space, and
+  ``adjugate`` expands its cofactors directly.
 
 Pivots are always the first nonzero entry scanning rows top-down and
 columns left-right, so every result is deterministic.
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .poly import Poly, Scalar, as_scalar
@@ -132,7 +139,8 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     full = minor(0, (1 << n) - 1)
     minor = None  # break minor's self-reference: the cycle kept its memo until a full GC
     field = (1 << width) - 1
-    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
+    # as_scalar: products of Fractions may sum to an integral Fraction
+    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): as_scalar(c)
                              for e, c in full.items()})
 
 
@@ -214,6 +222,10 @@ def _integerize(rows):
     int_rows = []
     factors = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            int_rows.append(list(row))
+            factors.append(1)
+            continue
         entries = [as_scalar(x) for x in row]
         mult = lcm(*(x.denominator for x in entries if isinstance(x, Fraction)), 1)
         int_rows.append([int(x * mult) for x in entries])
@@ -260,19 +272,29 @@ def _bareiss_echelon(m: list[list[int]], n_pivot_cols: int | None = None):
     return piv_cols, sign
 
 
-def _back_substitute(m, piv_cols, x: list, col: int | None = None) -> list:
-    """Fill in the pivot entries of x, last pivot first, from an echelon
-    form m: row k reads sum_j m[k][j] x_j = m[k][col] (0 if col is None),
-    and x already holds the values of the free variables."""
+def _back_substitute(m, piv_cols, x: list, col: int | None = None):
+    """Solve an integer echelon form m in integers, last pivot first.
+
+    Row k reads sum_j m[k][j] x_j = m[k][col] (0 if col is None), and x
+    holds the values of the free variables.  Returns (y, d) with y = d x
+    and d the last pivot, the minor of the pivot rows and columns: by
+    Cramer's rule every d x_j is an integer, so every division is exact.
+    """
+    d = m[len(piv_cols) - 1][piv_cols[-1]] if piv_cols else 1
+    y = [d * v for v in x]
     for k in range(len(piv_cols) - 1, -1, -1):
         c = piv_cols[k]
         row = m[k]
-        acc = Fraction(0 if col is None else row[col])
-        for j in range(c + 1, len(x)):
-            if row[j] and x[j]:
-                acc -= row[j] * Fraction(x[j])
-        x[c] = as_scalar(acc / row[c])
-    return x
+        acc = 0 if col is None else d * row[col]
+        for j in range(c + 1, len(y)):
+            if row[j] and y[j]:
+                acc -= row[j] * y[j]
+        y[c] = acc // row[c]
+    return y, d
+
+
+def _divided(y: list, d: int) -> list:
+    return y if d == 1 else [as_scalar(Fraction(v, d)) for v in y]
 
 
 def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
@@ -308,9 +330,10 @@ def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     """Exact solutions of A x = b for each column b in ``columns``.
 
     Returns (rank of A, solutions): one solution per column, in order, or
-    None where A x = b is inconsistent.  One Bareiss elimination of A,
-    augmented with every column, serves all of them: column b is
-    consistent exactly when its entries below the rank of A vanish.
+    None where A x = b is inconsistent.  The pivot columns of A^T pick a
+    basis of A's rows; one Bareiss elimination of those rows, augmented
+    with every column, gives d x by integer back-substitution, and every
+    equation of A is then checked as A (d x) = d b in integers.
 
     Overdetermined systems are fine.  Free variables (if any) are set to
     zero; when the solution is unique this returns it.
@@ -323,13 +346,22 @@ def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     n_cols = len(rows[0])
     if any(len(r) != n_cols for r in rows):
         raise ValueError("ragged matrix")
-    aug = [list(row) + [b[i] for b in columns] for i, row in enumerate(rows)]
-    m, _ = _integerize(aug)
-    piv_cols, _ = _bareiss_echelon(m, n_cols)
-    rank = len(piv_cols)
-    return rank, [None if any(row[col] for row in m[rank:])  # inconsistent
-                  else _back_substitute(m, piv_cols, [0] * n_cols, col)
-                  for col in range(n_cols, n_cols + len(columns))]
+    m, _ = _integerize([list(row) + [b[i] for b in columns] for i, row in enumerate(rows)])
+    # independent first n_cols rows are a basis of A's rows, and the one
+    # A^T picks; otherwise take the rows of A^T's pivot columns
+    sub = [list(row) for row in m[:n_cols]]
+    piv_cols, _ = _bareiss_echelon(sub, n_cols)
+    if len(piv_cols) < n_cols:
+        basis, _ = _bareiss_echelon([list(col) for col in zip(*(row[:n_cols] for row in m))])
+        # the basis rows have A's null space, so they have A's pivot columns
+        sub = [list(m[i]) for i in basis]
+        piv_cols, _ = _bareiss_echelon(sub, n_cols)
+    solutions = []
+    for col in range(n_cols, n_cols + len(columns)):
+        y, d = _back_substitute(sub, piv_cols, [0] * n_cols, col)
+        consistent = all(sum(map(mul, row, y)) == d * row[col] for row in m)
+        solutions.append(_divided(y, d) if consistent else None)
+    return len(piv_cols), solutions
 
 
 def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
@@ -344,7 +376,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
     n_cols = len(rows[0])
     m, _ = _integerize(rows)
     piv_cols, _ = _bareiss_echelon(m)
-    return [_back_substitute(m, piv_cols, [int(c == f) for c in range(n_cols)])
+    return [_divided(*_back_substitute(m, piv_cols, [int(c == f) for c in range(n_cols)]))
             for f in range(n_cols) if f not in piv_cols]
 
 
@@ -367,16 +399,33 @@ def identity_matrix(n: int):
 
 
 def adjugate(rows: Sequence[Sequence]) -> list[list]:
-    """Adjugate of a square scalar matrix: adj(M)[i][j] = cofactor(j, i)."""
+    """Adjugate of a square scalar matrix: adj(M)[i][j] = cofactor(j, i).
+
+    The cofactors of row j are the maximal minors of the other rows, built
+    bottom-up in scalar arithmetic: the minors of the last k of them on
+    every k-column set give those of the last k + 1 by expansion."""
     n = _check_square(rows)
-    if n == 1:
-        return [[1]]
-    return [
-        [(-1) ** (i + j) * scalar_det([[rows[r][c] for c in range(n) if c != i]
-                                       for r in range(n) if r != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
+    full = (1 << n) - 1
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        minors = {0: 1}
+        for r in range(n - 1, -1, -1):
+            if r == j:
+                continue
+            row = rows[r]
+            wider: dict[int, Scalar] = {}
+            for mask, minor in minors.items():
+                for c in range(n):
+                    bit = 1 << c
+                    if row[c] and not mask & bit:
+                        # c's place among the columns of mask | bit gives the sign
+                        term = -minor if (mask & (bit - 1)).bit_count() % 2 else minor
+                        wider[mask | bit] = wider.get(mask | bit, 0) + row[c] * term
+            minors = wider
+        for i in range(n):
+            cofactor = minors.get(full ^ (1 << i), 0)
+            adj[i][j] = as_scalar(-cofactor if (i + j) % 2 else cofactor)
+    return adj
 
 
 def perm_sign(perm: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ discriminants and derived quantities."""
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,9 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     invariants_deg5, j_invariant, jacobian, tate_quantities,
                     weierstrass_model)
 from genus1.invariants import _symmetric_matrix
+from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG5_RING
+from genus1.poly import monomials
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
                      deg5_models, invertible_matrices, random_matrix,
@@ -268,6 +271,20 @@ class TestDegree4Matrix:
         assert singular_a and singular_b
 
 
+def pinned_quintics():
+    """Wuthrich, two seeded quintics with entries in [-2, 2], one moved by
+    a transformation with entries in [-30, 30], and Wuthrich moved by a
+    Deg5Transform whose A has entries 1/2 and -2/3."""
+    rng = random.Random(29)
+    big = Deg5Transform(random_matrix(rng, 5, -30, 30), random_matrix(rng, 5, -30, 30))
+    half = Fraction(1, 2)
+    fractional = Deg5Transform(((half, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                                (0, 0, 0, Fraction(-2, 3), 0), (1, 0, 0, 0, 3)),
+                               random_matrix(rng, 5, -2, 2))
+    return [wuthrich_model(), random_model(rng, 5), random_model(rng, 5),
+            apply(big, random_model(rng, 5)), apply(fractional, wuthrich_model())]
+
+
 class TestDegree5:
     def test_zero_matrix_is_degenerate(self):
         m = Deg5Model((Poly.zero(DEG5_RING),) * 10)
@@ -331,15 +348,7 @@ class TestDegree5:
         # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k), by plain determinant
         ring = ("lam", "v1", "v2", "v3", "v4", "v5")
         lam, *v = generators(ring)
-        rng = random.Random(29)
-        big = Deg5Transform(random_matrix(rng, 5, -30, 30), random_matrix(rng, 5, -30, 30))
-        half = Fraction(1, 2)
-        fractional = Deg5Transform(((half, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                                    (0, 0, 0, Fraction(-2, 3), 0), (1, 0, 0, 0, 3)),
-                                   random_matrix(rng, 5, -2, 2))
-        models = [wuthrich_model(), random_model(rng, 5), random_model(rng, 5),
-                  apply(big, random_model(rng, 5)), apply(fractional, wuthrich_model())]
-        for m in models:
+        for m in pinned_quintics():
             cov = deg5_covariants(m)
             phi = m.matrix()
             rows = [[lam * cov.aux_quadrics[i].derivative(vj).lift(ring)
@@ -348,6 +357,40 @@ class TestDegree5:
                      for j, vj in enumerate(ring[1:])] for i, xi in enumerate(DEG5_RING)]
             assert cov.pencil_quintic and determinant(rows) == cov.pencil_quintic
         assert any(isinstance(c, Fraction) for c in cov.pencil_quintic.terms.values())
+
+    def test_linear_system_from_pfaffian_products(self, monkeypatch):
+        # the 70x15 system holds the coefficients of p_i p_j, one column per
+        # v_i v_j, and its right-hand sides those of dS/dx_1..dS/dx_5
+        module = sys.modules["genus1.invariants"]
+        solve = module.solve_linear
+        systems = []
+
+        def recorded(rows, columns):
+            systems.append((rows, columns))
+            return solve(rows, columns)
+
+        monkeypatch.setattr(module, "solve_linear", recorded)
+        quartics = monomials(DEG5_RING, 4)
+        for m in pinned_quintics():
+            cov = deg5_covariants(m)
+            rows, columns = systems.pop()
+            pf = m.pfaffians()
+            products = [pf[i] * pf[j] for i in range(5) for j in range(i, 5)]
+            assert [list(row) for row in rows] == [[q.coefficient(e) for q in products]
+                                                   for e in quartics]
+            assert [list(b) for b in columns] == [
+                [cov.secant_quintic.derivative(xi).coefficient(e) for e in quartics]
+                for xi in DEG5_RING]
+
+    def test_covariants_keep_integral_coefficients_int(self):
+        # Fraction models give determinants whose Fraction products sum to
+        # integers; those coefficients are stored as ints
+        m = pinned_quintics()[-1]
+        assert any(isinstance(c, Fraction) for entry in m.upper for c in entry.terms.values())
+        cov = deg5_covariants(m)
+        for quintic in (cov.secant_quintic, cov.dual_quintic, cov.pencil_quintic):
+            assert not [c for c in quintic.terms.values()
+                        if isinstance(c, Fraction) and c.denominator == 1]
 
     @pytest.mark.parametrize("power, message", [(2, "even powers of lam"),
                                                 (5, "not 128 c4\\^2")])
@@ -527,6 +570,18 @@ class TestOmegaQuadrics:
             for s in range(1, 6):
                 if r != s:
                     assert deg5_omega_quadric(m5, r, s) == -deg5_omega_quadric(m5, s, r)
+
+    def test_deg5_omegas_from_their_definition(self):
+        # sign * sum_{i,j} dp_i/dx_t3 * dphi_ij/dx_t4 * dp_j/dx_t5, by Poly products
+        from genus1 import deg5_omega_quadric
+        for m in pinned_quintics():
+            pf, phi = m.pfaffians(), m.matrix()
+            for r, s in permutations(range(1, 6), 2):
+                rest = [k for k in range(5) if k not in (r - 1, s - 1)]
+                t3, t4, t5 = (DEG5_RING[k] for k in rest)
+                omega = sum((pf[i].derivative(t3) * phi[i][j].derivative(t4) * pf[j].derivative(t5)
+                             for i in range(5) for j in range(5)), Poly.zero(DEG5_RING))
+                assert deg5_omega_quadric(m, r, s) == perm_sign((r - 1, s - 1, *rest)) * omega
 
     def test_equal_indices_rejected(self):
         from genus1 import InputError, deg4_omega_quadric

@@ -36,6 +36,36 @@ def leibniz(rows):
     return total
 
 
+def gauss_jordan(rows):
+    """Reference reduced row echelon form in Fractions: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    piv = []
+    for c in range(len(m[0])):
+        r = len(piv)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        piv.append(c)
+    return m, piv
+
+
+def reference_solve(rows, b):
+    """The solution of A x = b with free variables zero, or None."""
+    n_cols = len(rows[0])
+    rref, piv = gauss_jordan([list(row) + [v] for row, v in zip(rows, b)])
+    if piv and piv[-1] == n_cols:
+        return None  # a pivot in the right-hand side
+    x = [0] * n_cols
+    for k, c in enumerate(piv):
+        x[c] = rref[k][-1]
+    return x
+
+
 RING6 = ("a", "b", "c", "d", "e", "f")
 COEFFS = st.sampled_from([1, -1, 2, -3, 7, 10 ** 20, Fraction(1, 2), Fraction(-5, 3)])
 
@@ -106,7 +136,15 @@ class TestDeterminant:
     @settings(deadline=None, max_examples=60)
     @given(rows=mixed_matrix())
     def test_matches_leibniz(self, rows):
-        assert determinant(rows) == leibniz(rows) == kronecker_determinant(rows)
+        det = determinant(rows)
+        assert det == leibniz(rows) == kronecker_determinant(rows)
+        assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+
+    def test_integral_fraction_products_become_ints(self):
+        # (x/2)(2x) = x^2: the Fraction product 1 is stored as the int 1
+        det = determinant([[X * Fraction(1, 2), ZERO], [ZERO, 2 * X]])
+        assert det.terms == {(2, 0, 0, 0): 1}
+        assert type(det.terms[(2, 0, 0, 0)]) is int
 
     @settings(deadline=None, max_examples=30)
     @given(rows=matrix_strategy(3))
@@ -265,17 +303,74 @@ class TestScalarElimination:
         assert scalar_det(m) == 1
         assert scalar_det([[1, 2], [2, 4]]) == 0
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_adjugate_times_matrix_is_det(self, data):
-        # M adj(M) = adj(M) M = det(M) I, singular matrices included
+        # M adj(M) = adj(M) M = det(M) I, singular matrices included: the
+        # last rows may be combinations of the ones before them.  For n >= 2,
+        # adj(M) has rank n, 1 or 0 as M has rank n, n - 1 or less.
         n = data.draw(st.integers(1, 4))
         entry = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3)])
         mat = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        for k in range(n - data.draw(st.integers(0, n - 1)), n):
+            mults = [data.draw(entry) for _ in range(k)]
+            mat[k] = [sum(c * row[j] for c, row in zip(mults, mat)) for j in range(n)]
         det_i = [[scalar_det(mat) * (i == j) for j in range(n)] for i in range(n)]
         adj = adjugate(mat)
         assert [list(row) for row in mat_mul(mat, adj)] == det_i
         assert [list(row) for row in mat_mul(adj, mat)] == det_i
+        rank = scalar_rank(mat)
+        if n >= 2:
+            assert scalar_rank(adj) == (n if rank == n else 1 if rank == n - 1 else 0)
+
+    def test_adjugate_of_singular_matrices(self):
+        # rank n - 1: adj(M) has rank 1; rank n - 2 or less: adj(M) = 0
+        assert adjugate([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == [[4, -2, 0], [4, -2, 0],
+                                                              [-4, 2, 0]]
+        assert adjugate([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == [[0] * 3] * 3
+        assert adjugate([[1, 0, 2, 0], [0, 1, 0, 3], [1, 1, 2, 3], [2, 1, 4, 3]]) == [[0] * 4] * 4
+        assert adjugate([[0] * 2] * 2) == [[0] * 2] * 2
+        assert adjugate([[Fraction(1, 2), 1], [1, 2]]) == [[2, -1], [-1, Fraction(1, 2)]]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_solve_matches_gauss_jordan(self, data):
+        # overdetermined and rank-deficient systems with zero rows, and
+        # consistent (b = A x) and random right-hand sides side by side
+        n_cols = data.draw(st.integers(1, 5))
+        n_rows = data.draw(st.integers(1, 8))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10 ** 15, Fraction(1, 2),
+                                 Fraction(-7, 3)])
+        mat = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+        for i in data.draw(st.sets(st.integers(0, n_rows - 1), max_size=3)):
+            p, q = (data.draw(st.integers(0, n_rows - 1)) for _ in range(2))
+            a, b = data.draw(entry), data.draw(entry)
+            mat[i] = [a * x + b * y for x, y in zip(mat[p], mat[q])]  # zero when a = b = 0
+        columns = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                x = [data.draw(entry) for _ in range(n_cols)]
+                columns.append([sum(a * v for a, v in zip(row, x)) for row in mat])
+            else:
+                columns.append([data.draw(entry) for _ in range(n_rows)])
+        rref, piv = gauss_jordan(mat)
+        rank, solutions = solve_linear(mat, columns)
+        assert rank == len(piv)
+        assert solutions == [reference_solve(mat, b) for b in columns]
+        for sol in solutions:
+            assert sol is None or all(type(v) is int or v.denominator > 1 for v in sol)
+        assert kernel_basis(mat) == [
+            [int(c == f) if c not in piv else -rref[piv.index(c)][f] for c in range(n_cols)]
+            for f in range(n_cols) if f not in piv]
+
+    def test_inconsistency_outside_the_row_basis(self):
+        # the basis rows are solved exactly; only the check of every
+        # equation sees that the last one fails
+        assert solve_linear([[1, 0], [0, 1], [1, 1]], [[1, 2, 4], [1, 2, 3]]) == (
+            2, [None, [1, 2]])
+        # dependent first rows: the pivot columns of A^T pick rows 0 and 2
+        mat = [[1, 1], [2, 2], [0, 1], [1, 2]]
+        assert solve_linear(mat, [[1, 2, 1, 5], [1, 2, 1, 2]]) == (2, [None, [0, 1]])
 
     @settings(deadline=None, max_examples=50)
     @given(st.data())
