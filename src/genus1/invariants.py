@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from operator import add
 from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
@@ -44,7 +43,8 @@ from .linalg import (adjugate, determinant, kronecker_determinant, mat_mul,
                      perm_sign, scalar_det, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
-from .poly import Poly, Scalar, as_scalar, exact_divide, generators, monomials
+from .poly import (Poly, Scalar, as_scalar, exact_divide, generators, monomials,
+                   times_variable)
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
@@ -289,11 +289,12 @@ class Deg5Covariants:
 
 
 # The quadric monomials x_t x_u (t <= u) and the quartic monomials of
-# x1..x5, and for two quadric monomials the index of their product.
+# x1..x5, and for two quadric monomials the index of their product:
+# x_t (x_u m) through the tables of multiplication by a variable.
 _QUADRICS5 = list(_quadric_indices(DEG5_RING))
 _QUARTICS5 = monomials(DEG5_RING, 4)
-_PRODUCT_INDEX = [[_QUARTICS5.index(tuple(map(add, e1, e2))) for _, e2 in _QUADRICS5]
-                  for _, e1 in _QUADRICS5]
+_PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
+                  for (t, u), _ in _QUADRICS5]
 # The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5).
 _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
 

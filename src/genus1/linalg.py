@@ -10,10 +10,20 @@ Two families of routines live here.
   stores only the upper triangle).  Determinants are taken on small
   matrices (at most 5x5 in the degree-5 pipeline) whose entries are
   polynomials, where elimination would cause coefficient blowup.
-  The expansion works on packed exponents (Monagan and Pearce, "Sparse
-  polynomial multiplication and division in Maple 14", 2009): each
-  monomial is one int holding a fixed-width bit field per variable, so a
-  monomial product is a single int addition instead of a tuple build.
+  A matrix of linear forms (every term of total degree 1) takes a dense
+  path: a minor of k rows is homogeneous of degree k, so it is held as a
+  list of coefficients over the monomials of degree k, and a product by
+  x_v moves coefficient b to the place ``times_variable`` gives, a table
+  of exact monomial positions built once per ring size and degree.  The
+  degree-5 secant and dual matrices, the pencil after its substitution,
+  the degree-3 Hessian matrix and the degree-4 det(sA + tB) take it.
+  A matrix of linear forms too sparse to fill those lists, such as one of
+  distinct variables, and every other matrix, such as G(U + nu G) or one
+  with an affine entry, are expanded on packed exponents (Monagan and
+  Pearce, "Sparse polynomial multiplication and division in Maple 14",
+  2009): each monomial is one int holding a fixed-width bit field per
+  variable, so a monomial product is a single int addition instead of a
+  tuple build.
   The field width comes from the input: it holds the sum over the rows
   of their largest entry degree, which bounds every exponent of every
   minor, so no field can carry into the next.  Results are ordinary
@@ -52,11 +62,11 @@ columns left-right, so every result is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .poly import Poly, Scalar, as_scalar
+from .poly import Poly, Scalar, as_scalar, monomials, times_variable
 
 
 # ----------------------------------------------------------------------
@@ -82,14 +92,80 @@ def _common_ring(rows) -> tuple:
     return ring
 
 
+def _linear_determinant(ring: tuple, rows) -> Poly | None:
+    """``determinant`` on dense coefficient vectors, or None for a matrix
+    that is not all linear forms or whose determinant cannot fill them.
+
+    When every term of every entry has total degree 1, every term of a
+    minor of k rows has total degree exactly k, so the minor is a list
+    over the C(m + k - 1, k) monomials of degree k in the m variables
+    that occur, in the order of ``monomials``.  The minors of the last k
+    rows on every k-column set give those of the last k + 1 by expansion
+    along the new row: a coefficient a of x_v times the b-th coefficient
+    of a minor adds to place ``tab[v][b]`` of the wider one
+    (``times_variable``).  Each table entry is the exact position of a
+    monomial product, so no term is lost or misplaced, and the
+    coefficients are the ints and Fractions of the entries.
+
+    The determinant has at most P terms, P the product over the rows of
+    the number of terms in the row.  When P < C(m + n - 1, n), most of
+    the vectors would stay zero, as for the n x n matrix of n^2 distinct
+    variables (P = n^n), and None leaves the matrix to the sparse
+    expansion.
+    """
+    terms = [entry.terms for row in rows for entry in row]
+    if any(sum(e) != 1 for t in terms for e in t):
+        return None
+    used = sorted({e.index(1) for t in terms for e in t})
+    n, nvars = len(rows), len(used)
+    if comb(nvars + n - 1, n) > prod(sum(len(entry.terms) for entry in row) for row in rows):
+        return None
+    local = {v: i for i, v in enumerate(used)}
+    forms = [[[(local[e.index(1)], c) for e, c in entry.terms.items()] for entry in row]
+             for row in rows]
+    minors: dict[int, list] = {0: [1]}  # no rows: the constant 1
+    for k in range(n):
+        tab = times_variable(nvars, k)
+        size = comb(nvars + k, k + 1)
+        wider: dict[int, list] = {}
+        for mask, minor in minors.items():
+            for c, pairs in enumerate(forms[n - 1 - k]):
+                bit = 1 << c
+                if mask & bit or not pairs:
+                    continue
+                out = wider.get(mask | bit)
+                if out is None:
+                    out = wider[mask | bit] = [0] * size
+                # c's place among the columns of mask | bit gives the sign
+                odd = (mask & (bit - 1)).bit_count() & 1
+                for v, a in pairs:
+                    if odd:
+                        a = -a
+                    for i, m in zip(tab[v], minor):
+                        out[i] += a * m
+        minors = wider
+    full = minors.get((1 << n) - 1, ())
+    basis = monomials(used, n)
+    if nvars < len(ring):
+        # put each exponent back at its variable's place in the ring
+        places = [local.get(v, nvars) for v in range(len(ring))]
+        basis = [tuple(map((*e, 0).__getitem__, places)) for e in basis]
+    # as_scalar: products of Fractions may sum to an integral Fraction
+    return Poly._make(ring, {e: as_scalar(c) for e, c in zip(basis, full) if c})
+
+
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
-    Expansion by minors along the first remaining row, memoised on the
-    set of unused columns, so each of the 2^n minors is computed once.
-    The expansion runs on packed exponents: every entry becomes a dict
-    from one int to a coefficient, the exponent of variable i sitting in
-    bits [i w, (i + 1) w), so a product of monomials is one int addition.
+    A matrix of linear forms, every term of every entry of total degree 1
+    (zero entries allowed), takes the dense path of ``_linear_determinant``
+    when its determinant can fill the dense vectors.
+    Any other matrix takes expansion by minors along the first remaining
+    row, memoised on the set of unused columns, so each of the 2^n minors
+    is computed once.  That expansion runs on packed exponents: every
+    entry becomes a dict from one int to a coefficient, the exponent of
+    variable i sitting in bits [i w, (i + 1) w), so a product of
+    monomials is one int addition.
 
     Each term of a minor over rows r..n-1 is a product of one entry per
     row, so none of its exponents exceeds D, the sum over all rows of the
@@ -99,6 +175,9 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     ValueError, as Poly arithmetic does.
     """
     ring = _common_ring(rows)
+    dense = _linear_determinant(ring, rows)
+    if dense is not None:
+        return dense
     n = len(rows)
     bound = sum(max(max(entry.degree() for entry in row), 0) for row in rows)
     width = max(bound.bit_length(), 1)

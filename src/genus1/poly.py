@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from operator import add
 from typing import Mapping, Sequence, Union
@@ -392,14 +393,30 @@ def generators(variables: Sequence[str]) -> tuple:
 
 def monomials(variables: Sequence[str], degree: int) -> list:
     """Exponent tuples of all monomials of a total degree, descending graded-lex."""
-    n = len(variables)
+    return list(_monomial_basis(len(variables), degree))
+
+
+@cache
+def _monomial_basis(nvars: int, degree: int) -> tuple:
     out = []
-    for combo in combinations_with_replacement(range(n), degree):
-        e = [0] * n
+    for combo in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return out
+    return tuple(out)
+
+
+@cache
+def times_variable(nvars: int, degree: int) -> tuple:
+    """The index table of multiplication by a variable: ``tab[v][b]`` is
+    the position in ``monomials(ring, degree + 1)`` of x_v times the b-th
+    monomial of ``monomials(ring, degree)``, for a ring of nvars
+    variables.  Built on first use and cached."""
+    index = {e: i for i, e in enumerate(_monomial_basis(nvars, degree + 1))}
+    return tuple(tuple(index[e[:v] + (e[v] + 1,) + e[v + 1:]]
+                       for e in _monomial_basis(nvars, degree))
+                 for v in range(nvars))
 
 
 def leading_term(p: Poly) -> tuple:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from genus1 import (Poly, determinant, generators, kernel_basis,
                     kronecker_determinant, pivot_columns, scalar_det,
                     scalar_rank, solve_linear)
-from genus1.linalg import adjugate, mat_mul, perm_sign
+from genus1.linalg import _linear_determinant, adjugate, mat_mul, perm_sign
 
 RING = ("x", "y", "z", "w")
 X, Y, Z, W = generators(RING)
@@ -89,6 +89,24 @@ def mixed_matrix(draw):
     return rows
 
 
+@st.composite
+def linear_matrix(draw):
+    """n x n, n = 1..5, of linear forms in 1 to 6 variables, most of them
+    dense enough for ``determinant``'s dense coefficient vectors.  Zero
+    entries, sometimes a zero row, and sometimes variables that occur
+    nowhere."""
+    ring = RING6[:draw(st.integers(1, 6))]
+    n = draw(st.integers(1, 5))
+    units = [tuple(int(i == v) for i in range(len(ring))) for v in range(len(ring))]
+    term = st.tuples(st.sampled_from(units), COEFFS)
+    form = st.lists(term, min_size=1, max_size=6).map(lambda items: Poly(ring, dict(items)))
+    entry = st.one_of(st.just(Poly.zero(ring)), form)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Poly.zero(ring)] * n
+    return rows
+
+
 def matrix_strategy(n):
     return st.lists(st.lists(small_poly(), min_size=n, max_size=n),
                     min_size=n, max_size=n)
@@ -110,11 +128,12 @@ class TestDeterminant:
             determinant([[X, Y]])
 
     def test_mixed_rings_rejected(self):
+        # matrices of linear forms and one with a quadric entry alike
         other = Poly.variable(("x", "y", "z", "u"), "u")
-        with pytest.raises(ValueError):
-            determinant([[X, Y], [Z, other]])
-        with pytest.raises(ValueError):
-            determinant([[other, Y], [Z, W]])
+        for rows in ([[X, Y], [Z, other]], [[other, Y], [Z, W]],
+                     [[X * X, Y], [Z, other]], [[ZERO, ZERO], [ZERO, other * 0]]):
+            with pytest.raises(ValueError, match="rings differ"):
+                determinant(rows)
 
     def test_exponent_fills_its_field(self):
         # Row degrees 7 and 8 give the bound 15, a 4-bit field per variable;
@@ -123,15 +142,17 @@ class TestDeterminant:
         assert determinant(rows) == X ** 15 - Y ** 7 * Z ** 8 == leibniz(rows)
 
     def test_leaves_no_garbage_cycle(self):
-        # the memo of minors is freed on return, not left for a full collection
-        rows = [[X, Y, Z], [Y, Z, W], [Z, W, X + 1]]
-        gc.collect()
-        gc.disable()
-        try:
-            determinant(rows)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # the minors are freed on return, not left for a full collection,
+        # on the packed expansion (X + 1 is not linear) and the dense one
+        for rows in ([[X, Y, Z], [Y, Z, W], [Z, W, X + 1]],
+                     [[X, Y, Z], [Y, Z, W], [Z, W, X]]):
+            gc.collect()
+            gc.disable()
+            try:
+                determinant(rows)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     @settings(deadline=None, max_examples=60)
     @given(rows=mixed_matrix())
@@ -139,6 +160,41 @@ class TestDeterminant:
         det = determinant(rows)
         assert det == leibniz(rows) == kronecker_determinant(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+
+    @settings(deadline=None, max_examples=60)
+    @given(rows=linear_matrix())
+    def test_linear_forms_match_leibniz(self, rows):
+        det = determinant(rows)
+        assert det == leibniz(rows) == kronecker_determinant(rows)
+        assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+
+    def test_routing_edge_cases(self):
+        # one entry that is not a linear form (x + 1, a constant, x y) sends
+        # the matrix to the packed expansion; the zero matrix, 1x1 and
+        # z, w-only matrices take the dense path, the last putting the
+        # exponents back at z's and w's places in the ring
+        one = Poly.constant(RING, 1)
+        point, empty = Poly.constant((), 3), Poly.zero(())
+        for rows in ([[X, Y, Z], [Y, Z, W], [Z, W, X + 1]],
+                     [[X, Y, Z], [Y, one * 7, W], [Z, W, X]],
+                     [[X * Y, Y], [Z, W]],
+                     [[ZERO] * 3] * 3, [[ZERO]], [[X - 3 * W]], [[one * 5]],
+                     [[Z, 2 * W], [W, -Z]],
+                     [[point]], [[empty]], [[point, empty], [empty, point]]):
+            assert determinant(rows) == leibniz(rows)
+
+    def test_sparse_linear_forms_take_the_packed_path(self):
+        # 25 distinct variables: 120 terms, against C(29, 5) = 118755
+        # places in a dense quintic, so the dense path declines
+        ring = tuple(f"a{i}{j}" for i in range(5) for j in range(5))
+        gens = generators(ring)
+        rows = [list(gens[5 * i:5 * i + 5]) for i in range(5)]
+        assert _linear_determinant(ring, rows) is None
+        det = determinant(rows)
+        assert len(det.terms) == 120 and det == leibniz(rows)
+        # linear forms that can fill the quadrics in x, y take it
+        rows = [[X + Y, X - Y], [Y, 2 * X]]
+        assert _linear_determinant(RING, rows) == determinant(rows) == leibniz(rows)
 
     def test_integral_fraction_products_become_ints(self):
         # (x/2)(2x) = x^2: the Fraction product 1 is stored as the int 1
