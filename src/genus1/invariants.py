@@ -347,9 +347,12 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
             for b, cb in terms[j]:
                 column[index[b]] += ca * cb
         products.append(column)
-    gradients = [secant.derivative(xi) for xi in DEG5_RING]
-    rank, solutions = solve_linear(list(zip(*products)),
-                                   [[g.coefficient(e) for e in _QUARTICS5] for g in gradients])
+    # the x_i gradient at quartic b is (e_i(b) + 1) times the secant's
+    # coefficient at x_i b, the quintic times_variable places
+    dense = [secant.terms.get(e, 0) for e in monomials(DEG5_RING, 5)]
+    gradients = [[(b[i] + 1) * dense[q] for b, q in zip(_QUARTICS5, tab)]
+                 for i, tab in enumerate(times_variable(5, 4))]
+    rank, solutions = solve_linear(list(zip(*products)), gradients)
     if rank != 15:
         raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
     aux = []

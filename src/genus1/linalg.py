@@ -35,9 +35,13 @@ Two families of routines live here.
   reads the coefficient of t^k off the k-th balanced base-X digit.  The
   width w is exact, not a guess: with B the product over the rows of the
   l1 norms of their entries summed, every coefficient of the determinant
-  is at most B in absolute value, and X > 2B.  The degree-5 pencil
-  quintic det(lam Q + L) uses it, so every power of lam costs one
-  determinant in v1..v5.
+  is at most B in absolute value, and X > 2B.  Before B is taken, the
+  gcd g of every coefficient with a positive power of t is divided out,
+  g^e from each coefficient of t^e: det M(t) = det M'(g t), so the t^k
+  coefficient of det M is g^k times that of det M', and w is sized for
+  the smaller M'.  The degree-5 pencil quintic det(lam Q + L) uses it,
+  so every power of lam costs one determinant in v1..v5, and on a
+  transformed model Q's large common content stays out of the digits.
 
 * Scalar matrices (rows of ints / Fractions): rank, determinant, linear
   solving and kernel bases, through Bareiss fraction-free elimination
@@ -62,7 +66,7 @@ columns left-right, so every result is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -235,19 +239,37 @@ def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     balanced base-X digits of each coefficient are exactly the
     coefficients of t^0, t^1, ...  The substituted entries keep their
     ring, with the exponent of t set to 0.
+
+    First g, the gcd of the coefficients of every term with a positive
+    power of t, is taken out: each coefficient of t^e becomes c / g^e,
+    which is exact for e = 1 and is checked for e >= 2 (g = 1 when some
+    g^e does not divide, or when no term has t).  The reduced matrix M'
+    satisfies M(t) = M'(g t), so det M(t) = det M'(g t) and the t^k
+    coefficient of det M is g^k times that of det M'.  B and w are taken
+    from M', for which the bound above holds as it is, and each decoded
+    t^k digit is multiplied by g^k.  The entries of the degree-5 pencil
+    have t-degree at most 1, so it always takes the reduction.
     """
     ring = _common_ring(rows)
     if not ring:
         return determinant(rows)
     scaled = []
-    scale = bound = 1
+    scale = 1
     for row in rows:
         mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
                      if isinstance(c, Fraction)), 1)
         # int() also turns the integral Fractions a Poly sum may hold into ints
         scaled.append([{e: int(c * mult) for e, c in entry.terms.items()} for entry in row])
         scale *= mult
-        bound *= sum(abs(c) for terms in scaled[-1] for c in terms.values())
+    # det M(t) = det M'(g t), where M' divides each t^e coefficient by g^e
+    content = gcd(*(c for row in scaled for terms in row for e, c in terms.items() if e[0]))
+    if content > 1 and all(c % content ** e[0] == 0 for row in scaled for terms in row
+                           for e, c in terms.items() if e[0] > 1):
+        scaled = [[{e: c // content ** e[0] for e, c in terms.items()} for terms in row]
+                  for row in scaled]
+    else:
+        content = 1
+    bound = prod(sum(abs(c) for terms in row for c in terms.values()) for row in scaled)
     if not bound:  # a zero row
         return Poly.zero(ring)
     # every row has l1 norm >= 1, so each digit c_k of an entry is below
@@ -268,14 +290,17 @@ def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     out: dict[tuple, Scalar] = {}
     for exps, c in determinant(substituted).terms.items():
         k = 0
+        power = 1  # content^k restores the t^k coefficient of det M
         while c:
             d = c & digit_mask
             if d >= half:
                 d -= 1 << width
             c = (c - d) >> width
             if d:
+                d *= power
                 out[(k,) + exps[1:]] = d if scale == 1 else as_scalar(Fraction(d, scale))
             k += 1
+            power *= content
     return Poly._make(ring, out)
 
 

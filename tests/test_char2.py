@@ -5,15 +5,17 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg2Model, Deg2Transform, Deg3Model,
                     Deg3Transform, Deg4Model, Deg4Transform, Deg5Model,
                     Deg5Transform, InputError, a1_char2, apply, generators,
-                    weierstrass_model)
+                    invariants, weierstrass_model)
 from genus1.invariants import D5_COSET_REPS
 from genus1.models import DEG3_RING
 
-from helpers import random_model
+from helpers import invertible_matrices, random_model
 
 
 def test_coset_representatives():
@@ -110,3 +112,50 @@ def test_non_integer_coefficients_rejected():
 def test_degree1_not_supported():
     with pytest.raises(InputError):
         a1_char2(Deg1Model(1, 0, 0, 0, 0))
+
+
+def _integer_models(degree, coeffs):
+    """Models of one degree with coefficients drawn from ``coeffs``."""
+    lists = lambda n: st.lists(coeffs, min_size=n, max_size=n)
+    if degree == 2:
+        return st.tuples(lists(3), lists(5)).map(lambda pq: Deg2Model.from_coefficients(*pq))
+    if degree == 3:
+        return lists(10).map(Deg3Model.from_coefficients)
+    if degree == 4:
+        return st.tuples(lists(10), lists(10)).map(lambda q: Deg4Model.from_coefficients(*q))
+    return st.lists(lists(5), min_size=10, max_size=10).map(Deg5Model.from_coefficients)
+
+
+def _integer_transforms(degree):
+    matrices = lambda n: invertible_matrices(n, st.integers(-3, 3))
+    mu = st.sampled_from([1, -1, 2, 3, -5])
+    if degree == 2:
+        return st.builds(Deg2Transform, mu, st.tuples(*[st.integers(-2, 2)] * 3), matrices(2))
+    if degree == 3:
+        return st.builds(Deg3Transform, mu, matrices(3))
+    if degree == 4:
+        return st.builds(Deg4Transform, matrices(2), matrices(4))
+    return st.builds(Deg5Transform, matrices(5), matrices(5))
+
+
+@st.composite
+def _char2_models(draw):
+    """Integer models of degree 2 to 5: random, degenerate (mostly zero
+    coefficients) or a random one moved by an integer transformation."""
+    degree = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["random", "degenerate", "moved"]))
+    coeffs = st.sampled_from([0, 0, 0, 1, -1]) if kind == "degenerate" else st.integers(-3, 3)
+    m = draw(_integer_models(degree, coeffs))
+    return apply(draw(_integer_transforms(degree)), m) if kind == "moved" else m
+
+
+@settings(deadline=None, max_examples=100)
+@given(m=_char2_models())
+def test_invariants_reduce_to_a1(m):
+    # c4 = b2^2 - 24 b4 and c6 = -b2^3 + 36 b2 b4 - 216 b6 with
+    # b2 = a1^2 + 4 a2: c4 = a1^4 (mod 8) and c6 = a1^6 (mod 2)
+    a1 = a1_char2(m)
+    c4, c6, _ = invariants(m)
+    assert type(c4) is int and type(c6) is int
+    assert c4 % 2 == c6 % 2 == a1
+    assert c4 % 8 == a1 ** 4 % 8

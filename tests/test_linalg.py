@@ -218,6 +218,39 @@ class TestDeterminant:
 class TestKroneckerDeterminant:
     """determinant by the substitution x = 2^w in the first variable x."""
 
+    @staticmethod
+    def check(rows):
+        det = kronecker_determinant(rows)
+        assert det == determinant(rows) == leibniz(rows)
+        assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+
+    def test_common_content_of_the_first_variable(self):
+        # the x coefficients share g, so x -> g x shrinks the packed width
+        # and each x^k digit is multiplied back by g^k
+        for g in (2 ** 40, 3 ** 9, 7):
+            rows = [[g * X + Y, -g * X + 2 * Z, 3 * g * X - W],
+                    [-5 * g * X - Y, Z - W, g * X + 4 * Y],
+                    [2 * g * X + Z, -g * X + Y, -W]]
+            self.check(rows)
+
+    def test_square_terms_of_the_first_variable(self):
+        # g = 5: 25 divides every x^2 coefficient in the first matrix, and
+        # 5 x^2 in the second keeps g = 1
+        for square in (-25 * X ** 2, 5 * X ** 2):
+            self.check([[5 * X + Y, square + Z], [10 * X - W, 50 * X ** 2 + 3 * Y]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_content_property(self, data):
+        # g x A + B: A an integer matrix, B linear forms in y, z, w
+        n = data.draw(st.integers(1, 4))
+        g = data.draw(st.sampled_from([2, -3, 2 ** 64, 5 ** 11, Fraction(6, 7)]))
+        a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        form = st.lists(st.tuples(st.sampled_from([Y, Z, W]), COEFFS), max_size=3).map(
+            lambda items: sum((c * v for v, c in items), ZERO))
+        self.check([[g * a_ij * X + data.draw(form) for a_ij in row] for row in a])
+
     def test_coefficient_at_the_bound(self):
         # B = 4 * 3 = 12 is the x^2 coefficient of the determinant itself
         for sign in (1, -1):
@@ -239,8 +272,12 @@ class TestKroneckerDeterminant:
             assert kronecker_determinant(rows) == determinant(rows) == leibniz(rows)
 
     def test_fraction_rows(self):
-        rows = [[X / 2 + Y, Fraction(-5, 3) * X], [Z / 6, X - W / 4]]
-        assert kronecker_determinant(rows) == determinant(rows) == leibniz(rows)
+        # in the second matrix the lcms 15 and 3 make the x coefficients
+        # 20, -24, 2 and 12: a content of 2 shows only after scaling
+        for rows in ([[X / 2 + Y, Fraction(-5, 3) * X], [Z / 6, X - W / 4]],
+                     [[Fraction(4, 3) * X + Y / 5, Fraction(-8, 5) * X + Z],
+                      [Fraction(2, 3) * X - W, 4 * X + Fraction(1, 3) * Y]]):
+            self.check(rows)
 
     def test_integral_fraction_coefficients(self):
         # a Poly sum keeps Fraction(1, 1): such a row needs no scaling but
@@ -258,8 +295,9 @@ class TestKroneckerDeterminant:
         assert kronecker_determinant([[ZERO]]) == ZERO
 
     def test_no_first_variable(self):
-        rows = [[Y, Z], [W, Y + 10 ** 20]]
-        assert kronecker_determinant(rows) == determinant(rows)
+        # gcd() of no x coefficients is 0: no content step
+        for rows in ([[Y, Z], [W, Y + 10 ** 20]], [[Y + 2, 3 * Z], [W, 5 * Y]], [[7 * Y]]):
+            self.check(rows)
         assert kronecker_determinant([[Poly.constant((), 3)]]) == Poly.constant((), 3)
 
     def test_non_square(self):
