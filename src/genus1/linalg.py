@@ -51,11 +51,23 @@ Two families of routines live here.
   integral, and so does back-substitution: it solves for d x, d the last
   pivot, where Cramer's rule makes every division exact.
   ``solve_linear`` takes every right-hand side at once (the five
-  gradient columns of the degree-5 auxiliary quadrics).  It eliminates
-  only a basis of A's rows, the pivot columns of A^T (A's first rows
-  when they are independent), whose rank is A's (the rank-15 check);
-  back-substitution gives d x, every equation of A is checked as
-  A (d x) = d b in integers, and the result is divided by d once.
+  gradient columns of the degree-5 auxiliary quadrics).  When the
+  entries are integral and A's first rows form a square matrix A_0
+  invertible modulo the prime 2^127 - 1, which proves that A has full
+  column rank (the rank-15 check), each column is solved by p-adic
+  lifting (Dixon, "Exact solution of linear equations using p-adic
+  expansions", Numer. Math. 1982): LU mod p once, then one balanced
+  base-p digit of x per step until the residual is exactly 0, so the
+  cost follows the size of x, not that of det A_0.  Every equation of A
+  is then checked in integers, all columns at once in slots of one
+  packed integer per row.  If A_0 is singular mod p, a solution is not
+  integral within the Hadamard bound on its Cramer numerators, or an
+  entry is not integral (rows scaled to integers seldom give integral
+  solutions), Bareiss elimination takes the system: it eliminates only
+  a basis of A's rows, the pivot columns of A^T (A's first rows when
+  they are independent), whose rank is A's; back-substitution gives
+  d x, every equation of A is checked as A (d x) = d b in integers, and
+  the result is divided by d once.
   ``pivot_columns`` gives the greedy basis of a column space, and
   ``adjugate`` expands its cofactors directly.
 
@@ -66,8 +78,9 @@ columns left-right, so every result is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .poly import Poly, Scalar, as_scalar, monomials, times_variable
@@ -326,7 +339,7 @@ def _integerize(rows):
     int_rows = []
     factors = []
     for row in rows:
-        if all(type(x) is int for x in row):
+        if set(map(type, row)) <= {int}:
             int_rows.append(list(row))
             factors.append(1)
             continue
@@ -430,14 +443,108 @@ def scalar_det(rows: Sequence[Sequence]) -> Scalar:
     return as_scalar(Fraction(det, denom))
 
 
+# The prime of the p-adic solve, 2^127 - 1: one balanced base-p digit
+# holds every degree-5 solution met so far, so a lift is mostly one step.
+_PRIME = (1 << 127) - 1
+
+
+def _dixon_solve(m: list[list[int]], n_cols: int):
+    """(n_cols, solutions) of ``solve_linear`` by p-adic lifting (Dixon,
+    "Exact solution of linear equations using p-adic expansions", Numer.
+    Math. 1982), or None to leave the system to Bareiss.
+
+    m is the integer matrix A | b_1 | ... | b_k.  When A's first n_cols
+    rows, A_0, are invertible modulo the prime p, A has rank n_cols over
+    Q (a minor nonzero mod p is nonzero), and each A_0 x = b lifts in
+    balanced base-p digits: d = A_0^-1 r mod p from an LU factorisation
+    mod p, x += p^i d and r = (r - A_0 d) / p, an exact division, so that
+    A_0 x + p^i r = b throughout.  A zero residual makes x the solution.
+    If the solution is integral, Hadamard's bound on its Cramer
+    numerators gives |x_j| <= H with H^2 <= S, S the product over A_0's
+    rows of |row|^2 + b_i^2, and the balanced x equals it once p^i > 2H;
+    a residual still nonzero then proves it is not, and None is returned.
+
+    Every equation of A is then checked for every column at once.  With
+    |A_row x_c - b_c| < 2^w for every row and column, the product of the
+    row A_row | b with (sum_c 2^(wc) x_c, -2^0, -2^w, ...) is
+    sum_c (A_row x_c - b_c) 2^(wc), which is 0 exactly when every term
+    is.  A row that fails is checked column by column, and the columns it
+    fails get None.
+    """
+    p = _PRIME
+    if not 0 < n_cols <= len(m):
+        return None
+    top = [row[:n_cols] for row in m[:n_cols]]
+    # P A_0 = L U mod p in place, L's multipliers below the diagonal and
+    # row i of P A_0 row order[i] of A_0.  Only the pivot row is reduced,
+    # so an update x - l y only adds to an entry (0 <= l, y < p).
+    lu = [list(row) for row in top]
+    order = list(range(n_cols))
+    inverses = []
+    for c in range(n_cols):
+        r = next((i for i in range(c, n_cols) if lu[i][c] % p), None)
+        if r is None:
+            return None
+        lu[c], lu[r] = lu[r], lu[c]
+        order[c], order[r] = order[r], order[c]
+        pivot = lu[c]
+        pivot[c:] = [x % p for x in pivot[c:]]
+        inv = pow(pivot[c], -1, p)
+        inverses.append(inv)
+        tail = pivot[c + 1:]
+        for row in lu[c + 1:]:
+            f = row[c] = row[c] * inv % p
+            if f:
+                row[c + 1:] = map(sub, row[c + 1:], map(f.__mul__, tail))
+    half = p >> 1
+    norms = [sum(map(mul, row, row)) for row in top]
+    solutions = []
+    for col in range(n_cols, len(m[0])):
+        residual = [row[col] for row in m[:n_cols]]
+        bound = prod(s + v * v for s, v in zip(norms, residual))
+        x = [0] * n_cols
+        scale = 1
+        while any(residual):
+            if scale * scale > 4 * bound:
+                return None  # not integral
+            # L y = P r (each row's dot product stops at len(y)), U d = y
+            y = []
+            for row, i in zip(lu, order):
+                y.append((residual[i] - sum(map(mul, row, y))) % p)
+            digit = [0] * n_cols
+            for c in range(n_cols - 1, -1, -1):
+                d = (y[c] - sum(map(mul, lu[c][c + 1:], digit[c + 1:]))) * inverses[c] % p
+                digit[c] = d - p if d > half else d
+            x = [v + scale * d for v, d in zip(x, digit)]
+            residual = [(v - sum(map(mul, row, digit))) // p for row, v in zip(top, residual)]
+            scale *= p
+        solutions.append(x)
+    big = max((abs(v) for x in solutions for v in x), default=0)
+    # |A_row x_c - b_c| <= (n_cols big + 1) max |m|
+    width = ((n_cols * big + 1) * max(map(abs, chain.from_iterable(m)))).bit_length()
+    packed = [sum(x[j] << width * c for c, x in enumerate(solutions)) for j in range(n_cols)]
+    packed += [-1 << width * c for c in range(len(solutions))]
+    bad = set()
+    for row in m:
+        if sum(map(mul, row, packed)):
+            bad.update(c for c, x in enumerate(solutions) if sum(map(mul, row, x)) != row[n_cols + c])
+    return n_cols, [None if c in bad else x for c, x in enumerate(solutions)]
+
+
 def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     """Exact solutions of A x = b for each column b in ``columns``.
 
     Returns (rank of A, solutions): one solution per column, in order, or
-    None where A x = b is inconsistent.  The pivot columns of A^T pick a
-    basis of A's rows; one Bareiss elimination of those rows, augmented
-    with every column, gives d x by integer back-substitution, and every
-    equation of A is then checked as A (d x) = d b in integers.
+    None where A x = b is inconsistent.  When every entry is integral,
+    A's first n_cols rows are invertible modulo the prime ``_PRIME`` and
+    every solution is integral, p-adic lifting (Dixon 1982) solves those
+    rows, and every equation of A is checked in integers
+    (``_dixon_solve``).  Otherwise
+    the pivot columns of A^T pick a basis of A's rows; one Bareiss
+    elimination of those rows, augmented with every column, gives d x by
+    integer back-substitution, and every equation of A is then checked as
+    A (d x) = d b in integers.  Both routes give the same rank and
+    solutions.
 
     Overdetermined systems are fine.  Free variables (if any) are set to
     zero; when the solution is unique this returns it.
@@ -450,19 +557,24 @@ def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     n_cols = len(rows[0])
     if any(len(r) != n_cols for r in rows):
         raise ValueError("ragged matrix")
-    m, _ = _integerize([list(row) + [b[i] for b in columns] for i, row in enumerate(rows)])
+    m, factors = _integerize([list(row) + [b[i] for b in columns] for i, row in enumerate(rows)])
+    # rows scaled from Fractions seldom give integral solutions, which
+    # the lift would pursue to its Hadamard step limit before giving up
+    lifted = _dixon_solve(m, n_cols) if set(factors) == {1} else None
+    if lifted is not None:
+        return lifted
     # independent first n_cols rows are a basis of A's rows, and the one
     # A^T picks; otherwise take the rows of A^T's pivot columns
-    sub = [list(row) for row in m[:n_cols]]
-    piv_cols, _ = _bareiss_echelon(sub, n_cols)
+    echelon = [list(row) for row in m[:n_cols]]
+    piv_cols, _ = _bareiss_echelon(echelon, n_cols)
     if len(piv_cols) < n_cols:
         basis, _ = _bareiss_echelon([list(col) for col in zip(*(row[:n_cols] for row in m))])
         # the basis rows have A's null space, so they have A's pivot columns
-        sub = [list(m[i]) for i in basis]
-        piv_cols, _ = _bareiss_echelon(sub, n_cols)
+        echelon = [list(m[i]) for i in basis]
+        piv_cols, _ = _bareiss_echelon(echelon, n_cols)
     solutions = []
     for col in range(n_cols, n_cols + len(columns)):
-        y, d = _back_substitute(sub, piv_cols, [0] * n_cols, col)
+        y, d = _back_substitute(echelon, piv_cols, [0] * n_cols, col)
         consistent = all(sum(map(mul, row, y)) == d * row[col] for row in m)
         solutions.append(_divided(y, d) if consistent else None)
     return len(piv_cols), solutions

@@ -34,8 +34,8 @@ from typing import get_args
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
 from .models import (DEG1_RING, DEG2_RING, DEG3_RING, DEG4_RING, DEG5_PAIRS,
-                     DEG5_RING, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, class_for_degree, json_scalars,
+                     Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
+                     GenusOneModel, class_for_degree, json_scalars,
                      linear_substitution)
 from .poly import Poly, Scalar, as_scalar, generators
 
@@ -281,17 +281,14 @@ class Deg5Transform(_MatrixPair):
 
     def apply(self, m: Deg5Model) -> Deg5Model:
         # Upper entries of A phi A^T, using phi_lk = -phi_kl:
-        # (A phi A^T)_ij = sum_{k<l} (a_ik a_jl - a_il a_jk) phi_kl.
-        sub = linear_substitution(DEG5_RING, self.B)
-        phi = [(k, l, entry.substitute(sub))
-               for (k, l), entry in zip(DEG5_PAIRS, m.upper) if entry]
+        # (A phi A^T)_ij = sum_{k<l} (a_ik a_jl - a_il a_jk) phi_kl, so the
+        # 10x5 coefficient matrix C becomes wedge(A) C.  x_j = sum_i B_ij x_i'
+        # makes an entry's x_i' coefficient sum_j c_j B_ij, so C becomes C B^T.
         a = self.A
-        zero = Poly.zero(DEG5_RING)
-        upper = []
-        for i, j in DEG5_PAIRS:
-            minors = ((a[i][k] * a[j][l] - a[i][l] * a[j][k], entry) for k, l, entry in phi)
-            upper.append(sum((c * entry for c, entry in minors if c), zero))
-        return Deg5Model(tuple(upper))
+        wedge = [[a[i][k] * a[j][l] - a[i][l] * a[j][k] for k, l in DEG5_PAIRS]
+                 for i, j in DEG5_PAIRS]
+        moved = mat_mul(m.coefficients(), tuple(zip(*self.B)))
+        return Deg5Model.from_coefficients(mat_mul(wedge, moved))
 
 
 Transformation = (Deg1Transform | Deg2Transform | Deg3Transform

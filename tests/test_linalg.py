@@ -1,6 +1,7 @@
 """Polynomial determinants and exact elimination."""
 
 import gc
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import (Poly, determinant, generators, kernel_basis,
+import genus1.linalg as linalg
+from genus1 import (Deg1Model, Deg5Transform, Poly, apply, deg5_covariants,
+                    determinant, generators, kernel_basis,
                     kronecker_determinant, pivot_columns, scalar_det,
-                    scalar_rank, solve_linear)
-from genus1.linalg import _linear_determinant, adjugate, mat_mul, perm_sign
+                    scalar_rank, solve_linear, weierstrass_model)
+from genus1.linalg import (_PRIME, _linear_determinant, adjugate, mat_mul,
+                           perm_sign)
+
+from helpers import wuthrich_model
 
 RING = ("x", "y", "z", "w")
 X, Y, Z, W = generators(RING)
@@ -433,8 +439,10 @@ class TestScalarElimination:
         # consistent (b = A x) and random right-hand sides side by side
         n_cols = data.draw(st.integers(1, 5))
         n_rows = data.draw(st.integers(1, 8))
-        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10 ** 15, Fraction(1, 2),
-                                 Fraction(-7, 3)])
+        # the prime makes some first rows singular mod p; 10^40 entries need
+        # lifts of more than one base-p digit
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10 ** 15, 10 ** 40, _PRIME,
+                                 Fraction(1, 2), Fraction(-7, 3)])
         mat = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
         for i in data.draw(st.sets(st.integers(0, n_rows - 1), max_size=3)):
             p, q = (data.draw(st.integers(0, n_rows - 1)) for _ in range(2))
@@ -493,6 +501,107 @@ class TestScalarElimination:
         assert len(basis) == cols - scalar_rank(mat)
         for v in basis:
             assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in mat)
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The row counts of the matrices linalg hands to Bareiss elimination."""
+    calls = []
+    echelon = linalg._bareiss_echelon
+
+    def spy(m, *args):
+        calls.append(len(m))
+        return echelon(m, *args)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", spy)
+    return calls
+
+
+def auxiliary_system(model):
+    """The 70x15 system that ``deg5_covariants`` solves for the model."""
+    module = sys.modules["genus1.invariants"]
+    solve = module.solve_linear
+    systems = []
+
+    def recorded(rows, columns):
+        systems.append((rows, columns))
+        return solve(rows, columns)
+
+    module.solve_linear = recorded
+    try:
+        deg5_covariants(model)
+    finally:
+        module.solve_linear = solve
+    return systems.pop()
+
+
+# Wuthrich's quintic is moved by these in CI's console-script check.
+CI_A = [[0, -13, 12, 3, 12], [-8, -21, -6, -30, -7], [0, -13, 11, 21, -1],
+        [14, 25, 8, -16, 5], [-30, 12, 9, -21, -2]]
+CI_B = [[-7, -20, -9, 27, -17], [-27, 6, 22, -18, -26], [2, 13, 22, -9, 13],
+        [-5, 21, 23, -25, -29], [28, -27, 22, 28, 12]]
+
+
+class TestSolveRoutes:
+    """``solve_linear`` lifts p-adically when A's first rows are invertible
+    mod the prime and every solution is integral, and otherwise takes
+    Bareiss elimination; both give the Gauss-Jordan solutions."""
+
+    def test_singular_mod_p_falls_back(self, bareiss_calls):
+        # det = p: singular mod p, not over Q
+        mat = [[_PRIME, 1], [0, 1]]
+        columns = [[_PRIME + 1, 1], [0, 3]]
+        assert solve_linear(mat, columns) == (
+            2, [[1, 1], [Fraction(-3, _PRIME), 3]]) == (
+            2, [reference_solve(mat, b) for b in columns])
+        assert bareiss_calls
+
+    def test_fraction_solution_falls_back(self, bareiss_calls):
+        assert solve_linear([[2]], [[1]]) == (1, [[Fraction(1, 2)]]) == (
+            1, [reference_solve([[2]], [1])])
+        assert bareiss_calls
+
+    def test_scaled_rows_take_bareiss(self, bareiss_calls):
+        # a non-integral entry sends the system to Bareiss, even when the
+        # solution is integral
+        mat = [[Fraction(1, 2), 0], [0, 1]]
+        assert solve_linear(mat, [[1, 3]]) == (2, [[2, 3]]) == (
+            2, [reference_solve(mat, [1, 3])])
+        assert bareiss_calls
+
+    def test_inconsistent_row_on_the_lifting_route(self, bareiss_calls):
+        # x = (1, 2) solves the first two rows; the third needs 17
+        mat = [[1, 2], [3, 4], [5, 6]]
+        columns = [[5, 11, 17], [5, 11, 18]]
+        assert solve_linear(mat, columns) == (2, [[1, 2], None]) == (
+            2, [reference_solve(mat, b) for b in columns])
+        assert not bareiss_calls
+
+    def test_large_solution_lifts_several_digits(self, bareiss_calls):
+        x = [10 ** 80 + 7, -(10 ** 80) + 3, 12345]
+        assert abs(x[0]) > _PRIME ** 2 // 2  # a third balanced base-p digit
+        mat = [[2, 1, 0], [1, 3, 1], [0, 1, 4], [1, 1, 1]]
+        b = [sum(a * v for a, v in zip(row, x)) for row in mat]
+        assert solve_linear(mat, [b]) == (3, [x]) == (3, [reference_solve(mat, b)])
+        assert not bareiss_calls
+
+    def test_moved_wuthrich_system_lifts(self, monkeypatch, bareiss_calls):
+        rows, columns = auxiliary_system(apply(Deg5Transform(CI_A, CI_B), wuthrich_model()))
+        bareiss_calls.clear()
+        lifted = solve_linear(rows, columns)
+        assert not bareiss_calls
+        assert lifted[0] == 15 and None not in lifted[1]
+        # the Bareiss route gives the same solutions
+        monkeypatch.setattr(linalg, "_dixon_solve", lambda m, n_cols: None)
+        assert solve_linear(rows, columns) == lifted
+        assert bareiss_calls
+
+    def test_weierstrass_system_takes_bareiss(self, bareiss_calls):
+        rows, columns = auxiliary_system(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 5))
+        bareiss_calls.clear()
+        rank, solutions = solve_linear(rows, columns)
+        assert bareiss_calls and rank == 15 and None not in solutions
+        assert scalar_rank(rows[:15]) < 15
 
 
 def test_perm_sign():

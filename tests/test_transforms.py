@@ -74,14 +74,19 @@ class TestAction:
                 factor = (2 if i == 0 else 1) * (2 if j == 0 else 1)
                 assert got[i][j] == factor * original[i][j]
 
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=40)
     @given(st.one_of(st.just(wuthrich_model()), deg5_models()),
-           st.sampled_from([st.integers(-3, 3), MATRIX_ENTRIES]).flatmap(
+           st.sampled_from([st.integers(-3, 3), st.integers(-30, 30), MATRIX_ENTRIES]).flatmap(
                lambda entries: st.tuples(invertible_matrices(5, entries),
                                          invertible_matrices(5, entries))))
     def test_degree5_matches_full_matrix_product(self, m, ab):
+        # apply's coefficient-matrix product against substitution into all
+        # 25 entries, with integer and Fraction transformations
         g = Deg5Transform(*ab)
-        assert apply(g, m) == full_matrix_apply(g, m)
+        moved = apply(g, m)
+        assert moved == full_matrix_apply(g, m)
+        assert all(type(c) is int or c.denominator > 1
+                   for row in moved.coefficients() for c in row)
 
     def test_group_law(self):
         rng = random.Random(6)
