@@ -43,8 +43,7 @@ from .linalg import (adjugate, determinant, kronecker_determinant, mat_mul,
                      perm_sign, scalar_det, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
-from .poly import (Poly, Scalar, as_scalar, exact_divide, generators, monomials,
-                   times_variable)
+from .poly import Poly, Scalar, as_scalar, monomials, times_variable
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
@@ -142,10 +141,28 @@ def invariants_deg2(m: Deg2Model) -> InvariantTriple:
 # degree 3
 # ----------------------------------------------------------------------
 
+def _hessian_matrix(form: Poly, variables) -> list[list[Poly]]:
+    """The matrix d^2 f / dx_i dx_j, read off the terms of f in one pass:
+    c x^e gives c e_i (e_j - [i = j]) x^(e - u_i - u_j) in entry (i, j).
+    For a ternary cubic U, entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k,
+    and d^3 U/dx_i dx_j dx_k is the coefficient at u_i + u_j + u_k times
+    prod_v e_v!."""
+    places = [form._var_index(v) for v in variables]
+    rows = [[{} for _ in places] for _ in places]
+    # distinct terms stay distinct in each entry, so nothing sums or cancels
+    for e, c in form.terms.items():
+        for row, i in zip(rows, places):
+            if e[i]:
+                once = e[:i] + (e[i] - 1,) + e[i + 1:]
+                for entry, j in zip(row, places):
+                    if once[j]:
+                        entry[once[:j] + (once[j] - 1,) + once[j + 1:]] = c * e[i] * once[j]
+    return [[Poly._make(form.variables, entry) for entry in row] for row in rows]
+
+
 def _hessian_det(cubic: Poly, variables=("x", "y", "z")) -> Poly:
     """det(d^2 U / dx_i dx_j), integral when U is."""
-    grads = [cubic.derivative(v) for v in variables]
-    return determinant([[g.derivative(v) for v in variables] for g in grads])
+    return determinant(_hessian_matrix(cubic, variables))
 
 
 def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
@@ -160,26 +177,37 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
 
         G(U + nu G) = (1 - 12 c4 nu^2 + 16 c6 nu^3) G + (12 c4 nu - 48 c6 nu^2 + 48 c4^2 nu^3) U
 
-    so c4 is the nu coefficient over 12 U, and c6 the nu^2 coefficient plus
-    12 c4 G over -48 U; both divisions are exact identically in U.
+    The Hessian matrix of U + nu G is that of U plus nu times that of G,
+    so G(U + nu G) is one determinant of linear forms in x, y, z whose
+    coefficients are affine in nu, expanded by Kronecker substitution in
+    nu.  c4 and c6 are read off one coefficient where U is nonzero, and
+    both identities are checked on every coefficient: the nu part is
+    12 c4 U, and the nu^2 part plus 12 c4 G is -48 c6 U.
     """
     cubic = m.cubic
     if not cubic:
         return InvariantTriple(0, 0, 0)
-    ring = DEG3_RING + ("nu",)
-    lifted = cubic.lift(ring)
-    g = _hessian_det(cubic).lift(ring)
-    nu = Poly.variable(ring, "nu")
-    expanded = _hessian_det(lifted + nu * g, DEG3_RING)
+    hess_u = _hessian_matrix(cubic, DEG3_RING)
+    g = determinant(hess_u)
+    hess_g = _hessian_matrix(g, DEG3_RING)
+    ring = ("nu",) + DEG3_RING
+    expanded = kronecker_determinant(
+        [[Poly._make(ring, {**{(0,) + e: c for e, c in u.terms.items()},
+                            **{(1,) + e: c for e, c in w.terms.items()}})
+          for u, w in zip(row_u, row_g)] for row_u, row_g in zip(hess_u, hess_g)])
 
-    quotient = exact_divide(expanded.coefficient_of("nu", 1), 12 * lifted)
-    if quotient is None:
+    basis = monomials(DEG3_RING, 3)
+    nu1, nu2 = ([expanded.terms.get((k,) + e, 0) for e in basis] for k in (1, 2))
+    u = [cubic.terms.get(e, 0) for e in basis]
+    gv = [g.terms.get(e, 0) for e in basis]
+    k = next(i for i, c in enumerate(u) if c)
+    c4 = as_scalar(Fraction(nu1[k]) / (12 * u[k]))
+    if nu1 != [12 * c4 * c for c in u]:
         raise InternalCheckError("nu coefficient of G(U + nu G) is not 12 c4 U")
-    c4 = quotient.constant_value()
-    quotient = exact_divide(expanded.coefficient_of("nu", 2) + 12 * c4 * g, -48 * lifted)
-    if quotient is None:
+    nu2 = [a + 12 * c4 * b for a, b in zip(nu2, gv)]
+    c6 = as_scalar(Fraction(nu2[k]) / (-48 * u[k]))
+    if nu2 != [-48 * c6 * c for c in u]:
         raise InternalCheckError("nu^2 coefficient of G(U + nu G) is not -12 c4 G - 48 c6 U")
-    c6 = quotient.constant_value()
     return _triple(c4, c6)
 
 
@@ -214,11 +242,8 @@ def _quadric_from_matrix(mat, ring) -> Poly:
 
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     """Invariants of a quadric pair via the binary quartic det(sA + tB)."""
-    mat_a = _symmetric_matrix(m.q1)
-    mat_b = _symmetric_matrix(m.q2)
-    ring = ("s", "t")
-    s, t = generators(ring)
-    pencil = [[mat_a[i][j] * s + mat_b[i][j] * t for j in range(4)] for i in range(4)]
+    pencil = [[_linear_form(("s", "t"), ((1, 0), (0, 1)), pair) for pair in zip(*rows)]
+              for rows in zip(_symmetric_matrix(m.q1), _symmetric_matrix(m.q2))]
     c4, j = _quartic_invariants(determinant(pencil))
     return _triple(c4, Fraction(j) / 2)
 

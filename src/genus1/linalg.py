@@ -15,11 +15,12 @@ Two families of routines live here.
   list of coefficients over the monomials of degree k, and a product by
   x_v moves coefficient b to the place ``times_variable`` gives, a table
   of exact monomial positions built once per ring size and degree.  The
-  degree-5 secant and dual matrices, the pencil after its substitution,
-  the degree-3 Hessian matrix and the degree-4 det(sA + tB) take it.
+  degree-5 secant and dual matrices, the degree-3 Hessian matrix, the
+  degree-5 pencil and the degree-3 G(U + nu G) after their Kronecker
+  substitutions, and the degree-4 det(sA + tB) take it.
   A matrix of linear forms too sparse to fill those lists, such as one of
-  distinct variables, and every other matrix, such as G(U + nu G) or one
-  with an affine entry, are expanded on packed exponents (Monagan and
+  distinct variables, and every other matrix, such as one with an affine
+  entry, are expanded on packed exponents (Monagan and
   Pearce, "Sparse polynomial multiplication and division in Maple 14",
   2009): each monomial is one int holding a fixed-width bit field per
   variable, so a monomial product is a single int addition instead of a
@@ -41,7 +42,8 @@ Two families of routines live here.
   coefficient of det M is g^k times that of det M', and w is sized for
   the smaller M'.  The degree-5 pencil quintic det(lam Q + L) uses it,
   so every power of lam costs one determinant in v1..v5, and on a
-  transformed model Q's large common content stays out of the digits.
+  transformed model Q's large common content stays out of the digits;
+  so does the degree-3 G(U + nu G), in nu.
 
 * Scalar matrices (rows of ints / Fractions): rank, determinant, linear
   solving and kernel bases, through Bareiss fraction-free elimination
@@ -121,8 +123,8 @@ def _linear_determinant(ring: tuple, rows) -> Poly | None:
     along the new row: a coefficient a of x_v times the b-th coefficient
     of a minor adds to place ``tab[v][b]`` of the wider one
     (``times_variable``).  Each table entry is the exact position of a
-    monomial product, so no term is lost or misplaced, and the
-    coefficients are the ints and Fractions of the entries.
+    monomial product, so no term is lost or misplaced.  ``determinant``
+    passes integer entries only, so the coefficients stay ints.
 
     The determinant has at most P terms, P the product over the rows of
     the number of terms in the row.  When P < C(m + n - 1, n), most of
@@ -167,12 +169,31 @@ def _linear_determinant(ring: tuple, rows) -> Poly | None:
         # put each exponent back at its variable's place in the ring
         places = [local.get(v, nvars) for v in range(len(ring))]
         basis = [tuple(map((*e, 0).__getitem__, places)) for e in basis]
-    # as_scalar: products of Fractions may sum to an integral Fraction
-    return Poly._make(ring, {e: as_scalar(c) for e, c in zip(basis, full) if c})
+    return Poly._make(ring, {e: c for e, c in zip(basis, full) if c})
+
+
+def _integral_rows(rows):
+    """The entries' term dicts with each row scaled to integers by the lcm
+    of its denominators, and the product of those lcms."""
+    scaled = []
+    scale = 1
+    for row in rows:
+        mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
+                     if isinstance(c, Fraction)), 1)
+        # int() also turns the integral Fractions a Poly sum may hold into ints
+        scaled.append([{e: int(c * mult) for e, c in entry.terms.items()} for entry in row])
+        scale *= mult
+    return scaled, scale
 
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
+
+    A row with a Fraction coefficient is first scaled to integers by the
+    lcm of its denominators; the expansion runs in integers, and each
+    coefficient of the result is divided once by the product of those
+    lcms.  A matrix of integer polynomials costs only the scan of its
+    coefficient types.
 
     A matrix of linear forms, every term of every entry of total degree 1
     (zero entries allowed), takes the dense path of ``_linear_determinant``
@@ -192,6 +213,15 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     ValueError, as Poly arithmetic does.
     """
     ring = _common_ring(rows)
+    if all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
+        return _integer_determinant(ring, rows)
+    scaled, scale = _integral_rows(rows)
+    det = _integer_determinant(ring, [[Poly._make(ring, t) for t in row] for row in scaled])
+    return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
+
+
+def _integer_determinant(ring: tuple, rows) -> Poly:
+    """``determinant`` of a matrix of integer polynomials."""
     dense = _linear_determinant(ring, rows)
     if dense is not None:
         return dense
@@ -235,8 +265,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     full = minor(0, (1 << n) - 1)
     minor = None  # break minor's self-reference: the cycle kept its memo until a full GC
     field = (1 << width) - 1
-    # as_scalar: products of Fractions may sum to an integral Fraction
-    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): as_scalar(c)
+    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
                              for e, c in full.items()})
 
 
@@ -266,14 +295,7 @@ def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     ring = _common_ring(rows)
     if not ring:
         return determinant(rows)
-    scaled = []
-    scale = 1
-    for row in rows:
-        mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
-                     if isinstance(c, Fraction)), 1)
-        # int() also turns the integral Fractions a Poly sum may hold into ints
-        scaled.append([{e: int(c * mult) for e, c in entry.terms.items()} for entry in row])
-        scale *= mult
+    scaled, scale = _integral_rows(rows)
     # det M(t) = det M'(g t), where M' divides each t^e coefficient by g^e
     content = gcd(*(c for row in scaled for terms in row for e, c in terms.items() if e[0]))
     if content > 1 and all(c % content ** e[0] == 0 for row in scaled for terms in row

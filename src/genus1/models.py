@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import is_alternating, kernel_basis, pivot_columns, scalar_rank
-from .poly import Poly, Scalar, as_scalar, format_scalar, generators, monomials
+from .poly import (Poly, Scalar, as_scalar, format_scalar, generators, monomials,
+                   substituted_coefficients)
 
 DEG1_RING = ("x", "y", "z")
 DEG2_RING = ("x", "z")
@@ -70,16 +72,6 @@ def json_list(value) -> list:
     return value
 
 
-def linear_substitution(ring, B) -> dict:
-    """Images of the substitution x_j = sum_i B_ij x_i'."""
-    gens = generators(ring)
-    n = len(ring)
-    return {
-        ring[j]: sum((B[i][j] * gens[i] for i in range(n)), Poly.zero(ring))
-        for j in range(n)
-    }
-
-
 def _check_form(p: Poly, ring, degree: int, what: str) -> Poly:
     """``p`` checked as a form; integral Fractions (kept by Poly arithmetic) become ints."""
     if p.variables != ring:
@@ -109,10 +101,10 @@ class Deg1Model:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def equation(self) -> Poly:
-        x, y, z = generators(DEG1_RING)
+        """y^2 z + a1 xyz + a3 y z^2 - x^3 - a2 x^2 z - a4 x z^2 - a6 z^3."""
         a1, a2, a3, a4, a6 = self.coefficients()
-        return (y * y * z + a1 * x * y * z + a3 * y * z * z
-                - x ** 3 - a2 * x * x * z - a4 * x * z * z - a6 * z ** 3)
+        return Poly(DEG1_RING, {(0, 2, 1): 1, (1, 1, 1): a1, (0, 1, 2): a3, (3, 0, 0): -1,
+                                (2, 0, 1): -a2, (1, 0, 2): -a4, (0, 0, 3): -a6})
 
     def equations(self) -> list[Poly]:
         return [self.equation()]
@@ -406,19 +398,16 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     chosen = [candidates[c] for c in pivot_columns(list(zip(*candidates)))]
     rows = chosen[2:] + [chosen[1], point]
 
-    # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors.
-    images = linear_substitution(DEG5_RING, rows)
-    moved = [p.substitute(images) for p in pfaffians]
-
+    # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors:
+    # the rows of Sym^2(B) give each moved Pfaffian's coefficients.
     quad_monos = monomials(DEG5_RING, 2)
-    coeff_matrix = [[q.coefficient(e) for e in quad_monos] for q in moved]
-    if scalar_rank(coeff_matrix) != 5:
+    moved = substituted_coefficients(pfaffians, rows, 2)
+    if scalar_rank(moved) != 5:
         raise DegenerateModelError("the Pfaffian quadrics are linearly dependent")
 
     # Combinations of the quadrics free of x5: the left kernel of their
     # coefficients on the x5-involving monomials.
-    x5_cols = [e for e in quad_monos if e[4] > 0]
-    restriction = [[q.coefficient(e) for q in moved] for e in x5_cols]
+    restriction = [col for e, col in zip(quad_monos, zip(*moved)) if e[4] > 0]
     combos = kernel_basis(restriction)
     if len(combos) != 2:
         raise DegenerateModelError(
@@ -426,9 +415,8 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
 
     out = []
     for combo in combos:
-        quad = sum((c * q for c, q in zip(combo, moved)), Poly.zero(DEG5_RING))
-        terms = {e[:4]: c for e, c in quad.terms.items()}
-        out.append(Poly(DEG4_RING, terms))
+        quad = [sum(map(mul, combo, col)) for col in zip(*moved)]
+        out.append(Poly(DEG4_RING, {e[:4]: c for e, c in zip(quad_monos, quad) if c}))
     return Deg4Model(out[0], out[1])
 
 

@@ -27,7 +27,8 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from operator import add
+from math import lcm
+from operator import add, mul
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -417,6 +418,55 @@ def times_variable(nvars: int, degree: int) -> tuple:
     return tuple(tuple(index[e[:v] + (e[v] + 1,) + e[v + 1:]]
                        for e in _monomial_basis(nvars, degree))
                  for v in range(nvars))
+
+
+def symmetric_power(B, degree: int) -> list:
+    """The matrix Sym^d(B) of the substitution x_j = sum_i B_ij x_i' on
+    forms of degree d in n = len(B) variables, as a list of rows.
+
+    Column c holds the coefficients, over ``monomials(ring, d)``, of
+    prod_j l_j^(e_j), where e is the c-th monomial and l_j = sum_i B_ij
+    x_i'; so a form with coefficient vector f becomes the form with
+    coefficient vector Sym^d(B) f.  The columns of degree k + 1 are
+    built from those of degree k, each as l_j times the column that
+    x_j multiplies into it, through the ``times_variable`` table.
+    """
+    n = len(B)
+    columns = [[1]]
+    for k in range(degree):
+        tab = times_variable(n, k)
+        wider: list = [None] * len(_monomial_basis(n, k + 1))
+        for j in range(n):
+            form = [(tab[i], B[i][j]) for i in range(n) if B[i][j]]
+            for b, place in enumerate(tab[j]):
+                if wider[place] is None:
+                    column = wider[place] = [0] * len(wider)
+                    for places, a in form:
+                        for i, c in zip(places, columns[b]):
+                            if c:
+                                column[i] += a * c
+        columns = wider
+    return list(zip(*columns))
+
+
+def substituted_coefficients(forms, B, degree: int) -> list[list]:
+    """The coefficient vectors, over ``monomials(ring, degree)``, of forms
+    of that degree under x_j = sum_i B_ij x_i': Sym^d(B) times each.
+    With L the lcm of B's denominators, Sym^d(B) = Sym^d(L B) / L^d, so
+    the products run on an integer matrix and each coefficient is
+    divided once."""
+    scale = lcm(*(c.denominator for row in B for c in row if isinstance(c, Fraction)), 1)
+    sym = symmetric_power([[int(c * scale) for c in row] for row in B] if scale > 1 else B,
+                          degree)
+    basis = monomials(forms[0].variables, degree)
+    out = []
+    for form in forms:
+        vec = [form.terms.get(e, 0) for e in basis]
+        out.append([sum(map(mul, row, vec)) for row in sym])
+    if scale > 1:
+        den = scale ** degree
+        out = [[as_scalar(Fraction(c, den)) for c in vec] for vec in out]
+    return out
 
 
 def leading_term(p: Poly) -> tuple:

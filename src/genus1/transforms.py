@@ -10,7 +10,11 @@ Each degree has its own group of coordinate changes:
 * degree 4 -- [A, B]:  quadric pair mixed by A (2x2), variables via B (4x4);
 * degree 5 -- [A, B]:  matrix phi -> A phi A^T, variables via B (5x5).
 
-Variables always substitute as x_j = sum_i B_ij x_i'.  Each group carries
+Variables always substitute as x_j = sum_i B_ij x_i'.  On forms of
+degree d this maps the coefficient vector f to Sym^d(B) f, the symmetric
+power of B (``poly.symmetric_power``), so ``apply`` for degrees 1 to 4 is
+a matrix-vector product per form.  Degree 5 maps the 10x5 coefficient
+matrix C of the upper entries to wedge^2(A) C B^T.  Each group carries
 the multiplicative character ``det_character`` (u^-1, mu det B, mu det B,
 det A det B, (det A)^2 det B); the invariants of weight k rescale by its
 k-th power under the action.
@@ -33,11 +37,10 @@ from typing import get_args
 
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
-from .models import (DEG1_RING, DEG2_RING, DEG3_RING, DEG4_RING, DEG5_PAIRS,
-                     Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                     GenusOneModel, class_for_degree, json_scalars,
-                     linear_substitution)
-from .poly import Poly, Scalar, as_scalar, generators
+from .models import (DEG2_RING, DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model,
+                     Deg4Model, Deg5Model, GenusOneModel, class_for_degree,
+                     json_scalars)
+from .poly import Poly, Scalar, as_scalar, monomials, substituted_coefficients
 
 
 def _upow(base: Scalar, k: int) -> Scalar:
@@ -62,6 +65,14 @@ def _matrix(data, n: int, what: str):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
+
+
+def _substitute(B, degree: int, *forms) -> list[Poly]:
+    """The forms, all of one degree, under x_j = sum_i B_ij x_i'."""
+    ring = forms[0].variables
+    basis = monomials(ring, degree)
+    return [Poly(ring, dict(zip(basis, vec)))
+            for vec in substituted_coefficients(forms, B, degree)]
 
 
 def _rho(r) -> Poly:
@@ -91,14 +102,11 @@ class Deg1Transform:
         return _upow(self.u, -1)
 
     def apply(self, m: Deg1Model) -> Deg1Model:
-        x, y, z = generators(DEG1_RING)
+        # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z'
         u, r, s, t = self.u, self.r, self.s, self.t
-        images = {
-            "x": u * u * x + r * z,
-            "y": u ** 3 * y + u * u * s * x + t * z,
-            "z": z,
-        }
-        scaled = m.equation().substitute(images) * _upow(u, -6)
+        moved, = _substitute(((u * u, u * u * s, 0), (0, u ** 3, 0), (r, t, 1)), 3,
+                             m.equation())
+        scaled = moved * _upow(u, -6)
         new = Deg1Model(
             scaled.coefficient((1, 1, 1)),
             -scaled.coefficient((2, 0, 1)),
@@ -152,9 +160,8 @@ class Deg2Transform:
         return self.mu * scalar_det(self.B)
 
     def apply(self, m: Deg2Model) -> Deg2Model:
-        sub = linear_substitution(DEG2_RING, self.B)
-        p_b = m.p.substitute(sub)
-        q_b = m.q.substitute(sub)
+        p_b, = _substitute(self.B, 2, m.p)
+        q_b, = _substitute(self.B, 4, m.q)
         rho = _rho(self.r)
         new_p = self.mu * (p_b + 2 * rho)
         new_q = self.mu * self.mu * (q_b - p_b * rho - rho * rho)
@@ -162,7 +169,7 @@ class Deg2Transform:
 
     def compose(self, g2: "Deg2Transform") -> "Deg2Transform":
         inv_mu2 = _upow(g2.mu, -1)
-        rho = inv_mu2 * _rho(self.r) + _rho(g2.r).substitute(linear_substitution(DEG2_RING, self.B))
+        rho = inv_mu2 * _rho(self.r) + _substitute(self.B, 2, _rho(g2.r))[0]
         r = (rho.coefficient((2, 0)), rho.coefficient((1, 1)), rho.coefficient((0, 2)))
         return Deg2Transform(self.mu * g2.mu, r, mat_mul(self.B, g2.B))
 
@@ -195,7 +202,7 @@ class Deg3Transform:
         return self.mu * scalar_det(self.B)
 
     def apply(self, m: Deg3Model) -> Deg3Model:
-        return Deg3Model(self.mu * m.cubic.substitute(linear_substitution(DEG3_RING, self.B)))
+        return Deg3Model(self.mu * _substitute(self.B, 3, m.cubic)[0])
 
     def compose(self, g2: "Deg3Transform") -> "Deg3Transform":
         return Deg3Transform(self.mu * g2.mu, mat_mul(self.B, g2.B))
@@ -242,9 +249,7 @@ class Deg4Transform(_MatrixPair):
         return scalar_det(self.A) * scalar_det(self.B)
 
     def apply(self, m: Deg4Model) -> Deg4Model:
-        sub = linear_substitution(DEG4_RING, self.B)
-        q1 = m.q1.substitute(sub)
-        q2 = m.q2.substitute(sub)
+        q1, q2 = _substitute(self.B, 2, m.q1, m.q2)
         return Deg4Model(self.A[0][0] * q1 + self.A[0][1] * q2,
                          self.A[1][0] * q1 + self.A[1][1] * q2)
 
@@ -350,8 +355,15 @@ def transformation_to_dict(g: Transformation) -> dict:
 
 
 def transformation_from_dict(data) -> Transformation:
+    """The transformation of a JSON object; a key other than ``degree``
+    and the fields of its class is an InputError, not silently dropped."""
     try:
         cls = class_for_degree(TRANSFORM_CLASSES, data["degree"], "transformation")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        unknown = set(data) - {"degree", *names}
+        if unknown:
+            raise InputError(f"unknown keys for a degree-{cls.degree} transformation: "
+                             f"{', '.join(sorted(unknown))}")
+        return cls(**{name: data[name] for name in names})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed transformation data: {exc}") from exc

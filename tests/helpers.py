@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
-                    Deg5Model, Deg5Transform, scalar_det)
+                    Deg5Model, Deg5Transform, Poly, generators, scalar_det)
+from genus1.models import DEG1_RING, DEG2_RING
 
 # Upper triangle of the 5x5 matrix of the order-5 Tate-Shafarevich element
 # (the quintic with c4 = 2^44 * 151009 and c6 = -2^66 * 34871057); each row
@@ -123,3 +124,54 @@ def random_smooth_model(rng, degree, invariants_fn, lo=-3, hi=3):
         m = random_model(rng, degree, lo, hi)
         if invariants_fn(m).delta != 0:
             return m
+
+
+# ----------------------------------------------------------------------
+# the group actions of degrees 1-4 by Poly.substitute, as references
+# ----------------------------------------------------------------------
+
+def linear_substitution(ring, B) -> dict:
+    """Images of the substitution x_j = sum_i B_ij x_i', for Poly.substitute."""
+    gens = generators(ring)
+    n = len(ring)
+    return {ring[j]: sum((B[i][j] * gens[i] for i in range(n)), Poly.zero(ring))
+            for j in range(n)}
+
+
+def _rho(r):
+    return Poly(DEG2_RING, {(2, 0): r[0], (1, 1): r[1], (0, 2): r[2]})
+
+
+def substitute_apply(g, m):
+    """g . m for degrees 1-4, substituting into the model's polynomials."""
+    if g.degree == 1:
+        x, y, z = generators(DEG1_RING)
+        u, r, s, t = g.u, g.r, g.s, g.t
+        images = {"x": u * u * x + r * z, "y": u ** 3 * y + u * u * s * x + t * z, "z": z}
+        scaled = m.equation().substitute(images) * (1 / Fraction(u) ** 6)
+        new = Deg1Model(scaled.coefficient((1, 1, 1)), -scaled.coefficient((2, 0, 1)),
+                        scaled.coefficient((0, 1, 2)), -scaled.coefficient((1, 0, 2)),
+                        -scaled.coefficient((0, 0, 3)))
+        assert new.equation() == scaled
+        return new
+    equations = [m.p, m.q] if g.degree == 2 else m.equations()
+    sub = linear_substitution(equations[0].variables, g.B)
+    moved = [f.substitute(sub) for f in equations]
+    if g.degree == 2:
+        (p_b, q_b), rho = moved, _rho(g.r)
+        return Deg2Model(g.mu * (p_b + 2 * rho),
+                         g.mu * g.mu * (q_b - p_b * rho - rho * rho))
+    if g.degree == 3:
+        return Deg3Model(g.mu * moved[0])
+    (a, b), (c, d) = g.A
+    return Deg4Model(a * moved[0] + b * moved[1], c * moved[0] + d * moved[1])
+
+
+def substitute_compose2(g1, g2):
+    """compose for degree 2, moving g2's rho by substitution."""
+    rho = (1 / Fraction(g2.mu)) * _rho(g1.r) + _rho(g2.r).substitute(
+        linear_substitution(DEG2_RING, g1.B))
+    r = tuple(rho.coefficient(e) for e in ((2, 0), (1, 1), (0, 2)))
+    B = tuple(tuple(sum(g1.B[i][t] * g2.B[t][j] for t in range(2)) for j in range(2))
+              for i in range(2))
+    return Deg2Transform(g1.mu * g2.mu, r, B)

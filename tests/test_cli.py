@@ -237,6 +237,20 @@ class TestExitCodes:
             code, out, _ = invoke(capsys, ["transform", path, "--transformation", g])
             assert (code, out) == (2, "")
 
+    def test_unknown_transformation_key_is_2(self, capsys, model_file):
+        # an extra key such as A on a degree-3 transformation was dropped
+        # and the transform exited 0
+        path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3))
+        identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        g = {"degree": 3, "mu": "1", "B": identity}
+        code, out, _ = invoke(capsys, ["transform", path, "--transformation", json.dumps(g)])
+        assert code == 0 and out
+        for extra in ({"A": [[0]]}, {"b": identity}, {"mu ": "2"}):
+            code, out, err = invoke(capsys, ["transform", path, "--transformation",
+                                             json.dumps({**g, **extra})])
+            assert (code, out) == (2, "")
+            assert next(iter(extra)) in err
+
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])
         assert code == 2

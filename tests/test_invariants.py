@@ -112,6 +112,17 @@ class TestHessian:
         x, y, z = XYZ
         assert hessian(x * y * z) == -x * y * z
 
+    @settings(deadline=None, max_examples=40)
+    @given(CUBICS)
+    @degenerate_cubic_examples
+    def test_matches_derivative_determinant(self, m):
+        # the Hessian matrix read off the terms against Poly.derivative,
+        # with the determinant by the Leibniz formula in Poly arithmetic
+        d2 = [[m.cubic.derivative(a).derivative(b) for b in DEG3_RING] for a in DEG3_RING]
+        det = sum((perm_sign(p) * d2[0][p[0]] * d2[1][p[1]] * d2[2][p[2]]
+                   for p in permutations(range(3))), Poly.zero(DEG3_RING))
+        assert hessian(m.cubic) == det * Fraction(-1, 2)
+
 
 class TestDegree3:
     def test_restriction(self):
@@ -147,24 +158,22 @@ class TestDegree3:
                + (lam ** 3 - 3 * c4 * lam * mu ** 2 - 2 * c6 * mu ** 3) * hess)
         assert lhs == rhs
 
-    def test_both_syzygy_divisions_are_checked(self, monkeypatch):
+    def test_both_syzygy_identities_are_checked(self, monkeypatch):
+        # U = y^2 z - x^3 + x z^2 has no xyz term; an xyz term added to the
+        # nu, then the nu^2, part of G(U + nu G) must break each identity
         module = sys.modules["genus1.invariants"]
-        divide = module.exact_divide
+        expand = module.kronecker_determinant
         m = weierstrass_model(short_weierstrass(-1, 0), 3)
-        monkeypatch.setattr(module, "exact_divide", lambda num, den: None)
-        with pytest.raises(InternalCheckError, match=r"^nu coefficient"):
-            invariants_deg3(m)
+        for power, message in ((1, r"^nu coefficient"), (2, r"^nu\^2 coefficient")):
+            def perturbed(rows, power=power):
+                det = expand(rows)
+                return det + Poly(det.variables, {(power, 1, 1, 1): 1})
 
-        calls = []
-
-        def second_fails(num, den):
-            calls.append(den)
-            return divide(num, den) if len(calls) == 1 else None
-
-        monkeypatch.setattr(module, "exact_divide", second_fails)
-        with pytest.raises(InternalCheckError, match=r"^nu\^2 coefficient"):
-            invariants_deg3(m)
-        assert len(calls) == 2
+            monkeypatch.setattr(module, "kronecker_determinant", perturbed)
+            with pytest.raises(InternalCheckError, match=message):
+                invariants_deg3(m)
+        monkeypatch.undo()
+        assert invariants_deg3(m) == invariants_deg1(short_weierstrass(-1, 0))
 
 
 class TestDegree3Matrix:

@@ -1,12 +1,16 @@
-"""Polynomial arithmetic, derivatives and exact division."""
+"""Polynomial arithmetic, derivatives, exact division and linear substitution."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus1 import Poly, as_scalar, exact_divide, generators, monomials
+from genus1.poly import symmetric_power
+
+from helpers import BIG, SCALARS, linear_substitution
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -189,3 +193,33 @@ def test_coefficient_of():
     p = (x + mu) ** 3
     assert p.coefficient_of("mu", 1) == 3 * x * x
     assert p.coefficient_of("mu", 3) == 1
+
+
+@st.composite
+def forms_and_substitutions(draw):
+    """A form of degree 0-4 in 1-5 variables and a matrix B with int,
+    20-digit or Fraction entries, singular half of the time."""
+    n, degree = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    ring = tuple(f"x{i}" for i in range(n))
+    entries = draw(st.sampled_from([st.integers(-3, 3), BIG,
+                                    st.fractions(-3, 3, max_denominator=5)]))
+    B = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # the last variable's image repeats the first's, or is 0 if n = 1
+        B = [row[:-1] + [row[0] if n > 1 else 0] for row in B]
+    basis = monomials(ring, degree)
+    coeffs = draw(st.lists(SCALARS, min_size=len(basis), max_size=len(basis)))
+    return Poly(ring, dict(zip(basis, coeffs))), B, degree
+
+
+@settings(deadline=None, max_examples=80)
+@given(forms_and_substitutions())
+def test_symmetric_power_is_substitution(case):
+    # Sym^d(B) times the coefficient vector is f(x_j = sum_i B_ij x_i')
+    form, B, degree = case
+    basis = monomials(form.variables, degree)
+    sym = symmetric_power(B, degree)
+    assert len(sym) == len(basis) and all(len(row) == len(basis) for row in sym)
+    vec = [form.coefficient(e) for e in basis]
+    moved = Poly(form.variables, {e: sum(map(mul, row, vec)) for e, row in zip(basis, sym)})
+    assert moved == form.substitute(linear_substitution(form.variables, B))

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import (Deg1Model, Deg1Transform, Deg4Transform, Deg5Model,
-                    Deg5Transform, InputError, Poly, apply, compose,
+from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
+                    Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
+                    Deg5Model, Deg5Transform, InputError, Poly, apply, compose,
                     det_character, gamma, identity_transform,
                     transformation_from_dict, transformation_to_dict,
                     weierstrass_model)
 from genus1.linalg import identity_matrix
-from genus1.models import DEG5_RING, linear_substitution
+from genus1.models import DEG5_RING
 
-from helpers import (MATRIX_ENTRIES, deg5_models, invertible_matrices,
-                     random_model, random_transformation, wuthrich_model)
+from helpers import (MATRIX_ENTRIES, SCALARS, deg5_models, invertible_matrices,
+                     linear_substitution, random_model, random_transformation,
+                     substitute_apply, substitute_compose2, wuthrich_model)
 
 
 def full_matrix_apply(g, m):
@@ -27,6 +29,49 @@ def full_matrix_apply(g, m):
     rows = [[sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)),
                  Poly.zero(DEG5_RING)) for j in range(5)] for i in range(5)]
     return Deg5Model.from_matrix(rows)
+
+
+def flat_coefficients(m):
+    pending, out = [m.coefficients()], []
+    while pending:
+        c = pending.pop()
+        if isinstance(c, tuple):
+            pending.extend(c)
+        else:
+            out.append(c)
+    return out
+
+
+def transformations(degree, entries):
+    """Transformations of one degree with entries (and units) from ``entries``."""
+    unit = entries.filter(bool)
+    if degree == 1:
+        return st.builds(Deg1Transform, unit, entries, entries, entries)
+    if degree == 2:
+        return st.builds(Deg2Transform, unit, st.tuples(entries, entries, entries),
+                         invertible_matrices(2, entries))
+    if degree == 3:
+        return st.builds(Deg3Transform, unit, invertible_matrices(3, entries))
+    return st.builds(Deg4Transform, invertible_matrices(2, entries),
+                     invertible_matrices(4, entries))
+
+
+def models(degree):
+    coeffs = lambda n: st.lists(SCALARS, min_size=n, max_size=n)
+    if degree == 1:
+        return coeffs(5).map(lambda c: Deg1Model(*c))
+    if degree == 2:
+        return st.builds(Deg2Model.from_coefficients, coeffs(3), coeffs(5))
+    if degree == 3:
+        return coeffs(10).map(Deg3Model.from_coefficients)
+    return st.builds(Deg4Model.from_coefficients, coeffs(10), coeffs(10))
+
+
+def models_and_transformations(degree):
+    entries = st.sampled_from([st.integers(-30, 30), MATRIX_ENTRIES])
+    return st.tuples(models(degree),
+                     entries.flatmap(lambda e: transformations(degree, e)),
+                     entries.flatmap(lambda e: transformations(degree, e)))
 
 
 class TestDetCharacter:
@@ -87,6 +132,18 @@ class TestAction:
         assert moved == full_matrix_apply(g, m)
         assert all(type(c) is int or c.denominator > 1
                    for row in moved.coefficients() for c in row)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 2, 3, 4]).flatmap(models_and_transformations))
+    def test_degrees_1_to_4_match_substitution(self, case):
+        # apply's Sym^d(B) products against Poly.substitute, with [-30, 30]
+        # integer and Fraction transformations
+        m, g, g2 = case
+        moved = apply(g, m)
+        assert moved == substitute_apply(g, m)
+        assert all(type(c) is int or c.denominator > 1 for c in flat_coefficients(moved))
+        if g.degree == 2:
+            assert compose(g, g2) == substitute_compose2(g, g2)
 
     def test_group_law(self):
         rng = random.Random(6)
