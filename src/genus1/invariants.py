@@ -160,14 +160,9 @@ def _hessian_matrix(form: Poly, variables) -> list[list[Poly]]:
     return [[Poly._make(form.variables, entry) for entry in row] for row in rows]
 
 
-def _hessian_det(cubic: Poly, variables=("x", "y", "z")) -> Poly:
-    """det(d^2 U / dx_i dx_j), integral when U is."""
-    return determinant(_hessian_matrix(cubic, variables))
-
-
 def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
     """Hessian covariant -(1/2) det(d^2 U / dx_i dx_j) of a ternary cubic."""
-    return _hessian_det(cubic, variables) * Fraction(-1, 2)
+    return determinant(_hessian_matrix(cubic, variables)) * Fraction(-1, 2)
 
 
 def invariants_deg3(m: Deg3Model) -> InvariantTriple:
@@ -217,7 +212,8 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 
     Three rows use the integral G = -2H for H, so the result is divided by (-2)^3."""
     cubic = m.cubic
-    rows = [f.derivative(v) for f in (cubic, _hessian_det(cubic)) for v in DEG3_RING]
+    g = determinant(_hessian_matrix(cubic, DEG3_RING))
+    rows = [f.derivative(v) for f in (cubic, g) for v in DEG3_RING]
     return as_scalar(Fraction(_quadric_det(rows, DEG3_RING)) / -8)
 
 
@@ -226,7 +222,8 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 # ----------------------------------------------------------------------
 
 def _symmetric_matrix(q: Poly):
-    """The symmetric matrix M with q = (1/2) x^T M x."""
+    """The symmetric matrix M with q = (1/2) x^T M x: the Hessian
+    d^2 q/dx_i dx_j, so row i holds the coefficients of dq/dx_i."""
     n = len(q.variables)
     out = [[0] * n for _ in range(n)]
     for (i, j), e in _quadric_indices(q.variables):
@@ -324,15 +321,6 @@ _PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
 _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
 
 
-def _hessian_tensor(quadric: Poly) -> list[list[Scalar]]:
-    """The scalars d^2 q/dx_t dx_u of a quadric in five variables, read off
-    its coefficients; row t holds the coefficients of dq/dx_t."""
-    h = [[0] * 5 for _ in range(5)]
-    for (t, u), e in _QUADRICS5:
-        h[t][u] = h[u][t] = as_scalar(quadric.coefficient(e) * (2 if t == u else 1))
-    return h
-
-
 def _linear_form(ring, units, coeffs) -> Poly:
     return Poly._make(ring, {e: c for e, c in zip(units, coeffs) if c})
 
@@ -344,7 +332,7 @@ def _deg5_frame(m: Deg5Model):
     dphi[t][i][j], the x_t coefficient of phi_ij."""
     pf = m.pfaffians()
     dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in DEG5_UNITS]
-    return pf, [_hessian_tensor(p) for p in pf], dphi
+    return pf, [_symmetric_matrix(p) for p in pf], dphi
 
 
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
@@ -391,7 +379,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
                                  for j in range(5)] for i in range(5)])
 
     # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
-    aux_hess = [_hessian_tensor(q) for q in aux]
+    aux_hess = [_symmetric_matrix(q) for q in aux]
     pencil_quintic = kronecker_determinant(
         [[_linear_form(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j])
           for j in range(5)] for i in range(5)])

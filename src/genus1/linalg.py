@@ -4,12 +4,12 @@ elimination over the rationals.
 Two families of routines live here.
 
 * Polynomial matrices (lists of rows of :class:`~genus1.poly.Poly`):
-  ``determinant`` via expansion by minors with memoisation on column
-  subsets, and ``is_alternating`` to validate an alternating matrix read
-  from outside (the degree-5 Pfaffians live on ``Deg5Model``, which
-  stores only the upper triangle).  Determinants are taken on small
+  ``determinant``, and ``is_alternating`` to validate an alternating
+  matrix read from outside (the degree-5 Pfaffians live on ``Deg5Model``,
+  which stores only the upper triangle).  Determinants are taken on small
   matrices (at most 5x5 in the degree-5 pipeline) whose entries are
-  polynomials, where elimination would cause coefficient blowup.
+  polynomials, where elimination would cause coefficient blowup, so both
+  paths expand by minors, bottom-up from the last row.
   A matrix of linear forms (every term of total degree 1) takes a dense
   path: a minor of k rows is homogeneous of degree k, so it is held as a
   list of coefficients over the monomials of degree k, and a product by
@@ -18,17 +18,9 @@ Two families of routines live here.
   degree-5 secant and dual matrices, the degree-3 Hessian matrix, the
   degree-5 pencil and the degree-3 G(U + nu G) after their Kronecker
   substitutions, and the degree-4 det(sA + tB) take it.
-  A matrix of linear forms too sparse to fill those lists, such as one of
-  distinct variables, and every other matrix, such as one with an affine
-  entry, are expanded on packed exponents (Monagan and
-  Pearce, "Sparse polynomial multiplication and division in Maple 14",
-  2009): each monomial is one int holding a fixed-width bit field per
-  variable, so a monomial product is a single int addition instead of a
-  tuple build.
-  The field width comes from the input: it holds the sum over the rows
-  of their largest entry degree, which bounds every exponent of every
-  minor, so no field can carry into the next.  Results are ordinary
-  ``Poly`` values of the entries' ring.
+  Every other matrix, such as one with an affine entry or one of linear
+  forms too sparse to fill those lists, takes ``_maximal_minors`` on its
+  ``Poly`` entries, the expansion ``adjugate`` also runs on scalars.
   ``kronecker_determinant`` gives the same result with one variable
   fewer to expand (Kronecker substitution; Harvey, "Faster polynomial
   multiplication via multipoint Kronecker substitution", JSC 2009): it
@@ -71,7 +63,7 @@ Two families of routines live here.
   d x, every equation of A is checked as A (d x) = d b in integers, and
   the result is divided by d once.
   ``pivot_columns`` gives the greedy basis of a column space, and
-  ``adjugate`` expands its cofactors directly.
+  ``adjugate`` reads its cofactors off ``_maximal_minors``.
 
 Pivots are always the first nonzero entry scanning rows top-down and
 columns left-right, so every result is deterministic.
@@ -129,8 +121,8 @@ def _linear_determinant(ring: tuple, rows) -> Poly | None:
     The determinant has at most P terms, P the product over the rows of
     the number of terms in the row.  When P < C(m + n - 1, n), most of
     the vectors would stay zero, as for the n x n matrix of n^2 distinct
-    variables (P = n^n), and None leaves the matrix to the sparse
-    expansion.
+    variables (P = n^n), and None leaves the matrix to
+    ``_maximal_minors``.
     """
     terms = [entry.terms for row in rows for entry in row]
     if any(sum(e) != 1 for t in terms for e in t):
@@ -186,6 +178,29 @@ def _integral_rows(rows):
     return scaled, scale
 
 
+def _maximal_minors(rows) -> dict:
+    """{column mask: minor} over the given rows, zero minors left out,
+    built last row first: the minors of the last k rows give those of the
+    last k + 1 by expansion along the new row.  The entries, ``Poly``
+    values or scalars, need only ``*``, ``+``, unary ``-`` and ``bool``."""
+    minors: dict = {0: 1}  # no rows: the constant 1
+    for row in reversed(rows):
+        wider: dict = {}
+        for mask, minor in minors.items():
+            for c, entry in enumerate(row):
+                bit = 1 << c
+                if mask & bit or not entry:
+                    continue
+                term = entry * minor
+                # c's place among the columns of mask | bit gives the sign
+                if (mask & (bit - 1)).bit_count() & 1:
+                    term = -term
+                prev = wider.get(mask | bit)
+                wider[mask | bit] = term if prev is None else prev + term
+        minors = {mask: minor for mask, minor in wider.items() if minor}
+    return minors
+
+
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
@@ -197,76 +212,21 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
 
     A matrix of linear forms, every term of every entry of total degree 1
     (zero entries allowed), takes the dense path of ``_linear_determinant``
-    when its determinant can fill the dense vectors.
-    Any other matrix takes expansion by minors along the first remaining
-    row, memoised on the set of unused columns, so each of the 2^n minors
-    is computed once.  That expansion runs on packed exponents: every
-    entry becomes a dict from one int to a coefficient, the exponent of
-    variable i sitting in bits [i w, (i + 1) w), so a product of
-    monomials is one int addition.
-
-    Each term of a minor over rows r..n-1 is a product of one entry per
-    row, so none of its exponents exceeds D, the sum over all rows of the
-    largest total degree of an entry in the row.  A field width w with
-    2^w > D therefore never carries into the next field, and unpacking
-    once at the end is exact.  Entries from different rings raise
-    ValueError, as Poly arithmetic does.
+    when its determinant can fill the dense vectors.  Any other matrix
+    takes ``_maximal_minors`` of all its rows.  Entries from different
+    rings raise ValueError, as Poly arithmetic does.
     """
     ring = _common_ring(rows)
-    if all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
-        return _integer_determinant(ring, rows)
-    scaled, scale = _integral_rows(rows)
-    det = _integer_determinant(ring, [[Poly._make(ring, t) for t in row] for row in scaled])
+    scale = 1
+    if not all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
+        scaled, scale = _integral_rows(rows)
+        rows = [[Poly._make(ring, t) for t in row] for row in scaled]
+    det = _linear_determinant(ring, rows)
+    if det is None:
+        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
+    if scale == 1:
+        return det
     return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
-
-
-def _integer_determinant(ring: tuple, rows) -> Poly:
-    """``determinant`` of a matrix of integer polynomials."""
-    dense = _linear_determinant(ring, rows)
-    if dense is not None:
-        return dense
-    n = len(rows)
-    bound = sum(max(max(entry.degree() for entry in row), 0) for row in rows)
-    width = max(bound.bit_length(), 1)
-    shifts = [width * i for i in range(len(ring))]
-    packed = [[{sum(e << s for e, s in zip(exps, shifts)): c
-                for exps, c in entry.terms.items()} for entry in row]
-              for row in rows]
-    last = packed[n - 1]
-    memo: dict[int, dict[int, Scalar]] = {}
-
-    def minor(r: int, mask: int) -> dict[int, Scalar]:
-        # rows r..n-1 against the columns in mask (r = n - popcount(mask))
-        if r == n - 1:
-            return last[mask.bit_length() - 1]
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total: dict[int, Scalar] = {}
-        get = total.get
-        sign = 1
-        for j, entry in enumerate(packed[r]):
-            bit = 1 << j
-            if not (mask & bit):
-                continue
-            if entry:
-                sub = minor(r + 1, mask ^ bit).items()
-                for e1, c1 in entry.items():
-                    if sign < 0:
-                        c1 = -c1
-                    for e2, c2 in sub:
-                        e = e1 + e2
-                        total[e] = get(e, 0) + c1 * c2
-            sign = -sign
-        total = {e: c for e, c in total.items() if c}
-        memo[mask] = total
-        return total
-
-    full = minor(0, (1 << n) - 1)
-    minor = None  # break minor's self-reference: the cycle kept its memo until a full GC
-    field = (1 << width) - 1
-    return Poly._make(ring, {tuple((e >> s) & field for s in shifts): c
-                             for e, c in full.items()})
 
 
 def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -639,27 +599,12 @@ def identity_matrix(n: int):
 def adjugate(rows: Sequence[Sequence]) -> list[list]:
     """Adjugate of a square scalar matrix: adj(M)[i][j] = cofactor(j, i).
 
-    The cofactors of row j are the maximal minors of the other rows, built
-    bottom-up in scalar arithmetic: the minors of the last k of them on
-    every k-column set give those of the last k + 1 by expansion."""
+    The cofactors of row j are the ``_maximal_minors`` of the other rows."""
     n = _check_square(rows)
     full = (1 << n) - 1
     adj = [[0] * n for _ in range(n)]
     for j in range(n):
-        minors = {0: 1}
-        for r in range(n - 1, -1, -1):
-            if r == j:
-                continue
-            row = rows[r]
-            wider: dict[int, Scalar] = {}
-            for mask, minor in minors.items():
-                for c in range(n):
-                    bit = 1 << c
-                    if row[c] and not mask & bit:
-                        # c's place among the columns of mask | bit gives the sign
-                        term = -minor if (mask & (bit - 1)).bit_count() % 2 else minor
-                        wider[mask | bit] = wider.get(mask | bit, 0) + row[c] * term
-            minors = wider
+        minors = _maximal_minors([*rows[:j], *rows[j + 1:]])
         for i in range(n):
             cofactor = minors.get(full ^ (1 << i), 0)
             adj[i][j] = as_scalar(-cofactor if (i + j) % 2 else cofactor)

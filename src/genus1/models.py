@@ -64,11 +64,12 @@ def json_scalars(values):
     return format_scalar(values)
 
 
-def json_list(value) -> list:
-    """A JSON array from a model file; a string there is an error, not a
-    sequence of one-character coefficients."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON array of coefficients, not {type(value).__name__}")
+def json_list(value, what: str = "coefficients"):
+    """A list or tuple, such as a JSON array from a file; a string there is
+    not a sequence of one-character scalars, nor is a JSON object a
+    sequence of its keys."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be a list, not {type(value).__name__}")
     return value
 
 
@@ -160,6 +161,7 @@ class Deg2Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg2Model":
+        check_keys(coeffs, ("p", "q"), "degree-2 coefficients")
         return cls.from_coefficients(json_list(coeffs["p"]), json_list(coeffs["q"]))
 
 
@@ -246,6 +248,7 @@ class Deg4Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg4Model":
+        check_keys(coeffs, ("q1", "q2"), "degree-4 coefficients")
         return cls.from_coefficients(json_list(coeffs["q1"]), json_list(coeffs["q2"]))
 
 
@@ -322,6 +325,7 @@ class Deg5Model:
 
     @classmethod
     def from_json(cls, coeffs) -> "Deg5Model":
+        check_keys(coeffs, ("matrix",), "degree-5 coefficients")
         return cls.from_coefficients([json_list(entry) for entry in json_list(coeffs["matrix"])])
 
 
@@ -335,6 +339,16 @@ def class_for_degree(classes: dict, degree, what: str):
     if type(degree) is not int or degree not in classes:
         raise InputError(f"unsupported {what} degree: {degree!r}")
     return classes[degree]
+
+
+def check_keys(data, allowed, what: str) -> None:
+    """InputError for a key of the JSON object ``data`` outside
+    ``allowed``: a misspelt key in a file is an error, not dropped."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, not {type(data).__name__}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise InputError(f"unknown keys for {what}: {', '.join(sorted(unknown))}")
 
 
 def equations(model: GenusOneModel) -> list[Poly]:
@@ -429,8 +443,11 @@ def model_to_dict(model: GenusOneModel) -> dict:
 
 
 def model_from_dict(data) -> GenusOneModel:
+    """The model of a JSON object; an unknown key in it or in its
+    coefficients object is an InputError, not dropped."""
     try:
         cls = class_for_degree(MODEL_CLASSES, data["degree"], "model")
+        check_keys(data, ("degree", "coefficients"), f"a degree-{cls.degree} model")
         return cls.from_json(data["coefficients"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model data: {exc}") from exc

@@ -245,31 +245,6 @@ class Poly:
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exponents), 0)
 
-    def coefficient_of(self, var: str, power: int) -> "Poly":
-        """Collect terms with ``var`` raised exactly to ``power``.
-
-        The result lives in the same ring with the exponent of ``var``
-        reset to zero, i.e. this is the coefficient of var**power when the
-        polynomial is read as a polynomial in ``var``.
-        """
-        idx = self._var_index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] == power:
-                e = exps[:idx] + (0,) + exps[idx + 1:]
-                out[e] = out.get(e, 0) + coeff
-        return Poly(self.variables, out)
-
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            (exps, coeff), = self.terms.items()
-            if not any(exps):
-                return coeff
-        raise ValueError(f"polynomial is not constant: {self}")
-
     def _var_index(self, var: str) -> int:
         try:
             return self.variables.index(var)

@@ -38,8 +38,8 @@ from typing import get_args
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
 from .models import (DEG2_RING, DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model,
-                     Deg4Model, Deg5Model, GenusOneModel, class_for_degree,
-                     json_scalars)
+                     Deg4Model, Deg5Model, GenusOneModel, check_keys,
+                     class_for_degree, json_list, json_scalars)
 from .poly import Poly, Scalar, as_scalar, monomials, substituted_coefficients
 
 
@@ -48,20 +48,12 @@ def _upow(base: Scalar, k: int) -> Scalar:
     return as_scalar(Fraction(base) ** k)
 
 
-def _sequence(data, what: str):
-    """A list or tuple; a string there is not a sequence of one-character
-    scalars, nor is a JSON object a sequence of its keys."""
-    if not isinstance(data, (list, tuple)):
-        raise InputError(f"{what} must be a list, not {type(data).__name__}")
-    return data
-
-
 def _scalars(data, what: str) -> tuple:
-    return tuple(as_scalar(x) for x in _sequence(data, what))
+    return tuple(as_scalar(x) for x in json_list(data, what))
 
 
 def _matrix(data, n: int, what: str):
-    rows = tuple(_scalars(row, what) for row in _sequence(data, what))
+    rows = tuple(_scalars(row, what) for row in json_list(data, what))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
@@ -360,10 +352,7 @@ def transformation_from_dict(data) -> Transformation:
     try:
         cls = class_for_degree(TRANSFORM_CLASSES, data["degree"], "transformation")
         names = [f.name for f in fields(cls)]
-        unknown = set(data) - {"degree", *names}
-        if unknown:
-            raise InputError(f"unknown keys for a degree-{cls.degree} transformation: "
-                             f"{', '.join(sorted(unknown))}")
+        check_keys(data, ("degree", *names), f"a degree-{cls.degree} transformation")
         return cls(**{name: data[name] for name in names})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed transformation data: {exc}") from exc

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import Deg1Model, dumps_model, weierstrass_model
+from genus1 import Deg1Model, dumps_model, model_to_dict, weierstrass_model
 from genus1.cli import run
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_C4, WUTHRICH_C6,
@@ -250,6 +250,22 @@ class TestExitCodes:
                                              json.dumps({**g, **extra})])
             assert (code, out) == (2, "")
             assert next(iter(extra)) in err
+
+    def test_unknown_model_key_is_2(self, capsys, monkeypatch):
+        # a misspelt top-level key, or an extra one in the coefficients
+        # object, was dropped and the invariants printed with exit 0
+        curve = Deg1Model(0, 0, 0, -1, 0)
+        for model in [curve] + [weierstrass_model(curve, d) for d in (2, 4, 5)]:
+            clean = model_to_dict(model)
+            if model.degree == 1:
+                extra, data = "degre", {**clean, "degre": 3}
+            else:
+                extra, data = "r", {**clean, "coefficients": {**clean["coefficients"], "r": ["1"]}}
+            code, out, _ = invoke(capsys, ["invariants", "-"], json.dumps(clean), monkeypatch)
+            assert (code, out) == (0, "c4 = 48\nc6 = 0\nDelta = 64\n")
+            code, out, err = invoke(capsys, ["invariants", "-"], json.dumps(data), monkeypatch)
+            assert (code, out) == (2, "")
+            assert "unknown keys" in err and err.rstrip().endswith(f": {extra}")
 
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])

@@ -280,6 +280,12 @@ class TestDegree4Matrix:
         assert singular_a and singular_b
 
 
+def constant(p):
+    """The value of a polynomial asserted to be constant."""
+    assert p.degree() <= 0, p
+    return p.coefficient((0,) * 5)
+
+
 def pinned_quintics():
     """Wuthrich, two seeded quintics with entries in [-2, 2], one moved by
     a transformation with entries in [-30, 30], and Wuthrich moved by a
@@ -347,7 +353,7 @@ class TestDegree5:
         rng = random.Random(23)
         for m in (wuthrich_model(), random_model(rng, 5), random_model(rng, 5)):
             pf = m.pfaffians()
-            rows = [[sum((pf[k].derivative(xi).derivative(xj).constant_value() * v[k]
+            rows = [[sum((constant(pf[k].derivative(xi).derivative(xj)) * v[k]
                           for k in range(5)), 0 * v[0])
                      for xj in DEG5_RING] for xi in DEG5_RING]
             dual = deg5_covariants(m).dual_quintic
@@ -361,7 +367,7 @@ class TestDegree5:
             cov = deg5_covariants(m)
             phi = m.matrix()
             rows = [[lam * cov.aux_quadrics[i].derivative(vj).lift(ring)
-                     + sum((phi[j][k].derivative(xi).constant_value() * v[k]
+                     + sum((constant(phi[j][k].derivative(xi)) * v[k]
                             for k in range(5)), 0 * lam)
                      for j, vj in enumerate(ring[1:])] for i, xi in enumerate(DEG5_RING)]
             assert cov.pencil_quintic and determinant(rows) == cov.pencil_quintic
@@ -687,4 +693,57 @@ class TestInvariantLawsByProperty:
     @given(TRANSFORMATIONS[5], st.one_of(MODELS[5], st.builds(
         weierstrass_model, MODELS[1], st.just(5))))
     def test_weight_law_degree5(self, g, m):
+        assert _weight_law_holds(g, m)
+
+
+# q1 = -x1^2 - x2^2 - x4^2 and q2 = 2 x1 x2 + 2 x3^2: the rows of its sA + tB
+# have 2, 2, 1 and 1 terms, so the determinant has at most 4 terms, too few
+# to fill the 5 quartics in s, t, and it takes linalg._maximal_minors.
+SPARSE_DEG4 = Deg4Model.from_coefficients([-1, 0, 0, 0, -1, 0, 0, 0, 0, -1],
+                                          [0, 2, 0, 0, 0, 0, 0, 2, 0, 0])
+
+
+def sparse_smooth_deg4(rng):
+    """A smooth degree-4 model with 1 to 3 nonzero coefficients per quadric,
+    each from {-1, 1, 2}; about one such pair in 80 is smooth."""
+    while True:
+        q1, q2 = [0] * 10, [0] * 10
+        for q in (q1, q2):
+            for i in rng.sample(range(10), rng.randint(1, 3)):
+                q[i] = rng.choice([-1, 1, 2])
+        m = Deg4Model.from_coefficients(q1, q2)
+        if invariants_deg4(m).delta:
+            return m
+
+
+class TestSparseDegree4:
+    """Quadric pairs sparse enough that det(sA + tB) can leave the dense
+    path, against the 10x10 discriminant and dense transformed images."""
+
+    def test_pinned_model_takes_the_generic_minors(self, monkeypatch):
+        import genus1.linalg as linalg
+        minors = linalg._maximal_minors
+        calls = []
+
+        def recorded(rows):
+            calls.append(rows)
+            return minors(rows)
+
+        monkeypatch.setattr(linalg, "_maximal_minors", recorded)
+        assert invariants(SPARSE_DEG4) == (3072, 0, 16777216)
+        (rows,) = calls  # det(sA + tB), which the dense path declined
+        assert rows[0][0].variables == ("s", "t")
+        assert linalg._linear_determinant(("s", "t"), rows) is None
+        assert discriminant_deg4_matrix(SPARSE_DEG4) == -268435456 == -16 * 16777216
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2 ** 32).map(lambda seed: sparse_smooth_deg4(random.Random(seed))),
+           st.builds(Deg4Transform, invertible_matrices(2, MATRIX_ENTRIES),
+                     invertible_matrices(4, st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]))))
+    @example(SPARSE_DEG4, Deg4Transform(((1, 1), (0, 1)),
+                                        ((1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))))
+    def test_sparse_models(self, m, g):
+        # B has no zero entry, so the image's quadrics are dense as a rule
+        assert discriminant_deg4_matrix(m) == -16 * invariants(m).delta
+        assert _disc_identity_holds(apply(g, m))
         assert _weight_law_holds(g, m)

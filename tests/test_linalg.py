@@ -80,8 +80,8 @@ COEFFS = st.sampled_from([1, -1, 2, -3, 7, 10 ** 20, Fraction(1, 2), Fraction(-5
 def mixed_matrix(draw):
     """n x n, n = 1..5, over a 4- or 6-variable ring: entries of mixed and
     non-homogeneous degree, zero entries, sometimes a zero row.  Pure
-    powers of the first variable let its exponent reach the degree bound
-    that sets the packed field width."""
+    powers of the first variable let its exponent reach the sum of the
+    rows' largest entry degrees."""
     ring = draw(st.sampled_from([RING, RING6]))
     n = draw(st.integers(1, 5))
     pure = st.integers(0, 6).map(lambda k: (k,) + (0,) * (len(ring) - 1))
@@ -141,15 +141,14 @@ class TestDeterminant:
             with pytest.raises(ValueError, match="rings differ"):
                 determinant(rows)
 
-    def test_exponent_fills_its_field(self):
-        # Row degrees 7 and 8 give the bound 15, a 4-bit field per variable;
-        # x reaches x^15, the largest value its field holds, next to y and z.
+    def test_high_powers_match_leibniz(self):
+        # row degrees 7 and 8: x reaches x^15, the sum of the row degrees
         rows = [[X ** 7, Y ** 7], [Z ** 8, X ** 8]]
         assert determinant(rows) == X ** 15 - Y ** 7 * Z ** 8 == leibniz(rows)
 
     def test_leaves_no_garbage_cycle(self):
         # the minors are freed on return, not left for a full collection,
-        # on the packed expansion (X + 1 is not linear) and the dense one
+        # by _maximal_minors (X + 1 is not linear) and the dense path
         for rows in ([[X, Y, Z], [Y, Z, W], [Z, W, X + 1]],
                      [[X, Y, Z], [Y, Z, W], [Z, W, X]]):
             gc.collect()
@@ -176,7 +175,7 @@ class TestDeterminant:
 
     def test_routing_edge_cases(self):
         # one entry that is not a linear form (x + 1, a constant, x y) sends
-        # the matrix to the packed expansion; the zero matrix, 1x1 and
+        # the matrix to _maximal_minors; the zero matrix, 1x1 and
         # z, w-only matrices take the dense path, the last putting the
         # exponents back at z's and w's places in the ring
         one = Poly.constant(RING, 1)
@@ -189,7 +188,7 @@ class TestDeterminant:
                      [[point]], [[empty]], [[point, empty], [empty, point]]):
             assert determinant(rows) == leibniz(rows)
 
-    def test_sparse_linear_forms_take_the_packed_path(self):
+    def test_sparse_linear_forms_take_the_generic_minors(self):
         # 25 distinct variables: 120 terms, against C(29, 5) = 118755
         # places in a dense quintic, so the dense path declines
         ring = tuple(f"a{i}{j}" for i in range(5) for j in range(5))
@@ -201,6 +200,20 @@ class TestDeterminant:
         # linear forms that can fill the quadrics in x, y take it
         rows = [[X + Y, X - Y], [Y, 2 * X]]
         assert _linear_determinant(RING, rows) == determinant(rows) == leibniz(rows)
+
+    def test_maximal_minors_of_a_wide_matrix(self):
+        # every 2-column minor of a 2x4 matrix, keyed by its column mask,
+        # with the zero ones left out, for Poly and scalar entries alike
+        for rows, zero in (([[X, Y, X + 1, ZERO], [Z, W, Z, X * Y]], ZERO),
+                           ([[1, 2, 0, 3], [2, 4, 5, 6]], 0)):
+            expected = {}
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    minor = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
+                    if minor != zero:
+                        expected[1 << i | 1 << j] = minor
+            assert linalg._maximal_minors(rows) == expected
+        assert 1 << 0 | 1 << 1 not in linalg._maximal_minors([[1, 2, 0, 3], [2, 4, 5, 6]])
 
     def test_integral_fraction_products_become_ints(self):
         # (x/2)(2x) = x^2: the Fraction product 1 is stored as the int 1
@@ -231,7 +244,7 @@ class TestKroneckerDeterminant:
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
 
     def test_common_content_of_the_first_variable(self):
-        # the x coefficients share g, so x -> g x shrinks the packed width
+        # the x coefficients share g, so x -> g x shrinks the digit width
         # and each x^k digit is multiplied back by g^k
         for g in (2 ** 40, 3 ** 9, 7):
             rows = [[g * X + Y, -g * X + 2 * Z, 3 * g * X - W],
