@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .linalg import (adjugate, determinant, kronecker_determinant, mat_mul,
-                     perm_sign, scalar_det, solve_linear)
+from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
+                     solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, monomials, times_variable
@@ -174,10 +174,10 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
 
     The Hessian matrix of U + nu G is that of U plus nu times that of G,
     so G(U + nu G) is one determinant of linear forms in x, y, z whose
-    coefficients are affine in nu, expanded by Kronecker substitution in
-    nu.  c4 and c6 are read off one coefficient where U is nonzero, and
-    both identities are checked on every coefficient: the nu part is
-    12 c4 U, and the nu^2 part plus 12 c4 G is -48 c6 U.
+    coefficients are affine in nu: ``determinant`` takes it by Kronecker
+    substitution in nu.  c4 and c6 are read off one coefficient where U
+    is nonzero, and both identities are checked on every coefficient:
+    the nu part is 12 c4 U, and the nu^2 part plus 12 c4 G is -48 c6 U.
     """
     cubic = m.cubic
     if not cubic:
@@ -186,7 +186,7 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
     g = determinant(hess_u)
     hess_g = _hessian_matrix(g, DEG3_RING)
     ring = ("nu",) + DEG3_RING
-    expanded = kronecker_determinant(
+    expanded = determinant(
         [[Poly._make(ring, {**{(0,) + e: c for e, c in u.terms.items()},
                             **{(1,) + e: c for e, c in w.terms.items()}})
           for u, w in zip(row_u, row_g)] for row_u, row_g in zip(hess_u, hess_g)])
@@ -380,7 +380,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
 
     # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
     aux_hess = [_symmetric_matrix(q) for q in aux]
-    pencil_quintic = kronecker_determinant(
+    pencil_quintic = determinant(
         [[_linear_form(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j])
           for j in range(5)] for i in range(5)])
 

@@ -1,69 +1,19 @@
 """Exact linear algebra: polynomial determinants and fraction-free
 elimination over the rationals.
 
-Two families of routines live here.
+``determinant`` takes a square matrix of ``Poly`` entries of one ring
+on one of three paths, read off the matrix:
 
-* Polynomial matrices (lists of rows of :class:`~genus1.poly.Poly`):
-  ``determinant``, and ``is_alternating`` to validate an alternating
-  matrix read from outside (the degree-5 Pfaffians live on ``Deg5Model``,
-  which stores only the upper triangle).  Determinants are taken on small
-  matrices (at most 5x5 in the degree-5 pipeline) whose entries are
-  polynomials, where elimination would cause coefficient blowup, so both
-  paths expand by minors, bottom-up from the last row.
-  A matrix of linear forms (every term of total degree 1) takes a dense
-  path: a minor of k rows is homogeneous of degree k, so it is held as a
-  list of coefficients over the monomials of degree k, and a product by
-  x_v moves coefficient b to the place ``times_variable`` gives, a table
-  of exact monomial positions built once per ring size and degree.  The
-  degree-5 secant and dual matrices, the degree-3 Hessian matrix, the
-  degree-5 pencil and the degree-3 G(U + nu G) after their Kronecker
-  substitutions, and the degree-4 det(sA + tB) take it.
-  Every other matrix, such as one with an affine entry or one of linear
-  forms too sparse to fill those lists, takes ``_maximal_minors`` on its
-  ``Poly`` entries, the expansion ``adjugate`` also runs on scalars.
-  ``kronecker_determinant`` gives the same result with one variable
-  fewer to expand (Kronecker substitution; Harvey, "Faster polynomial
-  multiplication via multipoint Kronecker substitution", JSC 2009): it
-  scales each row to integers, sets the first variable t to X = 2^w and
-  reads the coefficient of t^k off the k-th balanced base-X digit.  The
-  width w is exact, not a guess: with B the product over the rows of the
-  l1 norms of their entries summed, every coefficient of the determinant
-  is at most B in absolute value, and X > 2B.  Before B is taken, the
-  gcd g of every coefficient with a positive power of t is divided out,
-  g^e from each coefficient of t^e: det M(t) = det M'(g t), so the t^k
-  coefficient of det M is g^k times that of det M', and w is sized for
-  the smaller M'.  The degree-5 pencil quintic det(lam Q + L) uses it,
-  so every power of lam costs one determinant in v1..v5, and on a
-  transformed model Q's large common content stays out of the digits;
-  so does the degree-3 G(U + nu G), in nu.
+* ``_linear_determinant``, for linear forms: minors on dense
+  coefficient vectors;
+* ``_kronecker_determinant``, for a pencil t M_1 + M_0 of linear forms
+  in the variables after t: one determinant with t set to 2^w;
+* ``_maximal_minors``, for any other matrix: minor expansion on the
+  entries, which ``adjugate`` also runs on scalars.
 
-* Scalar matrices (rows of ints / Fractions): rank, determinant, linear
-  solving and kernel bases, through Bareiss fraction-free elimination
-  (Bareiss, "Sylvester's identity and multistep integer-preserving
-  Gaussian elimination", Math. Comp. 1968) of an integer matrix obtained
-  by clearing denominators row by row.  Intermediate entries stay
-  integral, and so does back-substitution: it solves for d x, d the last
-  pivot, where Cramer's rule makes every division exact.
-  ``solve_linear`` takes every right-hand side at once (the five
-  gradient columns of the degree-5 auxiliary quadrics).  When the
-  entries are integral and A's first rows form a square matrix A_0
-  invertible modulo the prime 2^127 - 1, which proves that A has full
-  column rank (the rank-15 check), each column is solved by p-adic
-  lifting (Dixon, "Exact solution of linear equations using p-adic
-  expansions", Numer. Math. 1982): LU mod p once, then one balanced
-  base-p digit of x per step until the residual is exactly 0, so the
-  cost follows the size of x, not that of det A_0.  Every equation of A
-  is then checked in integers, all columns at once in slots of one
-  packed integer per row.  If A_0 is singular mod p, a solution is not
-  integral within the Hadamard bound on its Cramer numerators, or an
-  entry is not integral (rows scaled to integers seldom give integral
-  solutions), Bareiss elimination takes the system: it eliminates only
-  a basis of A's rows, the pivot columns of A^T (A's first rows when
-  they are independent), whose rank is A's; back-substitution gives
-  d x, every equation of A is checked as A (d x) = d b in integers, and
-  the result is divided by d once.
-  ``pivot_columns`` gives the greedy basis of a column space, and
-  ``adjugate`` reads its cofactors off ``_maximal_minors``.
+The scalar routines run Bareiss elimination (Bareiss, Math. Comp. 1968)
+on rows scaled to integers, and ``solve_linear`` tries p-adic lifting
+first.
 
 Pivots are always the first nonzero entry scanning rows top-down and
 columns left-right, so every result is deterministic.
@@ -89,18 +39,6 @@ def _check_square(rows) -> int:
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     return n
-
-
-def _common_ring(rows) -> tuple:
-    """The ring of a square polynomial matrix; ValueError if it is not
-    square or its entries live in different rings."""
-    _check_square(rows)
-    ring = rows[0][0].variables
-    for row in rows:
-        for entry in row:
-            if entry.variables != ring:
-                raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
-    return ring
 
 
 def _linear_determinant(ring: tuple, rows) -> Poly | None:
@@ -164,20 +102,6 @@ def _linear_determinant(ring: tuple, rows) -> Poly | None:
     return Poly._make(ring, {e: c for e, c in zip(basis, full) if c})
 
 
-def _integral_rows(rows):
-    """The entries' term dicts with each row scaled to integers by the lcm
-    of its denominators, and the product of those lcms."""
-    scaled = []
-    scale = 1
-    for row in rows:
-        mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
-                     if isinstance(c, Fraction)), 1)
-        # int() also turns the integral Fractions a Poly sum may hold into ints
-        scaled.append([{e: int(c * mult) for e, c in entry.terms.items()} for entry in row])
-        scale *= mult
-    return scaled, scale
-
-
 def _maximal_minors(rows) -> dict:
     """{column mask: minor} over the given rows, zero minors left out,
     built last row first: the minors of the last k rows give those of the
@@ -201,6 +125,72 @@ def _maximal_minors(rows) -> dict:
     return minors
 
 
+def _expand(ring: tuple, rows) -> Poly:
+    """The determinant of integer rows by ``_linear_determinant``, or by
+    ``_maximal_minors`` where that declines."""
+    det = _linear_determinant(ring, rows)
+    if det is None:
+        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
+    return det
+
+
+def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
+    """``determinant`` of integer rows by Kronecker substitution in the
+    first variable t (Harvey, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", JSC 2009), or None unless every
+    term of every entry is a variable other than t times 1 or t, and some
+    term has t: the pencils det(lam Q + L) of degree 5 and G(U + nu G) of
+    degree 3.
+
+    First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
+    so the t^k coefficient of det M is g^k times that of det M'.  Then t
+    is set to X = 2^w, and one determinant of linear forms in the other
+    variables carries every power of t in the balanced base-X digits of
+    its coefficients.  B, the product over the rows of M' of the sum of
+    the l1 norms of their entries, bounds every coefficient of det M' in
+    all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those
+    digits are exactly the coefficients of t^0, t^1, ...
+    """
+    entries = [entry.terms for row in rows for entry in row]
+    if (not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for entry in entries for e in entry)
+            or not any(e[0] for entry in entries for e in entry)):
+        return None
+    content = gcd(*(c for entry in entries for e, c in entry.items() if e[0]))
+    bound = prod(sum(abs(c) // content if e[0] else abs(c)
+                     for entry in row for e, c in entry.terms.items()) for row in rows)
+    if not bound:  # a zero row
+        return Poly.zero(ring)
+    # every row has l1 norm >= 1, so each digit c_k of an entry is below
+    # X/2 in absolute value and no substituted coefficient cancels to 0
+    width = bound.bit_length() + 1
+    substituted = []
+    for row in rows:
+        new_row = []
+        for entry in row:
+            packed: dict[tuple, int] = {}
+            for e, c in entry.terms.items():
+                rest = (0,) + e[1:]
+                packed[rest] = packed.get(rest, 0) + (c // content << width if e[0] else c)
+            new_row.append(Poly._make(ring, packed))
+        substituted.append(new_row)
+    digit_mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out: dict[tuple, int] = {}
+    for exps, c in _expand(ring, substituted).terms.items():
+        k = 0
+        power = 1  # content^k restores the t^k coefficient of det M
+        while c:
+            d = c & digit_mask
+            if d >= half:
+                d -= 1 << width
+            c = (c - d) >> width
+            if d:
+                out[(k,) + exps[1:]] = d * power
+            k += 1
+            power *= content
+    return Poly._make(ring, out)
+
+
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
@@ -210,93 +200,42 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     lcms.  A matrix of integer polynomials costs only the scan of its
     coefficient types.
 
-    A matrix of linear forms, every term of every entry of total degree 1
-    (zero entries allowed), takes the dense path of ``_linear_determinant``
-    when its determinant can fill the dense vectors.  Any other matrix
-    takes ``_maximal_minors`` of all its rows.  Entries from different
-    rings raise ValueError, as Poly arithmetic does.
+    The path is read off the scaled matrix:
+
+    * every term of every entry a variable other than the first, t, times
+      1 or t, and some term with t (a pencil t M_1 + M_0 of linear forms):
+      ``_kronecker_determinant``;
+    * every term of every entry of total degree 1, zero entries allowed:
+      the dense vectors of ``_linear_determinant``, unless the determinant
+      cannot fill them;
+    * any other matrix, and one the dense path declines:
+      ``_maximal_minors`` of all its rows.
+
+    Entries from different rings raise ValueError, as Poly arithmetic does.
     """
-    ring = _common_ring(rows)
+    _check_square(rows)
+    ring = rows[0][0].variables
+    for row in rows:
+        for entry in row:
+            if entry.variables != ring:
+                raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
     scale = 1
     if not all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
-        scaled, scale = _integral_rows(rows)
-        rows = [[Poly._make(ring, t) for t in row] for row in scaled]
-    det = _linear_determinant(ring, rows)
+        scaled = []
+        for row in rows:
+            mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
+                         if isinstance(c, Fraction)), 1)
+            # int() also turns the integral Fractions a Poly sum may hold into ints
+            scaled.append([Poly._make(ring, {e: int(c * mult) for e, c in entry.terms.items()})
+                           for entry in row])
+            scale *= mult
+        rows = scaled
+    det = _kronecker_determinant(ring, rows)
     if det is None:
-        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
+        det = _expand(ring, rows)
     if scale == 1:
         return det
     return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
-
-
-def kronecker_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """``determinant(rows)`` by Kronecker substitution in the first variable.
-
-    Each row is scaled to integers by the lcm of its denominators, and
-    the first variable t is set to X = 2^w, so a single determinant in
-    the other variables carries every power of t in the base-X digits of
-    its coefficients.  B, the product over the rows of the sum of the l1
-    norms of their entries, bounds every coefficient of the determinant
-    in all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so the
-    balanced base-X digits of each coefficient are exactly the
-    coefficients of t^0, t^1, ...  The substituted entries keep their
-    ring, with the exponent of t set to 0.
-
-    First g, the gcd of the coefficients of every term with a positive
-    power of t, is taken out: each coefficient of t^e becomes c / g^e,
-    which is exact for e = 1 and is checked for e >= 2 (g = 1 when some
-    g^e does not divide, or when no term has t).  The reduced matrix M'
-    satisfies M(t) = M'(g t), so det M(t) = det M'(g t) and the t^k
-    coefficient of det M is g^k times that of det M'.  B and w are taken
-    from M', for which the bound above holds as it is, and each decoded
-    t^k digit is multiplied by g^k.  The entries of the degree-5 pencil
-    have t-degree at most 1, so it always takes the reduction.
-    """
-    ring = _common_ring(rows)
-    if not ring:
-        return determinant(rows)
-    scaled, scale = _integral_rows(rows)
-    # det M(t) = det M'(g t), where M' divides each t^e coefficient by g^e
-    content = gcd(*(c for row in scaled for terms in row for e, c in terms.items() if e[0]))
-    if content > 1 and all(c % content ** e[0] == 0 for row in scaled for terms in row
-                           for e, c in terms.items() if e[0] > 1):
-        scaled = [[{e: c // content ** e[0] for e, c in terms.items()} for terms in row]
-                  for row in scaled]
-    else:
-        content = 1
-    bound = prod(sum(abs(c) for terms in row for c in terms.values()) for row in scaled)
-    if not bound:  # a zero row
-        return Poly.zero(ring)
-    # every row has l1 norm >= 1, so each digit c_k of an entry is below
-    # X/2 in absolute value and no substituted coefficient cancels to 0
-    width = bound.bit_length() + 1
-    substituted = []
-    for row in scaled:
-        new_row = []
-        for terms in row:
-            packed: dict[tuple, int] = {}
-            for exps, c in terms.items():
-                rest = (0,) + exps[1:]
-                packed[rest] = packed.get(rest, 0) + (c << width * exps[0])
-            new_row.append(Poly._make(ring, packed))
-        substituted.append(new_row)
-    digit_mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out: dict[tuple, Scalar] = {}
-    for exps, c in determinant(substituted).terms.items():
-        k = 0
-        power = 1  # content^k restores the t^k coefficient of det M
-        while c:
-            d = c & digit_mask
-            if d >= half:
-                d -= 1 << width
-            c = (c - d) >> width
-            if d:
-                d *= power
-                out[(k,) + exps[1:]] = d if scale == 1 else as_scalar(Fraction(d, scale))
-            k += 1
-            power *= content
-    return Poly._make(ring, out)
 
 
 def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
@@ -517,16 +456,11 @@ def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     """Exact solutions of A x = b for each column b in ``columns``.
 
     Returns (rank of A, solutions): one solution per column, in order, or
-    None where A x = b is inconsistent.  When every entry is integral,
-    A's first n_cols rows are invertible modulo the prime ``_PRIME`` and
-    every solution is integral, p-adic lifting (Dixon 1982) solves those
-    rows, and every equation of A is checked in integers
-    (``_dixon_solve``).  Otherwise
-    the pivot columns of A^T pick a basis of A's rows; one Bareiss
-    elimination of those rows, augmented with every column, gives d x by
-    integer back-substitution, and every equation of A is then checked as
-    A (d x) = d b in integers.  Both routes give the same rank and
-    solutions.
+    None where A x = b is inconsistent.  ``_dixon_solve`` takes an
+    integral system with an integral solution; any other goes through one
+    Bareiss elimination of a basis of A's rows, the pivot columns of A^T,
+    augmented with every column.  Both routes check every equation of A
+    in integers and give the same rank and solutions.
 
     Overdetermined systems are fine.  Free variables (if any) are set to
     zero; when the solution is unique this returns it.

@@ -443,11 +443,11 @@ def model_to_dict(model: GenusOneModel) -> dict:
 
 
 def model_from_dict(data) -> GenusOneModel:
-    """The model of a JSON object; an unknown key in it or in its
-    coefficients object is an InputError, not dropped."""
+    """The model of a JSON object; data that is not one, or an unknown key
+    in it or in its coefficients object, is an InputError."""
     try:
+        check_keys(data, ("degree", "coefficients"), "a model")
         cls = class_for_degree(MODEL_CLASSES, data["degree"], "model")
-        check_keys(data, ("degree", "coefficients"), f"a degree-{cls.degree} model")
         return cls.from_json(data["coefficients"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model data: {exc}") from exc

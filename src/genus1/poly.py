@@ -278,39 +278,6 @@ class Poly:
             total += term
         return as_scalar(total)
 
-    def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute a polynomial for every variable of this ring.
-
-        ``images`` must provide one Poly per variable, all in a common
-        target ring (which may differ from this one).
-        """
-        missing = [v for v in self.variables if v not in images]
-        if missing:
-            raise ValueError(f"no image given for variables {missing}")
-        target = None
-        for v in self.variables:
-            img = images[v]
-            if target is None:
-                target = img.variables
-            elif img.variables != target:
-                raise ValueError("substitution images live in different rings")
-        result = Poly.zero(target)
-        powers: dict[tuple, Poly] = {}
-
-        def power(vi: int, e: int) -> Poly:
-            key = (vi, e)
-            if key not in powers:
-                powers[key] = images[self.variables[vi]] ** e
-            return powers[key]
-
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(target, coeff)
-            for vi, e in enumerate(exps):
-                if e:
-                    term = term * power(vi, e)
-            result = result + term
-        return result
-
     def lift(self, variables: Sequence[str]) -> "Poly":
         """Reinterpret in a larger ring containing all current variables."""
         variables = tuple(variables)

@@ -347,9 +347,11 @@ def transformation_to_dict(g: Transformation) -> dict:
 
 
 def transformation_from_dict(data) -> Transformation:
-    """The transformation of a JSON object; a key other than ``degree``
-    and the fields of its class is an InputError, not silently dropped."""
+    """The transformation of a JSON object; data that is not one, or a key
+    other than ``degree`` and the fields of its class, is an InputError."""
     try:
+        if not isinstance(data, dict):
+            raise InputError(f"a transformation must be a JSON object, not {type(data).__name__}")
         cls = class_for_degree(TRANSFORM_CLASSES, data["degree"], "transformation")
         names = [f.name for f in fields(cls)]
         check_keys(data, ("degree", *names), f"a degree-{cls.degree} transformation")

@@ -127,11 +127,29 @@ def random_smooth_model(rng, degree, invariants_fn, lo=-3, hi=3):
 
 
 # ----------------------------------------------------------------------
-# the group actions of degrees 1-4 by Poly.substitute, as references
+# the group actions of degrees 1-4 by substitution, as references
 # ----------------------------------------------------------------------
 
+def substitute(poly, images) -> Poly:
+    """``poly`` with ``images[v]`` put for each of its variables v, term by
+    term in Poly arithmetic, each power of an image taken once; the
+    images share one ring, the result's."""
+    target, = {images[v].variables for v in poly.variables}
+    powers = {}
+    result = Poly.zero(target)
+    for exps, coeff in poly.terms.items():
+        term = Poly.constant(target, coeff)
+        for v, e in zip(poly.variables, exps):
+            if e:
+                if (v, e) not in powers:
+                    powers[v, e] = images[v] ** e
+                term = term * powers[v, e]
+        result = result + term
+    return result
+
+
 def linear_substitution(ring, B) -> dict:
-    """Images of the substitution x_j = sum_i B_ij x_i', for Poly.substitute."""
+    """Images of the substitution x_j = sum_i B_ij x_i', for ``substitute``."""
     gens = generators(ring)
     n = len(ring)
     return {ring[j]: sum((B[i][j] * gens[i] for i in range(n)), Poly.zero(ring))
@@ -148,7 +166,7 @@ def substitute_apply(g, m):
         x, y, z = generators(DEG1_RING)
         u, r, s, t = g.u, g.r, g.s, g.t
         images = {"x": u * u * x + r * z, "y": u ** 3 * y + u * u * s * x + t * z, "z": z}
-        scaled = m.equation().substitute(images) * (1 / Fraction(u) ** 6)
+        scaled = substitute(m.equation(), images) * (1 / Fraction(u) ** 6)
         new = Deg1Model(scaled.coefficient((1, 1, 1)), -scaled.coefficient((2, 0, 1)),
                         scaled.coefficient((0, 1, 2)), -scaled.coefficient((1, 0, 2)),
                         -scaled.coefficient((0, 0, 3)))
@@ -156,7 +174,7 @@ def substitute_apply(g, m):
         return new
     equations = [m.p, m.q] if g.degree == 2 else m.equations()
     sub = linear_substitution(equations[0].variables, g.B)
-    moved = [f.substitute(sub) for f in equations]
+    moved = [substitute(f, sub) for f in equations]
     if g.degree == 2:
         (p_b, q_b), rho = moved, _rho(g.r)
         return Deg2Model(g.mu * (p_b + 2 * rho),
@@ -169,8 +187,8 @@ def substitute_apply(g, m):
 
 def substitute_compose2(g1, g2):
     """compose for degree 2, moving g2's rho by substitution."""
-    rho = (1 / Fraction(g2.mu)) * _rho(g1.r) + _rho(g2.r).substitute(
-        linear_substitution(DEG2_RING, g1.B))
+    rho = (1 / Fraction(g2.mu)) * _rho(g1.r) + substitute(
+        _rho(g2.r), linear_substitution(DEG2_RING, g1.B))
     r = tuple(rho.coefficient(e) for e in ((2, 0), (1, 1), (0, 2)))
     B = tuple(tuple(sum(g1.B[i][t] * g2.B[t][j] for t in range(2)) for j in range(2))
               for i in range(2))

@@ -251,6 +251,18 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert next(iter(extra)) in err
 
+    def test_json_that_is_not_an_object_is_2(self, capsys, model_file, monkeypatch):
+        # a list, string, number or null read as a model or a transformation
+        # gave Python's indexing error, worded differently by each version
+        path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3))
+        for text, name in (("[1, 2]", "list"), ('"x"', "str"), ("5", "int"), ("null", "NoneType")):
+            code, out, err = invoke(capsys, ["invariants", "-"], text, monkeypatch)
+            assert (code, out) == (2, "")
+            assert err.rstrip().endswith(f"a model must be a JSON object, not {name}")
+            code, out, err = invoke(capsys, ["transform", path, "--transformation", text])
+            assert (code, out) == (2, "")
+            assert err.rstrip().endswith(f"a transformation must be a JSON object, not {name}")
+
     def test_unknown_model_key_is_2(self, capsys, monkeypatch):
         # a misspelt top-level key, or an extra one in the coefficients
         # object, was dropped and the invariants printed with exit 0

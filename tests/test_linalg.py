@@ -2,6 +2,7 @@
 
 import gc
 import sys
+from unittest import mock
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 import genus1.linalg as linalg
 from genus1 import (Deg1Model, Deg5Transform, Poly, apply, deg5_covariants,
-                    determinant, generators, kernel_basis,
-                    kronecker_determinant, pivot_columns, scalar_det,
-                    scalar_rank, solve_linear, weierstrass_model)
+                    determinant, generators, invariants_deg3, kernel_basis,
+                    pivot_columns, scalar_det, scalar_rank, solve_linear,
+                    weierstrass_model)
 from genus1.linalg import (_PRIME, _linear_determinant, adjugate, mat_mul,
                            perm_sign)
 
@@ -163,14 +164,14 @@ class TestDeterminant:
     @given(rows=mixed_matrix())
     def test_matches_leibniz(self, rows):
         det = determinant(rows)
-        assert det == leibniz(rows) == kronecker_determinant(rows)
+        assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
 
     @settings(deadline=None, max_examples=60)
     @given(rows=linear_matrix())
     def test_linear_forms_match_leibniz(self, rows):
         det = determinant(rows)
-        assert det == leibniz(rows) == kronecker_determinant(rows)
+        assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
 
     def test_routing_edge_cases(self):
@@ -234,108 +235,170 @@ class TestDeterminant:
         assert determinant(swapped) == -determinant(rows)
 
 
+def kronecker_path(rows):
+    """determinant(rows), asserting that it took ``_kronecker_determinant``
+    on integer rows: a Fraction row is scaled once, before the path."""
+    taken = []
+    original = linalg._kronecker_determinant
+
+    def spy(ring, scaled):
+        assert all(type(c) is int for row in scaled for entry in row
+                   for c in entry.terms.values())
+        taken.append(original(ring, scaled))
+        return taken[-1]
+
+    with mock.patch.object(linalg, "_kronecker_determinant", spy):
+        det = determinant(rows)
+    assert taken and taken[0] is not None
+    return det
+
+
+def pencil_matrices(compute, model):
+    """{first variable: rows} of the pencils ``compute(model)`` hands to
+    ``determinant``: lam for the degree-5 pencil, nu for G(U + nu G)."""
+    module = sys.modules["genus1.invariants"]
+    expand = module.determinant
+    pencils = {}
+
+    def recorded(rows):
+        ring = rows[0][0].variables
+        if ring[0] in ("lam", "nu"):
+            pencils[ring[0]] = rows
+        return expand(rows)
+
+    with mock.patch.object(module, "determinant", recorded):
+        compute(model)
+    return pencils
+
+
 class TestKroneckerDeterminant:
-    """determinant by the substitution x = 2^w in the first variable x."""
+    """determinant of a pencil x M_1 + M_0, M_0 and M_1 linear forms in
+    y, z, w, by the substitution x = 2^w in the first variable x."""
 
     @staticmethod
     def check(rows):
-        det = kronecker_determinant(rows)
-        assert det == determinant(rows) == leibniz(rows)
+        det = kronecker_path(rows)
+        assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
 
     def test_common_content_of_the_first_variable(self):
         # the x coefficients share g, so x -> g x shrinks the digit width
         # and each x^k digit is multiplied back by g^k
-        for g in (2 ** 40, 3 ** 9, 7):
-            rows = [[g * X + Y, -g * X + 2 * Z, 3 * g * X - W],
-                    [-5 * g * X - Y, Z - W, g * X + 4 * Y],
-                    [2 * g * X + Z, -g * X + Y, -W]]
+        for g in (2 ** 40, 3 ** 9, 7, Fraction(6, 7)):
+            rows = [[g * X * Y + Z, -g * X * Z + 2 * W, 3 * g * X * W - Y],
+                    [-5 * g * X * Y - Y, Z - W, g * X * Z + 4 * Y],
+                    [2 * g * X * W + Z, -g * X * Y + Y, -W]]
             self.check(rows)
 
     def test_square_terms_of_the_first_variable(self):
-        # g = 5: 25 divides every x^2 coefficient in the first matrix, and
-        # 5 x^2 in the second keeps g = 1
-        for square in (-25 * X ** 2, 5 * X ** 2):
-            self.check([[5 * X + Y, square + Z], [10 * X - W, 50 * X ** 2 + 3 * Y]])
+        # x^2 y and x^2 are not a pencil's terms: the generic minors take them
+        for square in (-25 * X ** 2 * Y, 5 * X ** 2):
+            rows = [[5 * X * Y + Z, square + W], [10 * X * W - Y, 3 * Y]]
+            assert linalg._kronecker_determinant(RING, rows) is None
+            assert determinant(rows) == leibniz(rows)
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_content_property(self, data):
-        # g x A + B: A an integer matrix, B linear forms in y, z, w
+        # g x A + B: A integer multiples of y, z or w, B linear forms in y, z, w
         n = data.draw(st.integers(1, 4))
         g = data.draw(st.sampled_from([2, -3, 2 ** 64, 5 ** 11, Fraction(6, 7)]))
-        a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                               min_size=n, max_size=n))
+        a = data.draw(st.lists(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from([Y, Z, W])),
+                                        min_size=n, max_size=n), min_size=n, max_size=n))
+        if not any(a_ij for row in a for a_ij, _ in row):
+            a[0][0] = (1, Y)
         form = st.lists(st.tuples(st.sampled_from([Y, Z, W]), COEFFS), max_size=3).map(
             lambda items: sum((c * v for v, c in items), ZERO))
-        self.check([[g * a_ij * X + data.draw(form) for a_ij in row] for row in a])
+        self.check([[g * a_ij * X * v + data.draw(form) for a_ij, v in row] for row in a])
 
     def test_coefficient_at_the_bound(self):
-        # B = 4 * 3 = 12 is the x^2 coefficient of the determinant itself
+        # B = 4 * 3 = 12 is the x^2 y z coefficient of the determinant itself
         for sign in (1, -1):
-            rows = [[sign * 4 * X, ZERO], [ZERO, 3 * X]]
-            det = kronecker_determinant(rows)
-            assert det == sign * 12 * X ** 2 == determinant(rows)
+            rows = [[sign * 4 * X * Y, ZERO], [ZERO, 3 * X * Z]]
+            assert kronecker_path(rows) == sign * 12 * X ** 2 * Y * Z
 
     def test_bound_with_two_terms_per_row(self):
-        # (2x + 2)(3x - 3): B = 4 * 6 = 24, coefficients 6, 0 and -6
-        rows = [[2 * X + 2, ZERO], [ZERO, 3 * X - 3]]
-        assert kronecker_determinant(rows) == 6 * X ** 2 - 6 == determinant(rows)
+        # (2xy + 2y)(3xz - 3z): B = 4 * 6 = 24, coefficients 6, 0 and -6
+        rows = [[2 * X * Y + 2 * Y, ZERO], [ZERO, 3 * X * Z - 3 * Z]]
+        assert kronecker_path(rows) == (6 * X ** 2 - 6) * Y * Z
 
     def test_borrow_chains(self):
         # negative digits borrow from the next one up
-        for rows in ([[-X + 1, ZERO], [ZERO, X ** 2 - X - 1]],
-                     [[X ** 2 - X - 1, -X + 1], [-X + 1, X ** 2 - X - 1]],
-                     [[-X + Y, X - 1], [X ** 3 - X - 1, -X - Y]],
-                     [[-X - 1, ZERO, ZERO], [ZERO, -X - 1, ZERO], [ZERO, ZERO, X - 1]]):
-            assert kronecker_determinant(rows) == determinant(rows) == leibniz(rows)
+        for rows in ([[-X * Y + Y, ZERO], [ZERO, -X * Z - Z]],
+                     [[-X * Y - Y, ZERO, ZERO], [ZERO, -X * Z - Z, ZERO],
+                      [ZERO, ZERO, X * W - W]],
+                     [[-X * Y + Z, X * W - Y], [X * Z - Y - W, -X * Y - Z]],
+                     [[X * Y - Y - Z, -X * Z + Y], [-X * W + W, X * Y - Y - W]]):
+            self.check(rows)
 
     def test_fraction_rows(self):
         # in the second matrix the lcms 15 and 3 make the x coefficients
         # 20, -24, 2 and 12: a content of 2 shows only after scaling
-        for rows in ([[X / 2 + Y, Fraction(-5, 3) * X], [Z / 6, X - W / 4]],
-                     [[Fraction(4, 3) * X + Y / 5, Fraction(-8, 5) * X + Z],
-                      [Fraction(2, 3) * X - W, 4 * X + Fraction(1, 3) * Y]]):
+        for rows in ([[X * Y / 2 + Y, Fraction(-5, 3) * X * Z], [Z / 6, X * W - W / 4]],
+                     [[Fraction(4, 3) * X * Y + Y / 5, Fraction(-8, 5) * X * Z + Z],
+                      [Fraction(2, 3) * X * W - W, 4 * X * Y + Fraction(1, 3) * Y]]):
             self.check(rows)
 
     def test_integral_fraction_coefficients(self):
         # a Poly sum keeps Fraction(1, 1): such a row needs no scaling but
         # its coefficients must still become ints
-        one = X / 2 + X / 2
-        assert type(one.terms[(1, 0, 0, 0)]) is Fraction
-        rows = [[one, Y], [Z, one + W]]
-        det = kronecker_determinant(rows)
-        assert det == X ** 2 + X * W - Y * Z == determinant(rows)
+        one = X * Y / 2 + X * Y / 2
+        assert type(one.terms[(1, 1, 0, 0)]) is Fraction
+        rows = [[one, Z], [W, one + Y]]
+        det = kronecker_path(rows)
+        assert det == X ** 2 * Y ** 2 + X * Y ** 2 - Z * W
+        assert all(type(c) is int for c in det.terms.values())
 
     def test_zero_row(self):
         # B = 0: the determinant vanishes without an expansion
-        rows = [[X + 5, -7 * X ** 2], [ZERO, ZERO]]
-        assert kronecker_determinant(rows) == ZERO
-        assert kronecker_determinant([[ZERO]]) == ZERO
+        rows = [[X * Y + 5 * Z, -7 * X * W], [ZERO, ZERO]]
+        assert linalg._kronecker_determinant(RING, rows) == ZERO
+        assert kronecker_path(rows) == ZERO
 
     def test_no_first_variable(self):
-        # gcd() of no x coefficients is 0: no content step
-        for rows in ([[Y, Z], [W, Y + 10 ** 20]], [[Y + 2, 3 * Z], [W, 5 * Y]], [[7 * Y]]):
-            self.check(rows)
-        assert kronecker_determinant([[Poly.constant((), 3)]]) == Poly.constant((), 3)
+        # no x term: the dense path or the generic minors take the matrix
+        for rows in ([[Y, Z], [W, Y + 10 ** 20 * Z]], [[Y + 2 * W, 3 * Z], [W, 5 * Y]],
+                     [[7 * Y]], [[ZERO]]):
+            assert linalg._kronecker_determinant(RING, rows) is None
+            assert determinant(rows) == leibniz(rows)
+
+    def test_routing(self):
+        # only a pencil takes the path: not an x^2 term, an x-only term
+        # such as 4x, a matrix without x, or the empty ring
+        for rows in ([[X * Y, X ** 2], [Z, W]], [[X * Y, 4 * X], [Z, W]], [[Y, Z], [W, Y]]):
+            assert linalg._kronecker_determinant(RING, rows) is None
+            assert determinant(rows) == leibniz(rows)
+        point = Poly.constant((), 3)
+        assert linalg._kronecker_determinant((), [[point]]) is None
+        assert determinant([[point]]) == point
+        # the degree-5 pencil det(lam Q + L) and the degree-3 G(U + nu G)
+        pencils = pencil_matrices(deg5_covariants, wuthrich_model())
+        pencils.update(pencil_matrices(invariants_deg3,
+                                       weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3)))
+        assert sorted(pencils) == ["lam", "nu"]
+        for rows in pencils.values():
+            ring = rows[0][0].variables
+            det = linalg._kronecker_determinant(ring, rows)
+            assert isinstance(det, Poly)
+            assert det == linalg._maximal_minors(rows)[(1 << len(rows)) - 1]
 
     def test_non_square(self):
-        for rows in ([[X, Y]], [], [[X], [Y]]):
+        for rows in ([[X * Y, Z]], [], [[X * Y], [Z]]):
             with pytest.raises(ValueError, match="not square"):
-                kronecker_determinant(rows)
+                determinant(rows)
 
     def test_mixed_rings_rejected(self):
-        other = Poly.variable(("x", "y", "z", "u"), "u")
-        for rows in ([[X, Y], [Z, other]], [[other, Y], [Z, W]]):
+        x, u = generators(("x", "y", "z", "u"))[::3]
+        for rows in ([[X * Y, Z], [W, x * u]], [[x * u, Y], [Z, X * W]]):
             with pytest.raises(ValueError, match="rings differ"):
-                kronecker_determinant(rows)
+                determinant(rows)
 
     def test_leaves_no_garbage_cycle(self):
-        rows = [[X, Y, Z], [Y, Z, W], [Z, W, X + 1]]
+        rows = [[X * Y + Z, Y, Z], [Y, X * Z + W, W], [Z, W, X * W + Y]]
         gc.collect()
         gc.disable()
         try:
-            kronecker_determinant(rows)
+            kronecker_path(rows)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -18,13 +18,14 @@ from genus1.models import DEG5_RING
 
 from helpers import (MATRIX_ENTRIES, SCALARS, deg5_models, invertible_matrices,
                      linear_substitution, random_model, random_transformation,
-                     substitute_apply, substitute_compose2, wuthrich_model)
+                     substitute, substitute_apply, substitute_compose2,
+                     wuthrich_model)
 
 
 def full_matrix_apply(g, m):
     """A phi(B x) A^T over all 25 entries, the definition of the action."""
     sub = linear_substitution(DEG5_RING, g.B)
-    phi = [[entry.substitute(sub) for entry in row] for row in m.matrix()]
+    phi = [[substitute(entry, sub) for entry in row] for row in m.matrix()]
     a = g.A
     rows = [[sum((a[i][k] * phi[k][l] * a[j][l] for k in range(5) for l in range(5)),
                  Poly.zero(DEG5_RING)) for j in range(5)] for i in range(5)]
@@ -136,7 +137,7 @@ class TestAction:
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from([1, 2, 3, 4]).flatmap(models_and_transformations))
     def test_degrees_1_to_4_match_substitution(self, case):
-        # apply's Sym^d(B) products against Poly.substitute, with [-30, 30]
+        # apply's Sym^d(B) products against substitution, with [-30, 30]
         # integer and Fraction transformations
         m, g, g2 = case
         moved = apply(g, m)
