@@ -35,13 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .linalg import (adjugate, determinant, mat_mul, perm_sign, scalar_det,
-                     solve_linear)
-from .models import (DEG3_RING, DEG4_RING, DEG5_RING, DEG5_UNITS, Deg1Model,
+from .linalg import (_dense_determinant, adjugate, determinant, mat_mul, perm_sign,
+                     scalar_det, solve_linear)
+from .models import (DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
 from .poly import Poly, Scalar, as_scalar, monomials, times_variable
 
@@ -73,16 +75,16 @@ def _triple(c4: Scalar, c6: Scalar) -> InvariantTriple:
     return InvariantTriple(as_scalar(c4), as_scalar(c6), as_scalar(delta))
 
 
-def _quadric_indices(ring):
-    """((i, j), exponent of x_i x_j) for i <= j, in the order of
-    monomials(ring, 2), which enumerates the same pairs."""
-    return zip(combinations_with_replacement(range(len(ring)), 2), monomials(ring, 2))
+def _quadric_vector(q: Poly) -> list:
+    """The coefficients of a quadric over ``monomials(ring, 2)``."""
+    return [q.terms.get(e, 0) for e in monomials(q.variables, 2)]
 
 
-def _quadric_det(quadrics, ring) -> Scalar:
-    """Determinant of the coefficient matrix of a square list of quadrics."""
-    cols = monomials(ring, 2)
-    return scalar_det([[q.coefficient(e) for e in cols] for q in quadrics])
+def _symmetrised(mat) -> list:
+    """The coefficients of x^T M x over ``monomials(ring, 2)``, which lists
+    the x_t x_u, t <= u, as ``combinations_with_replacement`` does."""
+    return [mat[t][u] + mat[u][t] if t != u else mat[t][t]
+            for t, u in combinations_with_replacement(range(len(mat)), 2)]
 
 
 def _quartic_invariants(quartic: Poly):
@@ -100,6 +102,13 @@ def _omega_indices(r: int, s: int, n: int):
         raise InputError(f"omega quadrics need two distinct indices in 1..{n}")
     rest = [k for k in range(n) if k not in (r - 1, s - 1)]
     return rest, perm_sign((r - 1, s - 1, *rest))
+
+
+def _omega(left, middle, right, sign) -> list:
+    """The coefficients of sign * sum_ij P_ij l_i r_j = x^T (sign L^T P R) x,
+    l_i and r_j the linear forms in the rows of L and R, P = ``middle``."""
+    outer = [[sum(map(mul, col, p_col)) for p_col in zip(*middle)] for col in zip(*left)]
+    return _symmetrised([[sign * sum(map(mul, row, col)) for col in zip(*right)] for row in outer])
 
 
 # ----------------------------------------------------------------------
@@ -214,32 +223,30 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
     cubic = m.cubic
     g = determinant(_hessian_matrix(cubic, DEG3_RING))
     rows = [f.derivative(v) for f in (cubic, g) for v in DEG3_RING]
-    return as_scalar(Fraction(_quadric_det(rows, DEG3_RING)) / -8)
+    return as_scalar(Fraction(scalar_det([_quadric_vector(f) for f in rows])) / -8)
 
 
 # ----------------------------------------------------------------------
 # degree 4
 # ----------------------------------------------------------------------
 
-def _symmetric_matrix(q: Poly):
-    """The symmetric matrix M with q = (1/2) x^T M x: the Hessian
-    d^2 q/dx_i dx_j, so row i holds the coefficients of dq/dx_i."""
-    n = len(q.variables)
+def _symmetric(vec, n: int):
+    """The Hessian M of the quadric (1/2) x^T M x of coefficients ``vec``:
+    row i holds the coefficients of its derivative by x_i."""
     out = [[0] * n for _ in range(n)]
-    for (i, j), e in _quadric_indices(q.variables):
-        c = q.coefficient(e)
+    for (i, j), c in zip(combinations_with_replacement(range(n), 2), vec):
         out[i][j] = out[j][i] = 2 * c if i == j else c
     return out
 
 
-def _quadric_from_matrix(mat, ring) -> Poly:
-    return Poly(ring, {e: Fraction(mat[i][j]) / 2 if i == j else mat[i][j]
-                       for (i, j), e in _quadric_indices(ring)})
+def _symmetric_matrix(q: Poly):
+    """The symmetric matrix M with q = (1/2) x^T M x."""
+    return _symmetric(_quadric_vector(q), len(q.variables))
 
 
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     """Invariants of a quadric pair via the binary quartic det(sA + tB)."""
-    pencil = [[_linear_form(("s", "t"), ((1, 0), (0, 1)), pair) for pair in zip(*rows)]
+    pencil = [[_poly(("s", "t"), ((1, 0), (0, 1)), pair) for pair in zip(*rows)]
               for rows in zip(_symmetric_matrix(m.q1), _symmetric_matrix(m.q2))]
     c4, j = _quartic_invariants(determinant(pencil))
     return _triple(c4, Fraction(j) / 2)
@@ -262,17 +269,24 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
     Both sides of the identity are polynomials in A and B that agree where
     a e != 0, so they agree everywhere, degenerate pencils included.
     """
-    mat_a = _symmetric_matrix(m.q1)
-    mat_b = _symmetric_matrix(m.q2)
+    mat_a, mat_b = _symmetric_matrix(m.q1), _symmetric_matrix(m.q2)
 
     def mixed(x, y):
         x_adj_y = mat_mul(x, adjugate(y))
         sandwich = mat_mul(x_adj_y, x)
         trace = sum(x_adj_y[i][i] for i in range(4))
-        return [[trace * x[i][j] - sandwich[i][j] for j in range(4)] for i in range(4)]
+        t = [[trace * x[i][j] - sandwich[i][j] for j in range(4)] for i in range(4)]
+        # the quadric (1/2) x^T T x of the symmetric T
+        return Poly(DEG4_RING, {e: Fraction(c) / 2
+                                for e, c in zip(monomials(DEG4_RING, 2), _symmetrised(t))})
 
-    return (_quadric_from_matrix(mixed(mat_a, mat_b), DEG4_RING),
-            _quadric_from_matrix(mixed(mat_b, mat_a), DEG4_RING))
+    return mixed(mat_a, mat_b), mixed(mat_b, mat_a)
+
+
+def _deg4_omega(mat_a, mat_b, r: int, s: int) -> list:
+    """The coefficients of Omega_{r,s}: row u of mat_a is dq1/dx_u."""
+    (u, v), sign = _omega_indices(r, s, 4)
+    return _omega([mat_a[u], mat_a[v]], ((0, 1), (-1, 0)), [mat_b[u], mat_b[v]], sign)
 
 
 def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
@@ -280,19 +294,17 @@ def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
     to a permutation with ascending tail and form the signed 2x2 minor of
     the gradients of q1, q2 on the remaining variables.  Antisymmetric
     under swapping r and s."""
-    (u, v), sign = _omega_indices(r, s, 4)
-    xu, xv = DEG4_RING[u], DEG4_RING[v]
-    omega = (m.q1.derivative(xu) * m.q2.derivative(xv)
-             - m.q1.derivative(xv) * m.q2.derivative(xu))
-    return omega if sign > 0 else -omega
+    omega = _deg4_omega(_symmetric_matrix(m.q1), _symmetric_matrix(m.q2), r, s)
+    return Poly(DEG4_RING, dict(zip(monomials(DEG4_RING, 2), omega)))
 
 
 def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
     """Determinant of the 10x10 coefficient matrix of q1, q2, q1', q2' and
     the six quadrics Omega_{r,s}; equal to DISC_MATRIX_SIGN[4] * 16 * Delta."""
     q1p, q2p = deg4_auxiliary_quadrics(m)
-    omegas = [deg4_omega_quadric(m, r, s) for r, s in combinations(range(1, 5), 2)]
-    return _quadric_det([m.q1, m.q2, q1p, q2p] + omegas, DEG4_RING)
+    mat_a, mat_b = _symmetric_matrix(m.q1), _symmetric_matrix(m.q2)
+    return scalar_det([_quadric_vector(q) for q in (m.q1, m.q2, q1p, q2p)]
+                      + [_deg4_omega(mat_a, mat_b, r, s) for r, s in combinations(range(1, 5), 2)])
 
 
 # ----------------------------------------------------------------------
@@ -310,50 +322,54 @@ class Deg5Covariants:
     pencil_quintic: Poly   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
 
 
-# The quadric monomials x_t x_u (t <= u) and the quartic monomials of
-# x1..x5, and for two quadric monomials the index of their product:
-# x_t (x_u m) through the tables of multiplication by a variable.
-_QUADRICS5 = list(_quadric_indices(DEG5_RING))
+# The monomials of degree 2, 4 and 5 in x1..x5 (or v1..v5), and the index
+# of the product of two quadric monomials, x_t (x_u m) through the tables.
+_QUADRICS5 = monomials(DEG5_RING, 2)
 _QUARTICS5 = monomials(DEG5_RING, 4)
+_QUINTICS5 = monomials(DEG5_RING, 5)
 _PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
-                  for (t, u), _ in _QUADRICS5]
-# The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5).
+                  for t, u in combinations_with_replacement(range(5), 2)]
+# The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5); and
+# alpha! = prod_i alpha_i! for each quintic exponent alpha.
 _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
+_QUINTIC_WEIGHTS = {e: prod(map(factorial, e)) for e in _QUINTICS5}
 
 
-def _linear_form(ring, units, coeffs) -> Poly:
-    return Poly._make(ring, {e: c for e, c in zip(units, coeffs) if c})
+def _poly(ring, basis, coeffs) -> Poly:
+    return Poly._make(ring, {e: c for e, c in zip(basis, coeffs) if c})
 
 
 def _deg5_frame(m: Deg5Model):
     """What every degree-5 covariant reads off the model: the Pfaffians
-    p_k, the scalars hess[k][t][u] = d^2 p_k/dx_t dx_u (so hess[k][t]
-    holds the coefficients of the linear form dp_k/dx_t) and the scalars
-    dphi[t][i][j], the x_t coefficient of phi_ij."""
-    pf = m.pfaffians()
-    dphi = [[[entry.coefficient(e) for entry in row] for row in m.matrix()] for e in DEG5_UNITS]
-    return pf, [_symmetric_matrix(p) for p in pf], dphi
+    p_k over ``_QUADRICS5``, hess[k][t][u] = d^2 p_k/dx_t dx_u (hess[k][t]
+    is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
+    # as_scalar: a Fraction product in the Pfaffians may be integral
+    pf = [[as_scalar(p.terms.get(e, 0)) for e in _QUADRICS5] for p in m.pfaffians()]
+    upper = dict(zip(DEG5_PAIRS, m.coefficients()))
+    dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
+             for i in range(5)] for t in range(5)]
+    return pf, [_symmetric(vec, 5) for vec in pf], dphi
 
 
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     """Build the covariants of the degree-5 evaluation algorithm; raises
     DegenerateModelError when the products p_i p_j are linearly dependent
-    (in which case all the invariants vanish)."""
+    (in which case all the invariants vanish).  The quintics are dense
+    vectors over ``_QUINTICS5`` until the ``Poly`` fields are built."""
     pf, hess, dphi = _deg5_frame(model)
 
-    secant = determinant([[_linear_form(DEG5_RING, DEG5_UNITS, grad) for grad in h]
-                          for h in hess])
+    # row k of the Jacobian holds dp_k/dx_t = sum_u hess[k][t][u] x_u
+    secant = _dense_determinant(5, [[[(u, c) for u, c in enumerate(grad) if c] for grad in h]
+                                    for h in hess])
 
     # dS/dx_i is a quadric in the Pfaffians: 70 equations, one per quartic
     # monomial, and 15 unknowns, the k-th the coefficient of the k-th
     # monomial v_i v_j, whose column holds the coefficients of p_i p_j.
     # One elimination solves for every gradient and its rank is the check
     # that the 15 products are independent.
-    unknowns = list(_quadric_indices(V_RING))
-    terms = [[(a, c) for a, (_, e) in enumerate(_QUADRICS5) if (c := p.terms.get(e))]
-             for p in pf]
+    terms = [[(a, c) for a, c in enumerate(vec) if c] for vec in pf]
     products = []
-    for (i, j), _ in unknowns:
+    for i, j in combinations_with_replacement(range(5), 2):
         column = [0] * len(_QUARTICS5)
         for a, ca in terms[i]:
             index = _PRODUCT_INDEX[a]
@@ -362,48 +378,43 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
         products.append(column)
     # the x_i gradient at quartic b is (e_i(b) + 1) times the secant's
     # coefficient at x_i b, the quintic times_variable places
-    dense = [secant.terms.get(e, 0) for e in monomials(DEG5_RING, 5)]
-    gradients = [[(b[i] + 1) * dense[q] for b, q in zip(_QUARTICS5, tab)]
+    gradients = [[(b[i] + 1) * secant[q] for b, q in zip(_QUARTICS5, tab)]
                  for i, tab in enumerate(times_variable(5, 4))]
     rank, solutions = solve_linear(list(zip(*products)), gradients)
     if rank != 15:
         raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
-    aux = []
     for xi, sol in zip(DEG5_RING, solutions):
         if sol is None:
             raise InternalCheckError(f"no quadric expresses dS/d{xi} in the Pfaffians")
-        aux.append(Poly(V_RING, {e: c for (_, e), c in zip(unknowns, sol)}))
 
     # entry (i, j) is sum_k d^2 p_k/dx_i dx_j v_k
-    dual_quintic = determinant([[_linear_form(V_RING, DEG5_UNITS, [h[i][j] for h in hess])
-                                 for j in range(5)] for i in range(5)])
+    dual = _dense_determinant(5, [[[(k, h[i][j]) for k, h in enumerate(hess) if h[i][j]]
+                                   for j in range(5)] for i in range(5)])
 
     # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
-    aux_hess = [_symmetric_matrix(q) for q in aux]
+    aux_hess = [_symmetric(sol, 5) for sol in solutions]
     pencil_quintic = determinant(
-        [[_linear_form(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j])
-          for j in range(5)] for i in range(5)])
+        [[_poly(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j]) for j in range(5)]
+         for i in range(5)])
 
-    return Deg5Covariants(tuple(pf), secant, tuple(aux), dual_quintic, pencil_quintic)
-
-
-_FACTORIALS = (1, 1, 2, 6, 24, 120)
+    return Deg5Covariants(tuple(_poly(DEG5_RING, _QUADRICS5, vec) for vec in pf),
+                          _poly(DEG5_RING, _QUINTICS5, secant),
+                          tuple(_poly(V_RING, _QUADRICS5, sol) for sol in solutions),
+                          _poly(V_RING, _QUINTICS5, dual), pencil_quintic)
 
 
 def contract_quintics(dual_quintic: Poly, pencil_quintic: Poly) -> dict:
     """Pair a quintic in dual coordinates against one in the v_i, per power
     of lam: <v*^alpha, v^beta> = alpha! delta_{alpha beta}.  Returns
     {lam power: scalar}, zero entries omitted."""
+    dual = dual_quintic.terms
     out: dict[int, Scalar] = {}
     for exps, coeff in pencil_quintic.terms.items():
-        k = exps[0]
         alpha = exps[1:]
-        dual_coeff = dual_quintic.terms.get(alpha)
+        dual_coeff = dual.get(alpha)
         if dual_coeff:
-            weight = 1
-            for a in alpha:
-                weight *= _FACTORIALS[a]
-            out[k] = out.get(k, 0) + coeff * dual_coeff * weight
+            k = exps[0]
+            out[k] = out.get(k, 0) + coeff * dual_coeff * _QUINTIC_WEIGHTS[alpha]
     return {k: as_scalar(v) for k, v in out.items() if v}
 
 
@@ -430,17 +441,11 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
     return _triple(c4, c6)
 
 
-def _deg5_omega(frame, r: int, s: int) -> Poly:
+def _deg5_omega(frame, r: int, s: int) -> list:
+    """The coefficients of Omega_{r,s}: hess[i][t] is dp_i/dx_t."""
     (t3, t4, t5), sign = _omega_indices(r, s, 5)
     _, hess, dphi = frame
-    # inner[i][u]: the x_u coefficient of sum_j dphi_ij/dx_t4 * dp_j/dx_t5
-    inner = [[sum(a * hess[j][t5][u] for j, a in enumerate(row) if a) for u in range(5)]
-             for row in dphi[t4]]
-    # outer[t][u]: x_t coefficient of dp_i/dx_t3 times x_u coefficient of inner_i, summed over i
-    outer = [[sum(hess[i][t3][t] * inner[i][u] for i in range(5)) for u in range(5)]
-             for t in range(5)]
-    return Poly(DEG5_RING, {e: sign * (outer[t][u] + outer[u][t] if t != u else outer[t][t])
-                            for (t, u), e in _QUADRICS5})
+    return _omega([h[t3] for h in hess], dphi[t4], [h[t5] for h in hess], sign)
 
 
 def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
@@ -451,7 +456,7 @@ def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
 
     Antisymmetric under swapping r and s, and only well defined modulo
     the span of the Pfaffians."""
-    return _deg5_omega(_deg5_frame(m), r, s)
+    return Poly(DEG5_RING, dict(zip(_QUADRICS5, _deg5_omega(_deg5_frame(m), r, s))))
 
 
 def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
@@ -462,8 +467,8 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
     determinant is insensitive to that since the p-rows span that space.
     """
     frame = _deg5_frame(m)
-    omegas = [_deg5_omega(frame, r, s) for r, s in combinations(range(1, 6), 2)]
-    return _quadric_det(frame[0] + omegas, DEG5_RING)
+    return scalar_det(frame[0] + [_deg5_omega(frame, r, s)
+                                  for r, s in combinations(range(1, 6), 2)])
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,12 @@ elimination over the rationals.
 ``determinant`` takes a square matrix of ``Poly`` entries of one ring
 on one of three paths, read off the matrix:
 
-* ``_linear_determinant``, for linear forms: minors on dense
-  coefficient vectors;
-* ``_kronecker_determinant``, for a pencil t M_1 + M_0 of linear forms
-  in the variables after t: one determinant with t set to 2^w;
+* ``_linear_determinant``, for linear forms, and
+  ``_kronecker_determinant``, for a pencil t M_1 + M_0 of linear forms
+  in the variables after t, with t set to 2^w: both run the kernel
+  ``_dense_determinant``, minors on dense coefficient vectors, whose
+  entries are (variable, coefficient) pairs, as the degree-5 covariants
+  pass them from their coefficient tensors;
 * ``_maximal_minors``, for any other matrix: minor expansion on the
   entries, which ``adjugate`` also runs on scalars.
 
@@ -22,7 +24,7 @@ columns left-right, so every result is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, gcd, lcm, prod
 from operator import mul, sub
 from typing import Sequence
@@ -41,44 +43,32 @@ def _check_square(rows) -> int:
     return n
 
 
-def _linear_determinant(ring: tuple, rows) -> Poly | None:
-    """``determinant`` on dense coefficient vectors, or None for a matrix
-    that is not all linear forms or whose determinant cannot fill them.
+def _dense_determinant(nvars: int, rows) -> list:
+    """The determinant of an n x n matrix of linear forms in nvars
+    variables, each entry a list of (variable index, coefficient) pairs,
+    as its coefficients over the monomials of degree n (``monomials``).
 
-    When every term of every entry has total degree 1, every term of a
-    minor of k rows has total degree exactly k, so the minor is a list
-    over the C(m + k - 1, k) monomials of degree k in the m variables
-    that occur, in the order of ``monomials``.  The minors of the last k
-    rows on every k-column set give those of the last k + 1 by expansion
-    along the new row: a coefficient a of x_v times the b-th coefficient
-    of a minor adds to place ``tab[v][b]`` of the wider one
-    (``times_variable``).  Each table entry is the exact position of a
-    monomial product, so no term is lost or misplaced.  ``determinant``
-    passes integer entries only, so the coefficients stay ints.
-
-    The determinant has at most P terms, P the product over the rows of
-    the number of terms in the row.  When P < C(m + n - 1, n), most of
-    the vectors would stay zero, as for the n x n matrix of n^2 distinct
-    variables (P = n^n), and None leaves the matrix to
-    ``_maximal_minors``.
+    A minor of k rows is a list over the monomials of degree k.  The
+    minors of the last k rows on every k-column set give those of the
+    last k + 1 by expansion along the new row: a coefficient a of x_v
+    times the b-th coefficient of a minor adds to place ``tab[v][b]`` of
+    the wider one (``times_variable``), the exact place of the product.
+    The expansion runs in integers: det M = det(L M) / L^n, L the lcm of
+    the denominators.
     """
-    terms = [entry.terms for row in rows for entry in row]
-    if any(sum(e) != 1 for t in terms for e in t):
-        return None
-    used = sorted({e.index(1) for t in terms for e in t})
-    n, nvars = len(rows), len(used)
-    if comb(nvars + n - 1, n) > prod(sum(len(entry.terms) for entry in row) for row in rows):
-        return None
-    local = {v: i for i, v in enumerate(used)}
-    forms = [[[(local[e.index(1)], c) for e, c in entry.terms.items()] for entry in row]
-             for row in rows]
+    n = len(rows)
+    fractions = [c for row in rows for pairs in row for _, c in pairs if type(c) is not int]
+    if fractions:
+        scale = lcm(*(c.denominator for c in fractions))
+        scaled = [[[(v, int(c * scale)) for v, c in pairs] for pairs in row] for row in rows]
+        return [as_scalar(Fraction(c, scale ** n)) for c in _dense_determinant(nvars, scaled)]
     minors: dict[int, list] = {0: [1]}  # no rows: the constant 1
     for k in range(n):
         tab = times_variable(nvars, k)
         size = comb(nvars + k, k + 1)
         wider: dict[int, list] = {}
         for mask, minor in minors.items():
-            for c, pairs in enumerate(forms[n - 1 - k]):
+            for c, pairs in enumerate(rows[n - 1 - k]):
                 bit = 1 << c
                 if mask & bit or not pairs:
                     continue
@@ -93,13 +83,35 @@ def _linear_determinant(ring: tuple, rows) -> Poly | None:
                     for i, m in zip(tab[v], minor):
                         out[i] += a * m
         minors = wider
-    full = minors.get((1 << n) - 1, ())
-    basis = monomials(used, n)
-    if nvars < len(ring):
-        # put each exponent back at its variable's place in the ring
-        places = [local.get(v, nvars) for v in range(len(ring))]
-        basis = [tuple(map((*e, 0).__getitem__, places)) for e in basis]
-    return Poly._make(ring, {e: c for e, c in zip(basis, full) if c})
+    return minors.get((1 << n) - 1) or [0] * comb(nvars + n - 1, n)
+
+
+def _dense_terms(ring: tuple, rows) -> dict | None:
+    """{exponents in ``ring``: nonzero coefficient} of ``_dense_determinant``
+    of entries {ring index of a variable: coefficient}; None when P, the
+    product of the rows' numbers of terms and a bound on the determinant's,
+    is below C(m + n - 1, n), its places for the m variables that occur."""
+    n = len(rows)
+    used = sorted({v for row in rows for entry in row for v in entry})
+    if comb(len(used) + n - 1, n) > prod(sum(map(len, row)) for row in rows):
+        return None
+    local = {v: i for i, v in enumerate(used)}
+    dense = _dense_determinant(len(used), [[[(local[v], c) for v, c in entry.items()]
+                                            for entry in row] for row in rows])
+    # put each exponent back at its variable's place in the ring
+    places = [local.get(v, len(used)) for v in range(len(ring))]
+    return {tuple(map((*e, 0).__getitem__, places)): c
+            for e, c in zip(monomials(used, n), dense) if c}
+
+
+def _linear_determinant(ring: tuple, rows) -> Poly | None:
+    """``determinant`` by ``_dense_terms`` for a matrix of linear forms,
+    every term of total degree 1, or None."""
+    if any(sum(e) != 1 for row in rows for entry in row for e in entry.terms):
+        return None
+    terms = _dense_terms(ring, [[{e.index(1): c for e, c in entry.terms.items()}
+                                 for entry in row] for row in rows])
+    return None if terms is None else Poly._make(ring, terms)
 
 
 def _maximal_minors(rows) -> dict:
@@ -125,15 +137,6 @@ def _maximal_minors(rows) -> dict:
     return minors
 
 
-def _expand(ring: tuple, rows) -> Poly:
-    """The determinant of integer rows by ``_linear_determinant``, or by
-    ``_maximal_minors`` where that declines."""
-    det = _linear_determinant(ring, rows)
-    if det is None:
-        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
-    return det
-
-
 def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     """``determinant`` of integer rows by Kronecker substitution in the
     first variable t (Harvey, "Faster polynomial multiplication via
@@ -145,11 +148,12 @@ def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
     so the t^k coefficient of det M is g^k times that of det M'.  Then t
     is set to X = 2^w, and one determinant of linear forms in the other
-    variables carries every power of t in the balanced base-X digits of
-    its coefficients.  B, the product over the rows of M' of the sum of
-    the l1 norms of their entries, bounds every coefficient of det M' in
-    all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those
-    digits are exactly the coefficients of t^0, t^1, ...
+    variables, by ``_dense_determinant``, carries every power of t in the
+    balanced base-X digits of its coefficients.  B, the product over the
+    rows of M' of the sum of the l1 norms of their entries, bounds every
+    coefficient of det M' in all variables (||fg||_1 <= ||f||_1 ||g||_1),
+    and 2^w > 2B, so those digits are exactly the coefficients of t^0,
+    t^1, ...  ``_maximal_minors`` takes what ``_dense_terms`` declines.
     """
     entries = [entry.terms for row in rows for entry in row]
     if (not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for entry in entries for e in entry)
@@ -163,31 +167,29 @@ def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     # every row has l1 norm >= 1, so each digit c_k of an entry is below
     # X/2 in absolute value and no substituted coefficient cancels to 0
     width = bound.bit_length() + 1
-    substituted = []
-    for row in rows:
-        new_row = []
-        for entry in row:
-            packed: dict[tuple, int] = {}
-            for e, c in entry.terms.items():
-                rest = (0,) + e[1:]
-                packed[rest] = packed.get(rest, 0) + (c // content << width if e[0] else c)
-            new_row.append(Poly._make(ring, packed))
-        substituted.append(new_row)
-    digit_mask = (1 << width) - 1
-    half = 1 << (width - 1)
+
+    def substituted(entry):  # {ring index of x_v: c_0 + c_1 X}
+        out: dict[int, int] = {}
+        for e, c in entry.terms.items():
+            v = e.index(1, 1)
+            out[v] = out.get(v, 0) + (c // content << width if e[0] else c)
+        return out
+
+    n = len(rows)
+    terms = _dense_terms(ring, [[substituted(entry) for entry in row] for row in rows])
+    if terms is None:
+        return _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring))
+    # det M' has t-degree at most n: adding X/2 to each of its n + 1
+    # digits makes them all non-negative, and content^k restores t^k
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    offset = sum(half << width * k for k in range(n + 1))
     out: dict[tuple, int] = {}
-    for exps, c in _expand(ring, substituted).terms.items():
-        k = 0
-        power = 1  # content^k restores the t^k coefficient of det M
-        while c:
-            d = c & digit_mask
-            if d >= half:
-                d -= 1 << width
-            c = (c - d) >> width
+    for exps, c in terms.items():
+        c += offset
+        for k in range(n + 1):
+            d = (c >> width * k & mask) - half
             if d:
-                out[(k,) + exps[1:]] = d * power
-            k += 1
-            power *= content
+                out[(k,) + exps[1:]] = d * content ** k
     return Poly._make(ring, out)
 
 
@@ -197,19 +199,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     A row with a Fraction coefficient is first scaled to integers by the
     lcm of its denominators; the expansion runs in integers, and each
     coefficient of the result is divided once by the product of those
-    lcms.  A matrix of integer polynomials costs only the scan of its
-    coefficient types.
-
-    The path is read off the scaled matrix:
-
-    * every term of every entry a variable other than the first, t, times
-      1 or t, and some term with t (a pencil t M_1 + M_0 of linear forms):
-      ``_kronecker_determinant``;
-    * every term of every entry of total degree 1, zero entries allowed:
-      the dense vectors of ``_linear_determinant``, unless the determinant
-      cannot fill them;
-    * any other matrix, and one the dense path declines:
-      ``_maximal_minors`` of all its rows.
+    lcms.  The path is read off the scaled matrix: a pencil t M_1 + M_0
+    (every term a variable other than the first, t, times 1 or t, and
+    some term with t) takes ``_kronecker_determinant``, linear forms (every
+    term of total degree 1) ``_linear_determinant``, and a matrix both
+    decline ``_maximal_minors`` of all its rows.
 
     Entries from different rings raise ValueError, as Poly arithmetic does.
     """
@@ -232,7 +226,9 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         rows = scaled
     det = _kronecker_determinant(ring, rows)
     if det is None:
-        det = _expand(ring, rows)
+        det = _linear_determinant(ring, rows)
+    if det is None:
+        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
     if scale == 1:
         return det
     return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
@@ -546,11 +542,6 @@ def adjugate(rows: Sequence[Sequence]) -> list[list]:
 
 
 def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    sign = 1
-    items = list(perm)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    """Sign of a permutation given as a sequence of distinct values: -1
+    to the number of its inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))

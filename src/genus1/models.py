@@ -449,7 +449,9 @@ def model_from_dict(data) -> GenusOneModel:
         check_keys(data, ("degree", "coefficients"), "a model")
         cls = class_for_degree(MODEL_CLASSES, data["degree"], "model")
         return cls.from_json(data["coefficients"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"malformed model data: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed model data: {exc}") from exc
 
 

@@ -356,5 +356,7 @@ def transformation_from_dict(data) -> Transformation:
         names = [f.name for f in fields(cls)]
         check_keys(data, ("degree", *names), f"a degree-{cls.degree} transformation")
         return cls(**{name: data[name] for name in names})
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"malformed transformation data: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed transformation data: {exc}") from exc

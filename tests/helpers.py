@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
-                    Deg5Model, Deg5Transform, Poly, generators, scalar_det)
-from genus1.models import DEG1_RING, DEG2_RING
+                    Deg5Model, Deg5Transform, Poly, determinant, generators,
+                    scalar_det)
+from genus1.invariants import V_RING
+from genus1.models import DEG1_RING, DEG2_RING, DEG5_RING
 
 # Upper triangle of the 5x5 matrix of the order-5 Tate-Shafarevich element
 # (the quintic with c4 = 2^44 * 151009 and c6 = -2^66 * 34871057); each row
@@ -193,3 +195,20 @@ def substitute_compose2(g1, g2):
     B = tuple(tuple(sum(g1.B[i][t] * g2.B[t][j] for t in range(2)) for j in range(2))
               for i in range(2))
     return Deg2Transform(g1.mu * g2.mu, r, B)
+
+
+# ----------------------------------------------------------------------
+# the degree-5 covariants from their definitions, as references
+# ----------------------------------------------------------------------
+
+def deg5_reference(m):
+    """(secant, dual) of a degree-5 model in Poly arithmetic: the secant
+    quintic det(dp_k/dx_t) and the dual quintic det(sum_k v_k Hess p_k),
+    Hess p_k the matrix of second derivatives, a constant."""
+    pf = m.pfaffians()
+    secant = determinant([[p.derivative(xt) for xt in DEG5_RING] for p in pf])
+    v = generators(V_RING)
+    dual = determinant([[sum((p.derivative(xi).derivative(xj).coefficient((0,) * 5) * vk
+                              for p, vk in zip(pf, v)), Poly.zero(V_RING))
+                         for xj in DEG5_RING] for xi in DEG5_RING])
+    return secant, dual

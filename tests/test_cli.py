@@ -279,6 +279,23 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert "unknown keys" in err and err.rstrip().endswith(f": {extra}")
 
+    @pytest.mark.parametrize("argv, stdin, key", [
+        (["invariants", "-"], {}, "degree"),
+        (["invariants", "-"], {"degree": 1}, "coefficients"),
+        (["invariants", "-"], {"degree": 5, "coefficients": {}}, "matrix"),
+        (["invariants", "-"], {"degree": 2, "coefficients": {"p": ["0", "0", "0"]}}, "q"),
+        (["transform", "-", "--transformation", '{"degree": 3, "mu": "1"}'], None, "B"),
+        (["transform", "-", "--transformation",
+          '{"degree": 3, "B": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}'], None, "mu"),
+    ], ids=["degree", "coefficients", "matrix", "q", "B", "mu"])
+    def test_missing_key_is_named(self, capsys, monkeypatch, argv, stdin, key):
+        # the message gave only the key's repr, such as "malformed model data: 'degree'"
+        if stdin is None:
+            stdin = model_to_dict(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3))
+        code, out, err = invoke(capsys, argv, json.dumps(stdin), monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith(f"missing key '{key}'")
+
     def test_bad_scalar_arguments_are_2(self, capsys, model_file):
         code, _, _ = invoke(capsys, ["weierstrass", "a", "b", "c", "d", "e"])
         assert code == 2

@@ -22,13 +22,13 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     invariants_deg2, invariants_deg3, invariants_deg4,
                     invariants_deg5, j_invariant, jacobian, tate_quantities,
                     weierstrass_model)
-from genus1.invariants import _symmetric_matrix
+from genus1.invariants import V_RING, _symmetric_matrix
 from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG5_RING
 from genus1.poly import monomials
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
-                     deg5_models, invertible_matrices, random_matrix,
+                     deg5_models, deg5_reference, invertible_matrices, random_matrix,
                      random_model, random_transformation, substitute,
                      wuthrich_model)
 
@@ -399,6 +399,24 @@ class TestDegree5:
             assert [list(b) for b in columns] == [
                 [cov.secant_quintic.derivative(xi).coefficient(e) for e in quartics]
                 for xi in DEG5_RING]
+
+    def test_covariants_from_their_definitions(self):
+        # the secant and dual quintics against Poly determinants of the
+        # Pfaffians' derivatives, dS/dx_i = q_i(p_1..p_5) against that
+        # secant, and no integral Fraction in any field
+        for m in pinned_quintics():
+            cov = deg5_covariants(m)
+            secant, dual = deg5_reference(m)
+            assert cov.pfaffians == tuple(m.pfaffians())
+            assert secant and cov.secant_quintic == secant
+            assert dual and cov.dual_quintic == dual
+            images = dict(zip(V_RING, cov.pfaffians))
+            for xi, q in zip(DEG5_RING, cov.aux_quadrics):
+                assert substitute(q, images) == secant.derivative(xi)
+            fields = (*cov.pfaffians, cov.secant_quintic, *cov.aux_quadrics,
+                      cov.dual_quintic, cov.pencil_quintic)
+            assert not [c for f in fields for c in f.terms.values()
+                        if isinstance(c, Fraction) and c.denominator == 1]
 
     def test_covariants_keep_integral_coefficients_int(self):
         # Fraction models give determinants whose Fraction products sum to

@@ -17,6 +17,7 @@ from genus1 import (Deg1Model, Deg5Transform, Poly, apply, deg5_covariants,
                     weierstrass_model)
 from genus1.linalg import (_PRIME, _linear_determinant, adjugate, mat_mul,
                            perm_sign)
+from genus1.poly import monomials
 
 from helpers import wuthrich_model
 
@@ -173,6 +174,24 @@ class TestDeterminant:
         det = determinant(rows)
         assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_dense_kernel_matches_leibniz(self, data):
+        # the tensor entry: entries as (variable index, coefficient) pairs,
+        # empty for zero, in 1 to 6 variables; Fraction coefficients too
+        nvars = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 4))
+        pair = st.tuples(st.integers(0, nvars - 1), st.one_of(st.integers(-9, 9), COEFFS))
+        entry = st.lists(pair, max_size=4, unique_by=lambda p: p[0])
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        ring = RING6[:nvars]
+        units = monomials(ring, 1)
+        det = leibniz([[Poly(ring, {units[v]: c for v, c in pairs}) for pairs in row]
+                       for row in rows])
+        dense = linalg._dense_determinant(nvars, rows)
+        assert dense == [det.coefficient(e) for e in monomials(ring, n)]
+        assert all(type(c) is int or c.denominator > 1 for c in dense)
 
     def test_routing_edge_cases(self):
         # one entry that is not a linear form (x + 1, a constant, x y) sends

@@ -1,10 +1,12 @@
 """Projection of degree-5 models away from a rational point."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from genus1 import (Deg1Model, Deg4Model, Deg5Transform, DegenerateModelError,
-                    InputError, apply, invariants, j_invariant,
-                    project_from_point, weierstrass_model)
+from genus1 import (Deg1Model, Deg4Model, Deg5Model, Deg5Transform,
+                    DegenerateModelError, InputError, apply, invariants,
+                    j_invariant, project_from_point, weierstrass_model)
 
 
 def pi5(a, b):
@@ -71,6 +73,34 @@ class TestProjection:
         projected = project_from_point(model, point)
         assert projected == Deg4Model.from_coefficients(q1, q2)
         assert j_invariant(projected) == 1728
+
+
+@st.composite
+def quintics_through_e5(draw):
+    """Degree-5 models with entries in [-3, 3] whose only x5 coefficient
+    is in phi_12: every Pfaffian vanishes at e5 = (0:0:0:0:1), and phi(e5)
+    has rank 2.  Such a quintic need not be in the orbit of a Weierstrass
+    image."""
+    entries = [[draw(st.integers(-3, 3)) for _ in range(4)] + [0] for _ in range(10)]
+    entries[0][4] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return Deg5Model.from_coefficients(entries)
+
+
+@settings(deadline=None, max_examples=30)
+@given(quintics_through_e5())
+def test_projection_is_an_oracle_for_degree5(m):
+    # the projection is the same curve, so by the classical degree-4
+    # formulas it has c4' = d^4 c4, c6' = d^6 c6 and Delta' = d^12 Delta
+    # for one rational d
+    c4, c6, delta = invariants(m)
+    assume(delta)
+    try:
+        projected = project_from_point(m, (0, 0, 0, 0, 1))
+    except DegenerateModelError:
+        assume(False)
+    c4p, c6p, deltap = invariants(projected)
+    assert c4 ** 3 * c6p ** 2 == c4p ** 3 * c6 ** 2
+    assert c4 ** 3 * deltap == c4p ** 3 * delta
 
 
 class TestProjectionErrors:
