@@ -15,7 +15,8 @@ from .invariants import (Deg5Covariants, InvariantTriple, TateQuantities,
                          DISC_MATRIX_FACTOR, DISC_MATRIX_SIGN, hessian,
                          invariants, invariants_deg1, invariants_deg2,
                          invariants_deg3, invariants_deg4, invariants_deg5,
-                         j_invariant, jacobian, tate_quantities)
+                         j_invariant, jacobian, matrix_discriminant,
+                         tate_quantities)
 from .linalg import (determinant, is_alternating, kernel_basis,
                      pivot_columns, scalar_det, scalar_rank, solve_linear)
 from .models import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,

@@ -18,16 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .invariants import (DISC_MATRIX_FACTOR, DISC_MATRIX_SIGN, a1_char2,
-                         discriminant_deg3_matrix, discriminant_deg4_matrix,
-                         discriminant_deg5_matrix, invariants, j_invariant,
-                         jacobian)
-from .models import (Deg1Model, dumps_model, loads_model,
-                     project_from_point, weierstrass_model)
+from .invariants import (a1_char2, invariants, j_invariant, jacobian,
+                         matrix_discriminant)
+from .models import (Deg1Model, dumps_model, loads_model, project_from_point,
+                     require_degree, weierstrass_model)
 from .poly import as_scalar, format_scalar
 from .transforms import apply, transformation_from_dict
 
@@ -47,12 +44,6 @@ def _read_model(path: str):
             return loads_model(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model file {path!r}: {exc}") from exc
-
-
-def _require_degree(model, allowed, verb):
-    if model.degree not in allowed:
-        raise InputError(
-            f"{verb} supports degrees {sorted(allowed)}, got a degree-{model.degree} model")
 
 
 def _cmd_invariants(args) -> int:
@@ -80,7 +71,7 @@ def _cmd_j(args) -> int:
 
 def _cmd_pfaffians(args) -> int:
     model = _read_model(args.model)
-    _require_degree(model, {5}, "pfaffians")
+    require_degree(model, (5,), "pfaffians")
     for i, p in enumerate(model.pfaffians(), start=1):
         print(f"p{i} = {p}")
     return 0
@@ -88,15 +79,8 @@ def _cmd_pfaffians(args) -> int:
 
 def _cmd_discriminant(args) -> int:
     model = _read_model(args.model)
-    if args.method == "formula":
-        print(f"Delta = {format_scalar(invariants(model).delta)}")
-        return 0
-    _require_degree(model, {3, 4, 5}, "discriminant --method matrix")
-    det = {3: discriminant_deg3_matrix,
-           4: discriminant_deg4_matrix,
-           5: discriminant_deg5_matrix}[model.degree](model)
-    scale = DISC_MATRIX_SIGN[model.degree] * DISC_MATRIX_FACTOR[model.degree]
-    print(f"Delta = {format_scalar(as_scalar(Fraction(det) / scale))}")
+    delta = invariants(model).delta if args.method == "formula" else matrix_discriminant(model)
+    print(f"Delta = {format_scalar(delta)}")
     return 0
 
 
@@ -120,18 +104,13 @@ def _cmd_transform(args) -> int:
 
 def _cmd_project(args) -> int:
     model = _read_model(args.model)
-    _require_degree(model, {5}, "project")
-    parts = args.point.split(",")
-    if len(parts) != 5:
-        raise InputError("--point needs 5 comma-separated coordinates")
-    point = [_parse_scalar(part) for part in parts]
+    point = [_parse_scalar(part) for part in args.point.split(",")]
     sys.stdout.write(dumps_model(project_from_point(model, point)))
     return 0
 
 
 def _cmd_a1_char2(args) -> int:
     model = _read_model(args.model)
-    _require_degree(model, {2, 3, 4, 5}, "a1-char2")
     print(f"a1 mod 2 = {a1_char2(model)}")
     return 0
 

@@ -44,7 +44,8 @@ from .errors import (DegenerateModelError, InputError, InternalCheckError,
 from .linalg import (_dense_determinant, adjugate, determinant, mat_mul, perm_sign,
                      scalar_det, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS, Deg1Model,
-                     Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel)
+                     Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel,
+                     require_degree)
 from .poly import Poly, Scalar, as_scalar, monomials, times_variable
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
@@ -343,8 +344,7 @@ def _deg5_frame(m: Deg5Model):
     """What every degree-5 covariant reads off the model: the Pfaffians
     p_k over ``_QUADRICS5``, hess[k][t][u] = d^2 p_k/dx_t dx_u (hess[k][t]
     is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
-    # as_scalar: a Fraction product in the Pfaffians may be integral
-    pf = [[as_scalar(p.terms.get(e, 0)) for e in _QUADRICS5] for p in m.pfaffians()]
+    pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in m.pfaffians()]
     upper = dict(zip(DEG5_PAIRS, m.coefficients()))
     dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
              for i in range(5)] for t in range(5)]
@@ -477,17 +477,17 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
 
 def invariants(m: GenusOneModel) -> InvariantTriple:
     """c4, c6, Delta of a model of any degree."""
-    if isinstance(m, Deg1Model):
-        return invariants_deg1(m)
-    if isinstance(m, Deg2Model):
-        return invariants_deg2(m)
-    if isinstance(m, Deg3Model):
-        return invariants_deg3(m)
-    if isinstance(m, Deg4Model):
-        return invariants_deg4(m)
-    if isinstance(m, Deg5Model):
-        return invariants_deg5(m)
-    raise InputError(f"not a genus one model: {m!r}")
+    n = require_degree(m, (1, 2, 3, 4, 5), "invariants")
+    # built per call from this module's names, which the benchmark's tracer rebinds
+    return (invariants_deg1, invariants_deg2, invariants_deg3, invariants_deg4,
+            invariants_deg5)[n - 1](m)
+
+
+def matrix_discriminant(m: GenusOneModel) -> Scalar:
+    """Delta of a model of degree 3, 4 or 5 by its determinant, chosen as in ``invariants``."""
+    n = require_degree(m, (3, 4, 5), "matrix_discriminant")
+    det = (discriminant_deg3_matrix, discriminant_deg4_matrix, discriminant_deg5_matrix)[n - 3](m)
+    return as_scalar(Fraction(det) / (DISC_MATRIX_SIGN[n] * DISC_MATRIX_FACTOR[n]))
 
 
 def jacobian(m: GenusOneModel) -> Deg1Model:
@@ -526,8 +526,7 @@ def a1_char2(m: GenusOneModel) -> int:
     (degree 4), or the x1..x5 coefficient of a sum of entry products over
     coset representatives of the dihedral group (degree 5).
     """
-    if not isinstance(m, (Deg2Model, Deg3Model, Deg4Model, Deg5Model)):
-        raise InputError("the characteristic-2 invariant is defined for degrees 2..5")
+    require_degree(m, (2, 3, 4, 5), "a1_char2")
     pending = list(m.coefficients())
     while pending:
         c = pending.pop()
@@ -535,11 +534,11 @@ def a1_char2(m: GenusOneModel) -> int:
             pending.extend(c)
         elif not isinstance(c, int):
             raise InputError(f"degree-{m.degree} model must have integer coefficients")
-    if isinstance(m, Deg2Model):
+    if m.degree == 2:
         return m.p.coefficient((1, 1)) % 2
-    if isinstance(m, Deg3Model):
+    if m.degree == 3:
         return m.cubic.coefficient((1, 1, 1)) % 2
-    if isinstance(m, Deg4Model):
+    if m.degree == 4:
         # off-diagonal entries of the symmetric matrices are the xi xj coefficients
         a, b = _symmetric_matrix(m.q1), _symmetric_matrix(m.q2)
         total = 0

@@ -153,7 +153,8 @@ def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     rows of M' of the sum of the l1 norms of their entries, bounds every
     coefficient of det M' in all variables (||fg||_1 <= ||f||_1 ||g||_1),
     and 2^w > 2B, so those digits are exactly the coefficients of t^0,
-    t^1, ...  ``_maximal_minors`` takes what ``_dense_terms`` declines.
+    t^1, ...  Also None when ``_dense_terms`` declines the substituted
+    matrix: ``determinant`` ends in ``_maximal_minors`` for it.
     """
     entries = [entry.terms for row in rows for entry in row]
     if (not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for entry in entries for e in entry)
@@ -178,7 +179,7 @@ def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     n = len(rows)
     terms = _dense_terms(ring, [[substituted(entry) for entry in row] for row in rows])
     if terms is None:
-        return _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring))
+        return None
     # det M' has t-degree at most n: adding X/2 to each of its n + 1
     # digits makes them all non-negative, and content^k restores t^k
     half, mask = 1 << (width - 1), (1 << width) - 1

@@ -314,7 +314,9 @@ class Deg5Model:
         for i in range(5):
             a, b, c, d = (k for k in range(5) if k != i)
             p = phi[a, b] * phi[c, d] - phi[a, c] * phi[b, d] + phi[a, d] * phi[b, c]
-            out.append(p if i % 2 == 0 else -p)
+            # Poly products keep integral Fractions: as_scalar makes them ints
+            out.append(Poly._make(DEG5_RING, {e: as_scalar(-c if i % 2 else c)
+                                              for e, c in p.terms.items()}))
         return out
 
     def equations(self) -> list[Poly]:
@@ -332,6 +334,17 @@ class Deg5Model:
 GenusOneModel = Deg1Model | Deg2Model | Deg3Model | Deg4Model | Deg5Model
 
 MODEL_CLASSES = {cls.degree: cls for cls in get_args(GenusOneModel)}
+
+
+def require_degree(model, degrees, what: str) -> int:
+    """The degree of ``model`` if it is a model of one of ``degrees``, else an
+    InputError naming ``what``, the degrees and the degree (or type) given: the
+    one check of which models an operation of several degrees accepts."""
+    if type(model) in [MODEL_CLASSES[d] for d in degrees]:
+        return model.degree
+    given = (f"a degree-{model.degree} model" if type(model) in MODEL_CLASSES.values()
+             else f"a {type(model).__name__}")
+    raise InputError(f"{what} takes models of degree {', '.join(map(str, degrees))}, not {given}")
 
 
 def class_for_degree(classes: dict, degree, what: str):
@@ -389,8 +402,7 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     All choices (kernel basis, basis completion) are the canonical
     row-reduction ones, so the output is deterministic.
     """
-    if not isinstance(model, Deg5Model):
-        raise InputError("projection is implemented for degree-5 models only")
+    require_degree(model, (5,), "project_from_point")
     point = [as_scalar(c) for c in point]
     if len(point) != 5 or not any(point):
         raise InputError("the point must have 5 homogeneous coordinates, not all zero")

@@ -39,7 +39,7 @@ from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
 from .models import (DEG2_RING, DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model,
                      Deg4Model, Deg5Model, GenusOneModel, check_keys,
-                     class_for_degree, json_list, json_scalars)
+                     class_for_degree, json_list, json_scalars, require_degree)
 from .poly import Poly, Scalar, as_scalar, monomials, substituted_coefficients
 
 
@@ -309,8 +309,7 @@ def det_character(g: Transformation) -> Scalar:
 
 def apply(g: Transformation, m: GenusOneModel) -> GenusOneModel:
     """The transformed model g . m (degrees of g and m must agree)."""
-    if g.degree != m.degree:
-        raise InputError(f"transformation degree {g.degree} != model degree {m.degree}")
+    require_degree(m, (g.degree,), f"a degree-{g.degree} transformation")
     return g.apply(m)
 
 

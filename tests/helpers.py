@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
-                    Deg5Model, Deg5Transform, Poly, determinant, generators,
-                    scalar_det)
+                    Deg5Model, Deg5Transform, Poly, apply, determinant,
+                    generators, scalar_det, transformation_from_dict)
 from genus1.invariants import V_RING
 from genus1.models import DEG1_RING, DEG2_RING, DEG5_RING
 
@@ -74,6 +74,19 @@ def invertible_matrices(n, scalars=st.integers(-2, 2)):
 
 def wuthrich_model() -> Deg5Model:
     return Deg5Model.from_coefficients(WUTHRICH_ENTRIES)
+
+
+# A Deg5Transform with Fraction entries in A: its det character is 1/2.
+FRACTION_MOVE = {
+    "degree": 5,
+    "A": [["1/2", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+          ["0", "0", "0", "1", "0"], ["0", "0", "0", "-2/3", "1"]],
+    "B": [["1", "0", "0", "0", "0"], ["0", "2", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+          ["0", "0", "0", "1", "0"], ["1", "0", "0", "0", "1"]]}
+
+
+def fraction_moved_wuthrich() -> Deg5Model:
+    return apply(transformation_from_dict(FRACTION_MOVE), wuthrich_model())
 
 
 def random_matrix(rng, n, lo=-3, hi=3):

@@ -17,7 +17,20 @@ from genus1 import Deg1Model, dumps_model, model_to_dict, weierstrass_model
 from genus1.cli import run
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_C4, WUTHRICH_C6,
-                     wuthrich_model)
+                     fraction_moved_wuthrich, wuthrich_model)
+
+# ``genus1 pfaffians`` of ``fraction_moved_wuthrich()``, whose Pfaffians once
+# held integral Fractions such as Fraction(8, 1): the text stays the same.
+FRACTION_MOVED_PFAFFIANS = (
+    "p1 = -24*x1^2 - 56*x1*x5 + 16*x2*x4 + 8*x3^2 - 32*x5^2\n"
+    "p2 = -68*x1^2 + 40*x1*x3 - 164*x1*x5 + 56*x2*x4 + 32*x2*x5 - 16*x3*x4 + 40*x3*x5"
+    " - 96*x5^2\n"
+    "p3 = -860*x1^2 + 128*x1*x2 + 320*x1*x3 - 64*x1*x4 - 2044*x1*x5 + 392*x2*x4"
+    " + 352*x2*x5 + 384*x3*x5 + 64*x4^2 - 64*x4*x5 - 1184*x5^2\n"
+    "p4 = -288*x1^2 - 384*x1*x2 + 112*x1*x3 + 320/3*x1*x4 - 1936/3*x1*x5 + 128*x2^2"
+    " + 184/3*x2*x3 + 416/3*x2*x4 - 480*x2*x5 + 440/3*x3*x5 + 416/3*x4*x5 - 1040/3*x5^2\n"
+    "p5 = -72*x1^2 - 36*x1*x3 + 16*x1*x4 - 128*x1*x5 + 32*x2*x3 + 64*x2*x4 + 48*x2*x5"
+    " - 68*x3*x5 + 16*x4*x5 - 40*x5^2\n")
 
 
 @pytest.fixture
@@ -121,6 +134,8 @@ class TestOtherVerbs:
         code, out, _ = invoke(capsys, ["pfaffians", path])
         assert code == 0
         assert out.splitlines()[0] == "p1 = x1*x4 - x2^2"
+        code, out, _ = invoke(capsys, ["pfaffians", model_file(fraction_moved_wuthrich())])
+        assert (code, out) == (0, FRACTION_MOVED_PFAFFIANS)
 
     def test_discriminant_methods_agree(self, capsys, model_file):
         for degree in (3, 4, 5):
@@ -206,6 +221,29 @@ class TestExitCodes:
         path = model_file(Deg1Model(0, 0, 0, -1, 0))
         code, _, _ = invoke(capsys, ["discriminant", path, "--method", "matrix"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, degrees", [
+        (["pfaffians"], (1, 2, 3, 4)),
+        (["discriminant", "--method", "matrix"], (1, 2)),
+        (["project", "--point", "0,0,0,0,1"], (1, 2, 3, 4)),
+        (["a1-char2"], (1,)),
+    ], ids=["pfaffians", "matrix", "project", "a1-char2"])
+    def test_refused_degree_is_named(self, capsys, model_file, argv, degrees):
+        # one stderr line that names the degree, without the model's repr
+        curve = Deg1Model(0, 0, 0, -1, 0)
+        for degree in degrees:
+            path = model_file(curve if degree == 1 else weierstrass_model(curve, degree))
+            code, out, err = invoke(capsys, [argv[0], path, *argv[1:]])
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and f"not a degree-{degree} model" in err
+            assert "Poly(" not in err and "Model(" not in err
+
+    def test_project_names_the_degree_before_the_point(self, capsys, model_file):
+        # a degree-4 model with a 4-coordinate point: the degree is the fault
+        path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 4))
+        code, out, err = invoke(capsys, ["project", path, "--point", "0,0,0,1"])
+        assert (code, out) == (2, "")
+        assert "not a degree-4 model" in err
 
     def test_point_off_curve_is_2(self, capsys, model_file):
         path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 5))

@@ -20,8 +20,8 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     discriminant_deg5_matrix, generators, hessian,
                     invariants, invariants_deg1,
                     invariants_deg2, invariants_deg3, invariants_deg4,
-                    invariants_deg5, j_invariant, jacobian, tate_quantities,
-                    weierstrass_model)
+                    invariants_deg5, j_invariant, jacobian, matrix_discriminant,
+                    tate_quantities, weierstrass_model)
 from genus1.invariants import V_RING, _symmetric_matrix
 from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG5_RING
@@ -29,8 +29,8 @@ from genus1.poly import monomials
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
                      deg5_models, deg5_reference, invertible_matrices, random_matrix,
-                     random_model, random_transformation, substitute,
-                     wuthrich_model)
+                     random_model, random_smooth_model, random_transformation,
+                     substitute, wuthrich_model)
 
 XYZ = generators(DEG3_RING)
 
@@ -482,10 +482,16 @@ class TestDegree5Matrix:
 
 
 def _disc_identity_holds(m):
-    d = m.degree
-    matrix = {3: discriminant_deg3_matrix, 4: discriminant_deg4_matrix,
-              5: discriminant_deg5_matrix}[d](m)
-    return matrix == DISC_MATRIX_SIGN[d] * {3: 1728, 4: 16, 5: 32}[d] * invariants(m).delta
+    return matrix_discriminant(m) == invariants(m).delta
+
+
+def test_matrix_discriminant_is_the_formula_delta():
+    # the determinant divided by DISC_MATRIX_SIGN[n] * DISC_MATRIX_FACTOR[n]
+    rng = random.Random(19)
+    models = [wuthrich_model()] + [random_smooth_model(rng, n, invariants)
+                                   for n in (3, 4, 5) for _ in range(3)]
+    for m in models:
+        assert matrix_discriminant(m) == invariants(m).delta != 0
 
 
 class TestMatrixDiscriminantByProperty:

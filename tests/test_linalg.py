@@ -254,21 +254,36 @@ class TestDeterminant:
         assert determinant(swapped) == -determinant(rows)
 
 
-def kronecker_path(rows):
-    """determinant(rows), asserting that it took ``_kronecker_determinant``
-    on integer rows: a Fraction row is scaled once, before the path."""
-    taken = []
-    original = linalg._kronecker_determinant
+def pencil_route(rows):
+    """determinant(rows) and {name: [result, ...]} of the calls it made to
+    ``_kronecker_determinant``, ``_dense_terms`` and ``_maximal_minors``,
+    asserting that ``_kronecker_determinant`` got integer rows: a Fraction
+    row is scaled once, before the path."""
+    calls = {}
 
-    def spy(ring, scaled):
-        assert all(type(c) is int for row in scaled for entry in row
-                   for c in entry.terms.values())
-        taken.append(original(ring, scaled))
-        return taken[-1]
+    def spy(name):
+        original = getattr(linalg, name)
 
-    with mock.patch.object(linalg, "_kronecker_determinant", spy):
+        def recorded(*args):
+            if name == "_kronecker_determinant":
+                assert all(type(c) is int for row in args[1] for entry in row
+                           for c in entry.terms.values())
+            calls.setdefault(name, []).append(original(*args))
+            return calls[name][-1]
+
+        return mock.patch.object(linalg, name, recorded)
+
+    with spy("_kronecker_determinant"), spy("_dense_terms"), spy("_maximal_minors"):
         det = determinant(rows)
-    assert taken and taken[0] is not None
+    return det, calls
+
+
+def kronecker_path(rows):
+    """determinant(rows), asserting that ``_kronecker_determinant`` took it,
+    from the terms of ``_dense_terms`` unless a zero row ended it first."""
+    det, calls = pencil_route(rows)
+    assert calls["_kronecker_determinant"][0] is not None
+    assert None not in calls.get("_dense_terms", []) and "_maximal_minors" not in calls
     return det
 
 
@@ -328,24 +343,45 @@ class TestKroneckerDeterminant:
             a[0][0] = (1, Y)
         form = st.lists(st.tuples(st.sampled_from([Y, Z, W]), COEFFS), max_size=3).map(
             lambda items: sum((c * v for v, c in items), ZERO))
-        self.check([[g * a_ij * X * v + data.draw(form) for a_ij, v in row] for row in a])
+        rows = [[g * a_ij * X * v + data.draw(form) for a_ij, v in row] for row in a]
+        det, calls = pencil_route(rows)
+        assert det == leibniz(rows)
+        assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
+        # a pencil too sparse for _dense_terms goes on to the generic minors
+        declined = calls["_kronecker_determinant"][0] is None
+        assert declined == (None in calls.get("_dense_terms", [])) == ("_maximal_minors" in calls)
 
     def test_coefficient_at_the_bound(self):
-        # B = 4 * 3 = 12 is the x^2 y z coefficient of the determinant itself
+        # B = 4 * 3 = 12 is the x^2 y^2 coefficient of the determinant itself,
+        # read off the top base-2^w digit of the dense terms
         for sign in (1, -1):
-            rows = [[sign * 4 * X * Y, ZERO], [ZERO, 3 * X * Z]]
-            assert kronecker_path(rows) == sign * 12 * X ** 2 * Y * Z
+            rows = [[sign * 4 * X * Y, ZERO], [ZERO, 3 * X * Y]]
+            det, calls = pencil_route(rows)
+            assert calls["_dense_terms"][0] is not None
+            assert det == sign * 12 * X ** 2 * Y ** 2
 
     def test_bound_with_two_terms_per_row(self):
-        # (2xy + 2y)(3xz - 3z): B = 4 * 6 = 24, coefficients 6, 0 and -6
-        rows = [[2 * X * Y + 2 * Y, ZERO], [ZERO, 3 * X * Z - 3 * Z]]
-        assert kronecker_path(rows) == (6 * X ** 2 - 6) * Y * Z
+        # (2xy + 2y)(3xy - 3y): B = 4 * 6 = 24, coefficients 6, 0 and -6
+        rows = [[2 * X * Y + 2 * Y, ZERO], [ZERO, 3 * X * Y - 3 * Y]]
+        det, calls = pencil_route(rows)
+        assert calls["_dense_terms"][0] is not None
+        assert det == (6 * X ** 2 - 6) * Y ** 2
+
+    def test_declined_pencil_takes_the_minors(self):
+        # two diagonal entries in y and z: one term per row, below the
+        # C(3, 2) = 3 places of a quadric in y, z, so _dense_terms declines
+        # and determinant ends in the generic minors
+        rows = [[4 * X * Y, ZERO], [ZERO, 3 * X * Z]]
+        det, calls = pencil_route(rows)
+        assert calls["_dense_terms"] == [None] and calls["_kronecker_determinant"] == [None]
+        assert "_maximal_minors" in calls
+        assert det == 12 * X ** 2 * Y * Z
 
     def test_borrow_chains(self):
         # negative digits borrow from the next one up
-        for rows in ([[-X * Y + Y, ZERO], [ZERO, -X * Z - Z]],
-                     [[-X * Y - Y, ZERO, ZERO], [ZERO, -X * Z - Z, ZERO],
-                      [ZERO, ZERO, X * W - W]],
+        for rows in ([[-X * Y + Y, ZERO], [ZERO, -X * Y - Y]],
+                     [[-X * Y - Y, ZERO, ZERO], [ZERO, -X * Y - Y, ZERO],
+                      [ZERO, ZERO, X * Y - Y]],
                      [[-X * Y + Z, X * W - Y], [X * Z - Y - W, -X * Y - Z]],
                      [[X * Y - Y - Z, -X * Z + Y], [-X * W + W, X * Y - Y - W]]):
             self.check(rows)
@@ -353,9 +389,9 @@ class TestKroneckerDeterminant:
     def test_fraction_rows(self):
         # in the second matrix the lcms 15 and 3 make the x coefficients
         # 20, -24, 2 and 12: a content of 2 shows only after scaling
-        for rows in ([[X * Y / 2 + Y, Fraction(-5, 3) * X * Z], [Z / 6, X * W - W / 4]],
+        for rows in ([[X * Y / 2 + Y, Fraction(-5, 3) * X * Z], [Z / 6, X * Y - Z / 4]],
                      [[Fraction(4, 3) * X * Y + Y / 5, Fraction(-8, 5) * X * Z + Z],
-                      [Fraction(2, 3) * X * W - W, 4 * X * Y + Fraction(1, 3) * Y]]):
+                      [Fraction(2, 3) * X * Z - Y, 4 * X * Y + Fraction(1, 3) * Z]]):
             self.check(rows)
 
     def test_integral_fraction_coefficients(self):
@@ -363,9 +399,9 @@ class TestKroneckerDeterminant:
         # its coefficients must still become ints
         one = X * Y / 2 + X * Y / 2
         assert type(one.terms[(1, 1, 0, 0)]) is Fraction
-        rows = [[one, Z], [W, one + Y]]
+        rows = [[one, Z], [Z, one + Y]]
         det = kronecker_path(rows)
-        assert det == X ** 2 * Y ** 2 + X * Y ** 2 - Z * W
+        assert det == X ** 2 * Y ** 2 + X * Y ** 2 - Z ** 2
         assert all(type(c) is int for c in det.terms.values())
 
     def test_zero_row(self):

@@ -1,18 +1,22 @@
 """Model types, defining equations, Weierstrass family and file format."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from genus1 import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                    InputError, Poly, determinant, dumps_model, equations,
-                    generators, is_alternating, loads_model, model_from_dict,
-                    model_to_dict, weierstrass_model)
+                    InputError, Poly, a1_char2, apply, deg5_covariants,
+                    determinant, dumps_model, equations, generators,
+                    identity_transform, invariants, is_alternating, loads_model,
+                    matrix_discriminant, model_from_dict, model_to_dict,
+                    project_from_point, weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
-                     deg5_models, random_model, wuthrich_model)
+                     deg5_models, fraction_moved_wuthrich, random_model,
+                     wuthrich_model)
 
 X1, X2 = generators(DEG5_RING)[:2]
 ZERO5 = Poly.zero(DEG5_RING)
@@ -95,6 +99,29 @@ class TestPfaffians:
         for i in range(5):
             keep = [k for k in range(5) if k != i]
             assert p[i] ** 2 == determinant([[rows[r][c] for c in keep] for r in keep])
+
+    def test_no_integral_fraction(self):
+        # Poly products of Fraction entries left 16 coefficients such as
+        # Fraction(8, 1) in the Pfaffians of this model
+        m = fraction_moved_wuthrich()
+        for pfaffians in (m.pfaffians(), deg5_covariants(m).pfaffians):
+            coeffs = [c for p in pfaffians for c in p.terms.values()]
+            assert any(type(c) is Fraction for c in coeffs)
+            assert [c for c in coeffs if type(c) is Fraction and c.denominator == 1] == []
+
+
+@pytest.mark.parametrize("call", [
+    invariants, matrix_discriminant, a1_char2,
+    lambda m: project_from_point(m, (0, 0, 0, 0, 1)),
+    lambda m: apply(identity_transform(5), m),
+], ids=["invariants", "matrix_discriminant", "a1_char2", "project_from_point", "apply"])
+def test_a_non_model_is_input_error(call):
+    # the one degree check names the type of a value that is no model;
+    # apply raised AttributeError on a string
+    for value in ("x", None, 5, identity_transform(5), ZERO5):
+        with pytest.raises(InputError, match=rf"takes models of degree [1-5, ]+, "
+                                             rf"not a {type(value).__name__}$"):
+            call(value)
 
 
 class TestWeierstrassFamily:
