@@ -35,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
-from .linalg import (_dense_determinant, adjugate, determinant, mat_mul, perm_sign,
-                     scalar_det, solve_linear)
+from .linalg import (_dense_determinant, _dense_terms, _pencil_terms, adjugate, determinant,
+                     mat_mul, perm_sign, scalar_det, solve_linear)
 from .models import (DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS, Deg1Model,
                      Deg2Model, Deg3Model, Deg4Model, Deg5Model, GenusOneModel,
                      require_degree)
@@ -151,28 +151,51 @@ def invariants_deg2(m: Deg2Model) -> InvariantTriple:
 # degree 3
 # ----------------------------------------------------------------------
 
-def _hessian_matrix(form: Poly, variables) -> list[list[Poly]]:
-    """The matrix d^2 f / dx_i dx_j, read off the terms of f in one pass:
-    c x^e gives c e_i (e_j - [i = j]) x^(e - u_i - u_j) in entry (i, j).
-    For a ternary cubic U, entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k,
-    and d^3 U/dx_i dx_j dx_k is the coefficient at u_i + u_j + u_k times
-    prod_v e_v!."""
-    places = [form._var_index(v) for v in variables]
+def _hessian_matrix(terms, places) -> list[list[dict]]:
+    """The matrix d^2 f / dx_i dx_j of f = sum c x^e over ``terms`` as
+    {exponent: coefficient} entries, x_i the variable at ``places[i]``,
+    read off the terms in one pass: c x^e gives c e_i (e_j - [i = j])
+    x^(e - u_i - u_j) in entry (i, j).  For a ternary cubic U, entry
+    (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and d^3 U/dx_i dx_j dx_k is
+    the coefficient at u_i + u_j + u_k times prod_v e_v!."""
     rows = [[{} for _ in places] for _ in places]
     # distinct terms stay distinct in each entry, so nothing sums or cancels
-    for e, c in form.terms.items():
+    for e, c in terms.items():
         for row, i in zip(rows, places):
             if e[i]:
                 once = e[:i] + (e[i] - 1,) + e[i + 1:]
                 for entry, j in zip(row, places):
                     if once[j]:
                         entry[once[:j] + (once[j] - 1,) + once[j + 1:]] = c * e[i] * once[j]
-    return [[Poly._make(form.variables, entry) for entry in row] for row in rows]
+    return rows
 
 
 def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
     """Hessian covariant -(1/2) det(d^2 U / dx_i dx_j) of a ternary cubic."""
-    return determinant(_hessian_matrix(cubic, variables)) * Fraction(-1, 2)
+    rows = _hessian_matrix(cubic.terms, [cubic._var_index(v) for v in variables])
+    return determinant([[Poly._make(cubic.variables, entry) for entry in row]
+                        for row in rows]) * Fraction(-1, 2)
+
+
+# The cubic monomials in x, y, z, and those of U + nu G in (nu, x, y, z)
+_CUBICS3 = monomials(DEG3_RING, 3)
+_NU_CUBICS = [(k,) + e for k in (0, 1) for e in _CUBICS3]
+
+
+def _hessian_forms(vec) -> list[list[dict]]:
+    """The Hessian forms {variable index: coefficient} of a cubic over ``_CUBICS3``."""
+    rows = _hessian_matrix({e: c for e, c in zip(_CUBICS3, vec) if c}, range(3))
+    return [[{e.index(1): c for e, c in entry.items()} for entry in row] for row in rows]
+
+
+def _deg3_frame(m: Deg3Model):
+    """L, the lcm of U's denominators, and over ``_CUBICS3`` the integral
+    L U, its Hessian forms and their determinant G by the dense kernel."""
+    vec = [m.cubic.terms.get(e, 0) for e in _CUBICS3]
+    scale = lcm(*(c.denominator for c in vec if type(c) is not int))
+    u = [int(c * scale) for c in vec]
+    hess_u = _hessian_forms(u)
+    return scale, u, hess_u, _dense_determinant(3, [[e.items() for e in row] for row in hess_u])
 
 
 def invariants_deg3(m: Deg3Model) -> InvariantTriple:
@@ -182,49 +205,47 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
 
         G(U + nu G) = (1 - 12 c4 nu^2 + 16 c6 nu^3) G + (12 c4 nu - 48 c6 nu^2 + 48 c4^2 nu^3) U
 
-    The Hessian matrix of U + nu G is that of U plus nu times that of G,
-    so G(U + nu G) is one determinant of linear forms in x, y, z whose
-    coefficients are affine in nu: ``determinant`` takes it by Kronecker
-    substitution in nu.  c4 and c6 are read off one coefficient where U
-    is nonzero, and both identities are checked on every coefficient:
+    It runs on the integral L U (``_deg3_frame``), whose c4 and c6 are
+    L^4 and L^6 times those of U.  The Hessian matrix of U + nu G is that
+    of U plus nu times that of G, so G(U + nu G) is the determinant of a
+    pencil of linear forms in x, y, z: ``linalg._pencil_terms`` takes the
+    two Hessians straight to the dense kernel by Kronecker substitution in
+    nu, and a pencil too sparse for it takes ``determinant``.  G = 0 is a
+    pencil with no nu part.  c4 and c6 are read off one coefficient where
+    U is nonzero, and both identities are checked on every coefficient:
     the nu part is 12 c4 U, and the nu^2 part plus 12 c4 G is -48 c6 U.
     """
-    cubic = m.cubic
-    if not cubic:
+    if not m.cubic:
         return InvariantTriple(0, 0, 0)
-    hess_u = _hessian_matrix(cubic, DEG3_RING)
-    g = determinant(hess_u)
-    hess_g = _hessian_matrix(g, DEG3_RING)
-    ring = ("nu",) + DEG3_RING
-    expanded = determinant(
-        [[Poly._make(ring, {**{(0,) + e: c for e, c in u.terms.items()},
-                            **{(1,) + e: c for e, c in w.terms.items()}})
-          for u, w in zip(row_u, row_g)] for row_u, row_g in zip(hess_u, hess_g)])
-
-    basis = monomials(DEG3_RING, 3)
-    nu1, nu2 = ([expanded.terms.get((k,) + e, 0) for e in basis] for k in (1, 2))
-    u = [cubic.terms.get(e, 0) for e in basis]
-    gv = [g.terms.get(e, 0) for e in basis]
+    scale, u, hess_u, g = _deg3_frame(m)
+    expanded = _pencil_terms(DEG3_RING, hess_u, _hessian_forms(g)) if any(g) else {}
+    if expanded is None:  # too sparse for the dense kernel: -2 H(U + nu G)
+        expanded = (hessian(_poly(("nu",) + DEG3_RING, _NU_CUBICS, u + g)) * -2).terms
+    nu1, nu2 = ([expanded.get((k,) + e, 0) for e in _CUBICS3] for k in (1, 2))
     k = next(i for i, c in enumerate(u) if c)
-    c4 = as_scalar(Fraction(nu1[k]) / (12 * u[k]))
-    if nu1 != [12 * c4 * c for c in u]:
+    # c4 = nu1[k] / 12 u[k]; each identity, times u[k], says that an
+    # integer vector is proportional to U, checked by cross-multiplying
+    if any(a * u[k] != nu1[k] * c for a, c in zip(nu1, u)):
         raise InternalCheckError("nu coefficient of G(U + nu G) is not 12 c4 U")
-    nu2 = [a + 12 * c4 * b for a, b in zip(nu2, gv)]
-    c6 = as_scalar(Fraction(nu2[k]) / (-48 * u[k]))
-    if nu2 != [-48 * c6 * c for c in u]:
+    w = [a * u[k] + nu1[k] * b for a, b in zip(nu2, g)]  # -48 c6 u[k] U
+    if any(a * u[k] != w[k] * c for a, c in zip(w, u)):
         raise InternalCheckError("nu^2 coefficient of G(U + nu G) is not -12 c4 G - 48 c6 U")
-    return _triple(c4, c6)
+    return _triple(Fraction(nu1[k], 12 * u[k] * scale ** 4),
+                   Fraction(w[k], -48 * u[k] ** 2 * scale ** 6))
 
 
 def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
     """Determinant of the 6x6 coefficient matrix of the partials of U and H,
     equal to DISC_MATRIX_SIGN[3] * 1728 * Delta for every ternary cubic.
 
-    Three rows use the integral G = -2H for H, so the result is divided by (-2)^3."""
-    cubic = m.cubic
-    g = determinant(_hessian_matrix(cubic, DEG3_RING))
-    rows = [f.derivative(v) for f in (cubic, g) for v in DEG3_RING]
-    return as_scalar(Fraction(scalar_det([_quadric_vector(f) for f in rows])) / -8)
+    It runs on the integral L U and G (``_deg3_frame``): the x_i partial
+    of a cubic f has coefficient (b_i + 1) f[x_i b] at the quadric b, read
+    through ``times_variable``.  Three rows use G = -2H for H, and the
+    determinant has weight 12 in U, so the result is divided by -8 L^12."""
+    scale, u, _, g = _deg3_frame(m)
+    rows = [[(b[i] + 1) * f[q] for b, q in zip(monomials(DEG3_RING, 2), tab)]
+            for f in (u, g) for i, tab in enumerate(times_variable(3, 2))]
+    return as_scalar(Fraction(scalar_det(rows), -8 * scale ** 12))
 
 
 # ----------------------------------------------------------------------
@@ -246,10 +267,15 @@ def _symmetric_matrix(q: Poly):
 
 
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
-    """Invariants of a quadric pair via the binary quartic det(sA + tB)."""
-    pencil = [[_poly(("s", "t"), ((1, 0), (0, 1)), pair) for pair in zip(*rows)]
-              for rows in zip(_symmetric_matrix(m.q1), _symmetric_matrix(m.q2))]
-    c4, j = _quartic_invariants(determinant(pencil))
+    """Invariants of a quadric pair via the binary quartic det(sA + tB), its
+    entries {0: a_ij, 1: b_ij} in s, t straight into ``linalg._dense_terms``
+    (on L A and L B, divided by L^4); one too sparse for it takes ``determinant``."""
+    pairs = [list(zip(*rows)) for rows in zip(_symmetric_matrix(m.q1), _symmetric_matrix(m.q2))]
+    terms = _dense_terms(("s", "t"), [[{v: c for v, c in enumerate(pair) if c} for pair in row]
+                                      for row in pairs])
+    quartic = (Poly._make(("s", "t"), terms) if terms is not None else determinant(
+        [[_poly(("s", "t"), ((1, 0), (0, 1)), pair) for pair in row] for row in pairs]))
+    c4, j = _quartic_invariants(quartic)
     return _triple(c4, Fraction(j) / 2)
 
 

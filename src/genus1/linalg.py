@@ -6,12 +6,17 @@ on one of three paths, read off the matrix:
 
 * ``_linear_determinant``, for linear forms, and
   ``_kronecker_determinant``, for a pencil t M_1 + M_0 of linear forms
-  in the variables after t, with t set to 2^w: both run the kernel
-  ``_dense_determinant``, minors on dense coefficient vectors, whose
-  entries are (variable, coefficient) pairs, as the degree-5 covariants
-  pass them from their coefficient tensors;
+  in the variables after t: both run the kernel ``_dense_determinant``,
+  minors on dense coefficient vectors, the pencil through its core
+  ``_pencil_terms``, which sets t to 2^w;
 * ``_maximal_minors``, for any other matrix: minor expansion on the
   entries, which ``adjugate`` also runs on scalars.
+
+``invariants`` passes coefficient arrays below ``determinant``: entries
+of (variable, coefficient) pairs to the kernel (the degree-5 secant and
+dual, the degree-3 G), {variable index: coefficient} to ``_dense_terms``
+(det(sA + tB)), and M_0 and M_1 of such integer entries to
+``_pencil_terms`` (G(U + nu G)); the degree-5 pencil takes ``determinant``.
 
 The scalar routines run Bareiss elimination (Bareiss, Math. Comp. 1968)
 on rows scaled to integers, and ``solve_linear`` tries p-adic lifting
@@ -137,47 +142,36 @@ def _maximal_minors(rows) -> dict:
     return minors
 
 
-def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
-    """``determinant`` of integer rows by Kronecker substitution in the
-    first variable t (Harvey, "Faster polynomial multiplication via
-    multipoint Kronecker substitution", JSC 2009), or None unless every
-    term of every entry is a variable other than t times 1 or t, and some
-    term has t: the pencils det(lam Q + L) of degree 5 and G(U + nu G) of
-    degree 3.
+def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
+    """{(k,) + exponents in ``ring``: t^k coefficient} of det(t M_1 + M_0),
+    M_0 and M_1 of integer linear forms {ring index: nonzero coefficient},
+    by Kronecker substitution in t (Harvey, JSC 2009); None when M_1 = 0
+    or ``_dense_terms`` declines the substituted matrix.
 
     First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
     so the t^k coefficient of det M is g^k times that of det M'.  Then t
-    is set to X = 2^w, and one determinant of linear forms in the other
-    variables, by ``_dense_determinant``, carries every power of t in the
-    balanced base-X digits of its coefficients.  B, the product over the
-    rows of M' of the sum of the l1 norms of their entries, bounds every
-    coefficient of det M' in all variables (||fg||_1 <= ||f||_1 ||g||_1),
-    and 2^w > 2B, so those digits are exactly the coefficients of t^0,
-    t^1, ...  Also None when ``_dense_terms`` declines the substituted
-    matrix: ``determinant`` ends in ``_maximal_minors`` for it.
+    is set to X = 2^w, and one determinant of linear forms, by
+    ``_dense_terms``, carries every power of t in the balanced base-X
+    digits of its coefficients.  B, the product over the rows of M' of the
+    sum of the l1 norms of their entries, bounds every coefficient of
+    det M' in all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B,
+    so those digits are exactly the coefficients of t^0, t^1, ...
     """
-    entries = [entry.terms for row in rows for entry in row]
-    if (not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for entry in entries for e in entry)
-            or not any(e[0] for entry in entries for e in entry)):
+    slopes = [c for row in m1 for entry in row for c in entry.values()]
+    if not slopes:
         return None
-    content = gcd(*(c for entry in entries for e, c in entry.items() if e[0]))
-    bound = prod(sum(abs(c) // content if e[0] else abs(c)
-                     for entry in row for e, c in entry.terms.items()) for row in rows)
+    content = gcd(*slopes)
+    bound = prod(sum(abs(c) for entry in row0 for c in entry.values())
+                 + sum(abs(c) for entry in row1 for c in entry.values()) // content
+                 for row0, row1 in zip(m0, m1))
     if not bound:  # a zero row
-        return Poly.zero(ring)
+        return {}
     # every row has l1 norm >= 1, so each digit c_k of an entry is below
-    # X/2 in absolute value and no substituted coefficient cancels to 0
-    width = bound.bit_length() + 1
-
-    def substituted(entry):  # {ring index of x_v: c_0 + c_1 X}
-        out: dict[int, int] = {}
-        for e, c in entry.terms.items():
-            v = e.index(1, 1)
-            out[v] = out.get(v, 0) + (c // content << width if e[0] else c)
-        return out
-
-    n = len(rows)
-    terms = _dense_terms(ring, [[substituted(entry) for entry in row] for row in rows])
+    # X/2 in absolute value and no substituted coefficient c_0 + c_1 X is 0
+    width, n = bound.bit_length() + 1, len(m0)
+    terms = _dense_terms(ring, [[{**a, **{v: a.get(v, 0) + (c // content << width)
+                                           for v, c in b.items()}} for a, b in zip(row0, row1)]
+                                for row0, row1 in zip(m0, m1)])
     if terms is None:
         return None
     # det M' has t-degree at most n: adding X/2 to each of its n + 1
@@ -190,8 +184,20 @@ def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
         for k in range(n + 1):
             d = (c >> width * k & mask) - half
             if d:
-                out[(k,) + exps[1:]] = d * content ** k
-    return Poly._make(ring, out)
+                out[(k,) + exps] = d * content ** k
+    return out
+
+
+def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
+    """``_pencil_terms`` of integer rows in their first variable t, as for
+    det(lam Q + L) of degree 5; None unless each term is x_v or t x_v, v > 0."""
+    if not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for row in rows for entry in row
+                       for e in entry.terms):
+        return None
+    m0, m1 = ([[{e.index(1, 1) - 1: c for e, c in entry.terms.items() if e[0] == k}
+                for entry in row] for row in rows] for k in (0, 1))
+    terms = _pencil_terms(ring[1:], m0, m1)
+    return None if terms is None else Poly._make(ring, terms)
 
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:

@@ -336,15 +336,16 @@ GenusOneModel = Deg1Model | Deg2Model | Deg3Model | Deg4Model | Deg5Model
 MODEL_CLASSES = {cls.degree: cls for cls in get_args(GenusOneModel)}
 
 
-def require_degree(model, degrees, what: str) -> int:
+def require_degree(model, degrees, what: str, classes=MODEL_CLASSES, kind="model") -> int:
     """The degree of ``model`` if it is a model of one of ``degrees``, else an
     InputError naming ``what``, the degrees and the degree (or type) given: the
-    one check of which models an operation of several degrees accepts."""
-    if type(model) in [MODEL_CLASSES[d] for d in degrees]:
+    one check of which models (or transformations, ``transforms.TRANSFORM_CLASSES``
+    and "transformation" given as ``classes`` and ``kind``) an operation accepts."""
+    if type(model) in [classes[d] for d in degrees]:
         return model.degree
-    given = (f"a degree-{model.degree} model" if type(model) in MODEL_CLASSES.values()
+    given = (f"a degree-{model.degree} {kind}" if type(model) in classes.values()
              else f"a {type(model).__name__}")
-    raise InputError(f"{what} takes models of degree {', '.join(map(str, degrees))}, not {given}")
+    raise InputError(f"{what} takes {kind}s of degree {', '.join(map(str, degrees))}, not {given}")
 
 
 def class_for_degree(classes: dict, degree, what: str):
@@ -366,6 +367,7 @@ def check_keys(data, allowed, what: str) -> None:
 
 def equations(model: GenusOneModel) -> list[Poly]:
     """The defining polynomial(s) of the model's curve."""
+    require_degree(model, MODEL_CLASSES, "equations")
     return model.equations()
 
 
@@ -451,6 +453,7 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
 # ----------------------------------------------------------------------
 
 def model_to_dict(model: GenusOneModel) -> dict:
+    require_degree(model, MODEL_CLASSES, "model_to_dict")
     return {"degree": model.degree, "coefficients": model.to_json()}
 
 

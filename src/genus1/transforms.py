@@ -294,12 +294,18 @@ Transformation = (Deg1Transform | Deg2Transform | Deg3Transform
 TRANSFORM_CLASSES = {cls.degree: cls for cls in get_args(Transformation)}
 
 
+def require_transformation(g, what: str, degrees=TRANSFORM_CLASSES) -> int:
+    """``models.require_degree`` for transformations."""
+    return require_degree(g, degrees, what, TRANSFORM_CLASSES, "transformation")
+
+
 def identity_transform(degree: int) -> Transformation:
     return class_for_degree(TRANSFORM_CLASSES, degree, "transformation").identity()
 
 
 def det_character(g: Transformation) -> Scalar:
     """The multiplicative character by whose powers invariants rescale."""
+    require_transformation(g, "det_character")
     return g.det_character()
 
 
@@ -309,13 +315,13 @@ def det_character(g: Transformation) -> Scalar:
 
 def apply(g: Transformation, m: GenusOneModel) -> GenusOneModel:
     """The transformed model g . m (degrees of g and m must agree)."""
-    require_degree(m, (g.degree,), f"a degree-{g.degree} transformation")
+    require_degree(m, (require_transformation(g, "apply"),), f"a degree-{g.degree} transformation")
     return g.apply(m)
 
 
 def compose(g1: Transformation, g2: Transformation) -> Transformation:
     """The transformation with apply(g1, apply(g2, m)) == apply(compose(g1, g2), m)."""
-    if g1.degree != g2.degree:
+    if require_transformation(g1, "compose") != require_transformation(g2, "compose"):
         raise InputError("cannot compose transformations of different degrees")
     return g1.compose(g2)
 
@@ -328,8 +334,7 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
     """Embed [u; r, s, t] into the degree-n group, compatibly with the
     Weierstrass family: apply(gamma(g), pi_n(w)) == pi_n(apply(g, w)), and
     the det character is preserved."""
-    if not isinstance(g, Deg1Transform):
-        raise InputError("gamma expects a degree-1 transformation")
+    require_transformation(g, "gamma", (1,))
     if degree not in (2, 3, 4, 5):
         raise InputError(f"gamma has no target of degree {degree} (expected 2..5)")
     return TRANSFORM_CLASSES[degree].gamma(g.u, g.r, g.s, g.t)
@@ -340,7 +345,7 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
 # ----------------------------------------------------------------------
 
 def transformation_to_dict(g: Transformation) -> dict:
-    data = {"degree": g.degree}
+    data = {"degree": require_transformation(g, "transformation_to_dict")}
     data.update((f.name, json_scalars(getattr(g, f.name))) for f in fields(g))
     return data
 

@@ -163,20 +163,41 @@ class TestDegree3:
         # U = y^2 z - x^3 + x z^2 has no xyz term; an xyz term added to the
         # nu, then the nu^2, part of G(U + nu G) must break each identity
         module = sys.modules["genus1.invariants"]
-        expand = module.determinant
+        expand = module._pencil_terms
         m = weierstrass_model(short_weierstrass(-1, 0), 3)
         for power, message in ((1, r"^nu coefficient"), (2, r"^nu\^2 coefficient")):
-            def perturbed(rows, power=power):
-                det = expand(rows)
-                if det.variables[0] != "nu":  # G itself
-                    return det
-                return det + Poly(det.variables, {(power, 1, 1, 1): 1})
+            def perturbed(ring, m0, m1, power=power):
+                terms = expand(ring, m0, m1)
+                assert ring == DEG3_RING and (power, 1, 1, 1) not in terms
+                return {**terms, (power, 1, 1, 1): 1}
 
-            monkeypatch.setattr(module, "determinant", perturbed)
+            monkeypatch.setattr(module, "_pencil_terms", perturbed)
             with pytest.raises(InternalCheckError, match=message):
                 invariants_deg3(m)
         monkeypatch.undo()
         assert invariants_deg3(m) == invariants_deg1(short_weierstrass(-1, 0))
+
+
+# Cubics with a zero or sparse Hessian, and their (c4, c6, Delta): the
+# triple line x^3 (G = 0), xyz and the Fermat cubic (sparse Hessians) and
+# the three lines x^3 + y^3 + z^3 - 3xyz
+EDGE_CUBICS = [(XYZ[0] ** 3, (0, 0, 0)),
+               (XYZ[0] * XYZ[1] * XYZ[2], (1, -1, 0)),
+               (XYZ[0] ** 3 + XYZ[1] ** 3 + XYZ[2] ** 3, (0, 5832, -19683)),
+               (XYZ[0] ** 3 + XYZ[1] ** 3 + XYZ[2] ** 3 - 3 * XYZ[0] * XYZ[1] * XYZ[2],
+                (729, 19683, 0))]
+
+
+@pytest.mark.parametrize("cubic, triple", EDGE_CUBICS,
+                         ids=["triple_line", "xyz", "fermat", "three_lines"])
+def test_edge_cubics(cubic, triple):
+    # lam U has invariants (lam^4 c4, lam^6 c6, lam^12 Delta); a Fraction
+    # lam takes the integral L U route
+    c4, c6, delta = triple
+    for lam in (1, Fraction(1, 2), Fraction(3, 7), -2):
+        m = Deg3Model(cubic * lam)
+        assert invariants(m) == (lam ** 4 * c4, lam ** 6 * c6, lam ** 12 * delta)
+        assert matrix_discriminant(m) == lam ** 12 * delta
 
 
 class TestDegree3Matrix:

@@ -288,21 +288,37 @@ def kronecker_path(rows):
 
 
 def pencil_matrices(compute, model):
-    """{first variable: rows} of the pencils ``compute(model)`` hands to
-    ``determinant``: lam for the degree-5 pencil, nu for G(U + nu G)."""
+    """{first variable: rows} of the pencils ``compute(model)`` takes by
+    Kronecker substitution: lam for the degree-5 pencil, which goes through
+    ``determinant``, and nu for G(U + nu G), whose Hessian pair goes
+    straight to ``_pencil_terms``, as ``Poly`` rows."""
     module = sys.modules["genus1.invariants"]
-    expand = module.determinant
+    expand, pair_entry = module.determinant, module._pencil_terms
     pencils = {}
 
     def recorded(rows):
-        ring = rows[0][0].variables
-        if ring[0] in ("lam", "nu"):
-            pencils[ring[0]] = rows
+        if rows[0][0].variables[0] == "lam":
+            pencils["lam"] = rows
         return expand(rows)
 
-    with mock.patch.object(module, "determinant", recorded):
+    def recorded_pair(ring, m0, m1):
+        pencils["nu"] = pencil_rows(("nu",) + ring, m0, m1)
+        return pair_entry(ring, m0, m1)
+
+    with mock.patch.object(module, "determinant", recorded), \
+            mock.patch.object(module, "_pencil_terms", recorded_pair):
         compute(model)
     return pencils
+
+
+def pencil_rows(ring, m0, m1):
+    """The ``Poly`` rows of t M_1 + M_0 over ``ring``, whose first variable
+    is t, from entries {index of a variable after t: coefficient}."""
+    units = monomials(ring, 1)
+    return [[Poly(ring, {**{units[v + 1]: c for v, c in a.items()},
+                         **{tuple(map(sum, zip(units[0], units[v + 1]))): c
+                            for v, c in b.items()}})
+             for a, b in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
 
 
 class TestKroneckerDeterminant:
@@ -426,7 +442,8 @@ class TestKroneckerDeterminant:
         point = Poly.constant((), 3)
         assert linalg._kronecker_determinant((), [[point]]) is None
         assert determinant([[point]]) == point
-        # the degree-5 pencil det(lam Q + L) and the degree-3 G(U + nu G)
+        # the degree-5 pencil det(lam Q + L), through determinant, and the
+        # degree-3 G(U + nu G), straight from its Hessian pair
         pencils = pencil_matrices(deg5_covariants, wuthrich_model())
         pencils.update(pencil_matrices(invariants_deg3,
                                        weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3)))
@@ -436,6 +453,40 @@ class TestKroneckerDeterminant:
             det = linalg._kronecker_determinant(ring, rows)
             assert isinstance(det, Poly)
             assert det == linalg._maximal_minors(rows)[(1 << len(rows)) - 1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_pair_entry_property(self, data):
+        # t M_1 + M_0 in integers, M_1 of content g, over y, z, w: the pair
+        # entry equals the generic minors of the same matrix as Poly rows,
+        # or declines where _dense_terms does; a zero row gives 0
+        n = data.draw(st.integers(1, 4))
+        g = data.draw(st.sampled_from([2, 3 ** 9, 2 ** 40]))
+        form = st.dictionaries(st.integers(0, 2), st.integers(-9, 9).filter(bool), max_size=3)
+        m0 = [[data.draw(form) for _ in range(n)] for _ in range(n)]
+        m1 = [[{v: g * c for v, c in data.draw(form).items()} for _ in range(n)]
+              for _ in range(n)]
+        zero = data.draw(st.integers(0, n - 1)) if n > 1 and data.draw(st.booleans()) else None
+        if zero is not None:
+            m0[zero], m1[zero] = [{}] * n, [{}] * n
+        if not any(any(row) for row in m1):
+            m1[zero == 0][0] = {0: g}
+        dense, declined = linalg._dense_terms, []
+
+        def recorded(ring, rows):
+            declined.append(dense(ring, rows) is None)
+            return None if declined[-1] else dense(ring, rows)
+
+        with mock.patch.object(linalg, "_dense_terms", recorded):
+            terms = linalg._pencil_terms(RING[1:], m0, m1)
+        rows = pencil_rows(RING, m0, m1)
+        if terms is None:
+            assert declined == [True]
+        else:
+            assert True not in declined
+            assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
+        # with no t coefficient it declines
+        assert linalg._pencil_terms(RING[1:], m0, [[{}] * n] * n) is None
 
     def test_non_square(self):
         for rows in ([[X * Y, Z]], [], [[X * Y], [Z]]):

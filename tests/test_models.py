@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from genus1 import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                    InputError, Poly, a1_char2, apply, deg5_covariants,
-                    determinant, dumps_model, equations, generators,
+                    InputError, Poly, a1_char2, apply, compose, deg5_covariants,
+                    det_character, determinant, dumps_model, equations, generators,
                     identity_transform, invariants, is_alternating, loads_model,
                     matrix_discriminant, model_from_dict, model_to_dict,
-                    project_from_point, weierstrass_model)
+                    project_from_point, transformation_to_dict, weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
@@ -122,6 +122,24 @@ def test_a_non_model_is_input_error(call):
         with pytest.raises(InputError, match=rf"takes models of degree [1-5, ]+, "
                                              rf"not a {type(value).__name__}$"):
             call(value)
+
+
+@pytest.mark.parametrize("call, name, kind", [
+    (equations, "equations", "model"),
+    (model_to_dict, "model_to_dict", "model"),
+    (dumps_model, "model_to_dict", "model"),
+    (det_character, "det_character", "transformation"),
+    (lambda g: compose(g, "y"), "compose", "transformation"),
+    (lambda g: apply(g, wuthrich_model()), "apply", "transformation"),
+    (transformation_to_dict, "transformation_to_dict", "transformation"),
+], ids=["equations", "model_to_dict", "dumps_model", "det_character", "compose", "apply",
+        "transformation_to_dict"])
+def test_a_non_model_or_transformation_is_input_error(call, name, kind):
+    # each raised AttributeError on a string; the models go through
+    # require_degree, the transformations through require_transformation
+    with pytest.raises(InputError, match=rf"^{name} takes {kind}s of degree 1, 2, 3, 4, 5, "
+                                         rf"not a str$"):
+        call("x")
 
 
 class TestWeierstrassFamily:
