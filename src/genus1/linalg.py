@@ -14,9 +14,9 @@ on one of three paths, read off the matrix:
 
 ``invariants`` passes coefficient arrays below ``determinant``: entries
 of (variable, coefficient) pairs to the kernel (the degree-5 secant and
-dual, the degree-3 G), {variable index: coefficient} to ``_dense_terms``
-(det(sA + tB)), and M_0 and M_1 of such integer entries to
-``_pencil_terms`` (G(U + nu G)); the degree-5 pencil takes ``determinant``.
+dual, the degree-3 G and det(sA + tB) in s, t), and M_0 and M_1 of integer
+entries {variable index: coefficient} to ``_pencil_terms`` (G(U + nu G));
+the degree-5 pencil takes ``determinant``.
 
 The scalar routines run Bareiss elimination (Bareiss, Math. Comp. 1968)
 on rows scaled to integers, and ``solve_linear`` tries p-adic lifting

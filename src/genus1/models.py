@@ -11,9 +11,20 @@ A genus one model is the coefficient data cutting out a genus one curve:
 * degree 5 -- a 5x5 alternating matrix of linear forms in x1..x5, whose
   4x4 Pfaffians cut out the curve.
 
+A model of degree 2 to 5 stores its exact coefficients once, as
+``vectors``: one tuple of normalised scalars per form, over ``monomials``
+of its ring and degree.  That is the tuple ``coefficients`` returns, except
+in degree 3, which ``coefficients`` and ``from_coefficients`` permute to
+and from the JSON order.  The ``Poly`` attributes (``p``, ``q``, ``cubic``,
+``q1``, ``q2``, ``upper``), ``equations``, ``matrix`` and ``pfaffians`` are
+views built from the vectors on each access.  The constructors take the
+``Poly`` attributes and check them once: a value that is not a form of the
+model's ring and degree is an InputError naming the argument and the ring.
+Integral Fractions become ints on either route, so equal models compare
+and hash equal however they were built.
+
 Degree-5 models are stored by their upper triangle only (positions
-``DEG5_PAIRS``); alternation is structural, not data.  The Pfaffians and
-the degree-5 group action read the ten entries directly; ``matrix`` and
+``DEG5_PAIRS``); alternation is structural, not data.  ``matrix`` and
 ``from_matrix`` convert to and from the full matrix, and only
 ``from_matrix``, which takes outside input, checks alternation.  All model
 classes are frozen dataclasses; the polynomial rings are the fixed
@@ -73,13 +84,18 @@ def json_list(value, what: str = "coefficients"):
     return value
 
 
-def _check_form(p: Poly, ring, degree: int, what: str) -> Poly:
-    """``p`` checked as a form; integral Fractions (kept by Poly arithmetic) become ints."""
-    if p.variables != ring:
-        raise InputError(f"{what} must live in the ring {ring}")
-    if not p.is_homogeneous(degree) and p:
+def _vector(p, ring, degree: int, what: str) -> list:
+    """The coefficients of ``p`` over ``monomials(ring, degree)``, after
+    checking that it is a form of that degree in ``ring`` (or zero)."""
+    if not isinstance(p, Poly) or p.variables != ring:
+        raise InputError(f"{what} must be a polynomial in the ring {ring}")
+    if any(sum(e) != degree for e in p.terms):
         raise InputError(f"{what} must be homogeneous of degree {degree} (or zero)")
-    return Poly._make(ring, {e: as_scalar(c) for e, c in p.terms.items()})
+    return [p.terms.get(e, 0) for e in monomials(ring, degree)]
+
+
+def _view(ring, degree: int, vector) -> Poly:
+    return Poly.from_vector(ring, monomials(ring, degree), vector)
 
 
 @dataclass(frozen=True)
@@ -103,9 +119,7 @@ class Deg1Model:
 
     def equation(self) -> Poly:
         """y^2 z + a1 xyz + a3 y z^2 - x^3 - a2 x^2 z - a4 x z^2 - a6 z^3."""
-        a1, a2, a3, a4, a6 = self.coefficients()
-        return Poly(DEG1_RING, {(0, 2, 1): 1, (1, 1, 1): a1, (0, 1, 2): a3, (3, 0, 0): -1,
-                                (2, 0, 1): -a2, (1, 0, 2): -a4, (0, 0, 3): -a6})
+        return Deg3Model.weierstrass(*self.coefficients()).cubic
 
     def equations(self) -> list[Poly]:
         return [self.equation()]
@@ -118,43 +132,52 @@ class Deg1Model:
         return cls(*json_list(coeffs))
 
 
-@dataclass(frozen=True)
-class Deg2Model:
-    """Generalised binary quartic: y^2 + p(x,z) y = q(x,z)."""
+@dataclass(frozen=True, init=False)
+class _Forms:
+    """A model of degree 2 to 5, stored as ``vectors`` (see above)."""
 
-    p: Poly
-    q: Poly
+    vectors: tuple
+
+    def coefficients(self):
+        return self.vectors
+
+    def _store(self, *vectors):
+        object.__setattr__(self, "vectors", tuple(tuple(map(as_scalar, v)) for v in vectors))
+        return self
+
+    @classmethod
+    def _of(cls, *vectors):
+        """The model of coefficient vectors in the stored order."""
+        return object.__new__(cls)._store(*vectors)
+
+
+@dataclass(frozen=True, init=False)
+class Deg2Model(_Forms):
+    """Generalised binary quartic: y^2 + p(x,z) y = q(x,z)."""
 
     degree = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_form(self.p, DEG2_RING, 2, "p"))
-        object.__setattr__(self, "q", _check_form(self.q, DEG2_RING, 4, "q"))
+    def __init__(self, p: Poly, q: Poly):
+        self._store(_vector(p, DEG2_RING, 2, "p"), _vector(q, DEG2_RING, 4, "q"))
 
     @classmethod
     def from_coefficients(cls, p_coeffs: Sequence, q_coeffs: Sequence) -> "Deg2Model":
         """p as [alpha0, alpha1, alpha2] on x^2, xz, z^2; q as [a..e] on x^4..z^4."""
         if len(p_coeffs) != 3 or len(q_coeffs) != 5:
             raise InputError("degree-2 model needs 3 coefficients for p and 5 for q")
-        p = Poly(DEG2_RING, {(2 - i, i): c for i, c in enumerate(p_coeffs)})
-        q = Poly(DEG2_RING, {(4 - i, i): c for i, c in enumerate(q_coeffs)})
-        return cls(p, q)
+        return cls._of(p_coeffs, q_coeffs)
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg2Model":
         return cls.from_coefficients((0, a1, a3), (0, 1, a2, a4, a6))
 
-    def coefficients(self):
-        p = tuple(self.p.coefficient((2 - i, i)) for i in range(3))
-        q = tuple(self.q.coefficient((4 - i, i)) for i in range(5))
-        return p, q
+    p = property(lambda self: _view(DEG2_RING, 2, self.vectors[0]))
+    q = property(lambda self: _view(DEG2_RING, 4, self.vectors[1]))
 
     def equations(self) -> list[Poly]:
         """The full curve equation y^2 + p y - q in the ring (x, z, y)."""
         y = Poly.variable(DEG2_CURVE_RING, "y")
-        p = self.p.lift(DEG2_CURVE_RING)
-        q = self.q.lift(DEG2_CURVE_RING)
-        return [y * y + p * y - q]
+        return [y * y + self.p.lift(DEG2_CURVE_RING) * y - self.q.lift(DEG2_CURVE_RING)]
 
     def to_json(self):
         return dict(zip(("p", "q"), json_scalars(self.coefficients())))
@@ -165,11 +188,9 @@ class Deg2Model:
         return cls.from_coefficients(json_list(coeffs["p"]), json_list(coeffs["q"]))
 
 
-@dataclass(frozen=True)
-class Deg3Model:
-    """Ternary cubic in x, y, z."""
-
-    cubic: Poly
+@dataclass(frozen=True, init=False)
+class Deg3Model(_Forms):
+    """Ternary cubic in x, y, z, stored over ``monomials(DEG3_RING, 3)``."""
 
     degree = 3
 
@@ -178,23 +199,30 @@ class Deg3Model:
     #   + c1 x z^2 + c2 y z^2 + m xyz.
     MONOMIALS = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 1, 0), (2, 0, 1),
                  (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]
+    # the place in the stored vector of each JSON coefficient, and back
+    _TO_JSON = list(map(monomials(DEG3_RING, 3).index, MONOMIALS))
+    _FROM_JSON = list(map(MONOMIALS.index, monomials(DEG3_RING, 3)))
 
-    def __post_init__(self):
-        object.__setattr__(self, "cubic", _check_form(self.cubic, DEG3_RING, 3, "cubic"))
+    def __init__(self, cubic: Poly):
+        self._store(_vector(cubic, DEG3_RING, 3, "cubic"))
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence) -> "Deg3Model":
         if len(coeffs) != 10:
             raise InputError("degree-3 model needs 10 coefficients")
-        return cls(Poly(DEG3_RING, dict(zip(cls.MONOMIALS, coeffs))))
+        return cls._of([coeffs[i] for i in cls._FROM_JSON])
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg3Model":
-        # the degree-1 and degree-3 rings are both (x, y, z)
-        return cls(Deg1Model(a1, a2, a3, a4, a6).equation())
+        # y^2 z + a1 xyz + a3 y z^2 - x^3 - a2 x^2 z - a4 x z^2 - a6 z^3
+        # (the degree-1 and degree-3 rings are both (x, y, z))
+        a1, a2, a3, a4, a6 = Deg1Model(a1, a2, a3, a4, a6).coefficients()
+        return cls.from_coefficients((-1, 0, -a6, 0, -a2, 0, 1, -a4, a3, a1))
+
+    cubic = property(lambda self: _view(DEG3_RING, 3, self.vectors[0]))
 
     def coefficients(self):
-        return tuple(self.cubic.coefficient(e) for e in self.MONOMIALS)
+        return tuple(self.vectors[0][i] for i in self._TO_JSON)
 
     def equations(self) -> list[Poly]:
         return [self.cubic]
@@ -207,38 +235,31 @@ class Deg3Model:
         return cls.from_coefficients(json_list(coeffs))
 
 
-@dataclass(frozen=True)
-class Deg4Model:
+@dataclass(frozen=True, init=False)
+class Deg4Model(_Forms):
     """Pair of quadrics in x1..x4."""
-
-    q1: Poly
-    q2: Poly
 
     degree = 4
 
-    def __post_init__(self):
-        object.__setattr__(self, "q1", _check_form(self.q1, DEG4_RING, 2, "q1"))
-        object.__setattr__(self, "q2", _check_form(self.q2, DEG4_RING, 2, "q2"))
+    def __init__(self, q1: Poly, q2: Poly):
+        self._store(_vector(q1, DEG4_RING, 2, "q1"), _vector(q2, DEG4_RING, 2, "q2"))
 
     @classmethod
     def from_coefficients(cls, q1_coeffs: Sequence, q2_coeffs: Sequence) -> "Deg4Model":
         """Each quadric as 10 coefficients in graded-lex monomial order."""
         if len(q1_coeffs) != 10 or len(q2_coeffs) != 10:
             raise InputError("degree-4 model needs 10 coefficients per quadric")
-        return cls(*(Poly(DEG4_RING, dict(zip(QUADRIC_MONOMIALS_DEG4, coeffs)))
-                     for coeffs in (q1_coeffs, q2_coeffs)))
+        return cls._of(q1_coeffs, q2_coeffs)
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg4Model":
-        x1, x2, x3, x4 = generators(DEG4_RING)
-        q1 = x1 * x4 - x2 * x2
-        q2 = (x3 * x3 + a1 * x2 * x3 + a3 * x1 * x3
-              - x2 * x4 - a2 * x2 * x2 - a4 * x1 * x2 - a6 * x1 * x1)
-        return cls(q1, q2)
+        # q1 = x1 x4 - x2^2 and q2 = x3^2 + a1 x2 x3 + a3 x1 x3 - x2 x4
+        # - a2 x2^2 - a4 x1 x2 - a6 x1^2 over QUADRIC_MONOMIALS_DEG4
+        return cls.from_coefficients((0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
+                                     (-a6, -a4, a3, 0, -a2, a1, -1, 1, 0, 0))
 
-    def coefficients(self):
-        return (tuple(self.q1.coefficient(e) for e in QUADRIC_MONOMIALS_DEG4),
-                tuple(self.q2.coefficient(e) for e in QUADRIC_MONOMIALS_DEG4))
+    q1 = property(lambda self: _view(DEG4_RING, 2, self.vectors[0]))
+    q2 = property(lambda self: _view(DEG4_RING, 2, self.vectors[1]))
 
     def equations(self) -> list[Poly]:
         return [self.q1, self.q2]
@@ -252,19 +273,16 @@ class Deg4Model:
         return cls.from_coefficients(json_list(coeffs["q1"]), json_list(coeffs["q2"]))
 
 
-@dataclass(frozen=True)
-class Deg5Model:
+@dataclass(frozen=True, init=False)
+class Deg5Model(_Forms):
     """5x5 alternating matrix of linear forms, stored as its upper triangle."""
-
-    upper: tuple
 
     degree = 5
 
-    def __post_init__(self):
-        if len(self.upper) != 10:
+    def __init__(self, upper: Sequence[Poly]):
+        if len(json_list(upper, "the upper triangle")) != 10:
             raise InputError("degree-5 model needs 10 upper-triangle entries")
-        upper = tuple(_check_form(entry, DEG5_RING, 1, "matrix entry") for entry in self.upper)
-        object.__setattr__(self, "upper", upper)
+        self._store(*(_vector(entry, DEG5_RING, 1, "matrix entry") for entry in upper))
 
     @classmethod
     def from_matrix(cls, rows) -> "Deg5Model":
@@ -275,12 +293,9 @@ class Deg5Model:
     @classmethod
     def from_coefficients(cls, entries: Sequence[Sequence]) -> "Deg5Model":
         """Ten upper-triangle entries, each as 5 coefficients of x1..x5."""
-        upper = []
-        for coeffs in entries:
-            if len(coeffs) != 5:
-                raise InputError("each matrix entry needs 5 coefficients")
-            upper.append(Poly(DEG5_RING, dict(zip(DEG5_UNITS, coeffs))))
-        return cls(tuple(upper))
+        if len(entries) != 10 or any(len(coeffs) != 5 for coeffs in entries):
+            raise InputError("degree-5 model needs 10 upper-triangle entries of 5 coefficients")
+        return cls._of(*entries)
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg5Model":
@@ -292,15 +307,14 @@ class Deg5Model:
                     -x2, zero,         # (3,4) (3,5)
                     x1))               # (4,5)
 
-    def coefficients(self):
-        return tuple(tuple(entry.coefficient(e) for e in DEG5_UNITS) for entry in self.upper)
+    upper = property(lambda self: tuple(_view(DEG5_RING, 1, vec) for vec in self.vectors))
 
     def matrix(self) -> list[list[Poly]]:
         """The full alternating matrix: phi_ji = -phi_ij, zero diagonal."""
         rows = [[Poly.zero(DEG5_RING)] * 5 for _ in range(5)]
-        for (i, j), entry in zip(DEG5_PAIRS, self.upper):
-            rows[i][j] = entry
-            rows[j][i] = -entry
+        for (i, j), vec in zip(DEG5_PAIRS, self.vectors):
+            rows[i][j] = _view(DEG5_RING, 1, vec)
+            rows[j][i] = _view(DEG5_RING, 1, [-c for c in vec])
         return rows
 
     def pfaffians(self) -> list[Poly]:
@@ -349,9 +363,11 @@ def require_degree(model, degrees, what: str, classes=MODEL_CLASSES, kind="model
 
 
 def class_for_degree(classes: dict, degree, what: str):
-    """``classes[degree]`` for a plain int degree (not JSON true or 1.0)."""
+    """``classes[degree]`` for a plain int degree (not JSON true or 1.0):
+    the one check of the degree an operation is asked to build."""
     if type(degree) is not int or degree not in classes:
-        raise InputError(f"unsupported {what} degree: {degree!r}")
+        raise InputError(f"unsupported {what} degree: {degree!r} "
+                         f"(expected {', '.join(map(str, classes))})")
     return classes[degree]
 
 
@@ -382,9 +398,9 @@ def weierstrass_model(w: Deg1Model, degree: int) -> GenusOneModel:
     (1:x:y:x^2:xy) respectively; restriction to this family is what
     normalises all the invariants.
     """
-    if degree not in (2, 3, 4, 5):
-        raise InputError(f"no Weierstrass model of degree {degree} (expected 2..5)")
-    return MODEL_CLASSES[degree].weierstrass(*w.coefficients())
+    require_degree(w, (1,), "weierstrass_model")
+    classes = {d: cls for d, cls in MODEL_CLASSES.items() if hasattr(cls, "weierstrass")}
+    return class_for_degree(classes, degree, "Weierstrass model").weierstrass(*w.coefficients())
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +421,10 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     row-reduction ones, so the output is deterministic.
     """
     require_degree(model, (5,), "project_from_point")
-    point = [as_scalar(c) for c in point]
+    try:
+        point = [as_scalar(c) for c in point]
+    except (TypeError, ValueError):
+        point = []  # not a sequence of exact scalars
     if len(point) != 5 or not any(point):
         raise InputError("the point must have 5 homogeneous coordinates, not all zero")
 
@@ -429,7 +448,8 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors:
     # the rows of Sym^2(B) give each moved Pfaffian's coefficients.
     quad_monos = monomials(DEG5_RING, 2)
-    moved = substituted_coefficients(pfaffians, rows, 2)
+    moved = substituted_coefficients([[p.terms.get(e, 0) for e in quad_monos]
+                                      for p in pfaffians], rows, 2)
     if scalar_rank(moved) != 5:
         raise DegenerateModelError("the Pfaffian quadrics are linearly dependent")
 

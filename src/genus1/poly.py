@@ -123,6 +123,13 @@ class Poly:
         exps = tuple(int(v == name) for v in variables)
         return cls._make(variables, {exps: 1})
 
+    @classmethod
+    def from_vector(cls, variables: Sequence[str], basis, coeffs) -> "Poly":
+        """The polynomial with the coefficients ``coeffs`` at the exponents of
+        ``basis`` (such as ``monomials(variables, d)``), zeros left out: the
+        view of a coefficient vector, whose scalars must be normalised."""
+        return cls._make(tuple(variables), {e: c for e, c in zip(basis, coeffs) if c})
+
     # -- ring bookkeeping --------------------------------------------------
 
     def _same_ring(self, other: "Poly"):
@@ -232,15 +239,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True if all terms share one total degree (zero counts for any)."""
-        degrees = {sum(e) for e in self.terms}
-        if not degrees:
-            return True
-        if degree is None:
-            return len(degrees) == 1
-        return degrees == {degree}
 
     def coefficient(self, exponents: Sequence[int]) -> Scalar:
         return self.terms.get(tuple(exponents), 0)
@@ -391,23 +389,31 @@ def symmetric_power(B, degree: int) -> list:
     return list(zip(*columns))
 
 
-def substituted_coefficients(forms, B, degree: int) -> list[list]:
+def substituted_coefficients(vectors, B, degree: int) -> list[list]:
     """The coefficient vectors, over ``monomials(ring, degree)``, of forms
-    of that degree under x_j = sum_i B_ij x_i': Sym^d(B) times each.
+    of that degree, given by such vectors, under x_j = sum_i B_ij x_i':
+    Sym^d(B) times each.
     With L the lcm of B's denominators, Sym^d(B) = Sym^d(L B) / L^d, so
     the products run on an integer matrix and each coefficient is
     divided once."""
     scale = lcm(*(c.denominator for row in B for c in row if isinstance(c, Fraction)), 1)
     sym = symmetric_power([[int(c * scale) for c in row] for row in B] if scale > 1 else B,
                           degree)
-    basis = monomials(forms[0].variables, degree)
-    out = []
-    for form in forms:
-        vec = [form.terms.get(e, 0) for e in basis]
-        out.append([sum(map(mul, row, vec)) for row in sym])
+    out = [[sum(map(mul, row, vec)) for row in sym] for vec in vectors]
     if scale > 1:
         den = scale ** degree
         out = [[as_scalar(Fraction(c, den)) for c in vec] for vec in out]
+    return out
+
+
+def binary_product(f, g) -> list:
+    """The coefficients of the product of two binary forms, each given over
+    ``monomials`` of its degree (the powers of the first variable falling):
+    the convolution of the two vectors."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
     return out
 
 

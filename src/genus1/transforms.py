@@ -37,10 +37,10 @@ from typing import get_args
 
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
-from .models import (DEG2_RING, DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model,
-                     Deg4Model, Deg5Model, GenusOneModel, check_keys,
-                     class_for_degree, json_list, json_scalars, require_degree)
-from .poly import Poly, Scalar, as_scalar, monomials, substituted_coefficients
+from .models import (DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
+                     Deg5Model, GenusOneModel, check_keys, class_for_degree, json_list,
+                     json_scalars, require_degree)
+from .poly import Scalar, as_scalar, binary_product, substituted_coefficients
 
 
 def _upow(base: Scalar, k: int) -> Scalar:
@@ -57,18 +57,6 @@ def _matrix(data, n: int, what: str):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
-
-
-def _substitute(B, degree: int, *forms) -> list[Poly]:
-    """The forms, all of one degree, under x_j = sum_i B_ij x_i'."""
-    ring = forms[0].variables
-    basis = monomials(ring, degree)
-    return [Poly(ring, dict(zip(basis, vec)))
-            for vec in substituted_coefficients(forms, B, degree)]
-
-
-def _rho(r) -> Poly:
-    return Poly(DEG2_RING, {(2, 0): r[0], (1, 1): r[1], (0, 2): r[2]})
 
 
 @dataclass(frozen=True)
@@ -94,19 +82,14 @@ class Deg1Transform:
         return _upow(self.u, -1)
 
     def apply(self, m: Deg1Model) -> Deg1Model:
-        # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z'
-        u, r, s, t = self.u, self.r, self.s, self.t
-        moved, = _substitute(((u * u, u * u * s, 0), (0, u ** 3, 0), (r, t, 1)), 3,
-                             m.equation())
-        scaled = moved * _upow(u, -6)
-        new = Deg1Model(
-            scaled.coefficient((1, 1, 1)),
-            -scaled.coefficient((2, 0, 1)),
-            scaled.coefficient((0, 1, 2)),
-            -scaled.coefficient((1, 0, 2)),
-            -scaled.coefficient((0, 0, 3)),
-        )
-        if new.equation() != scaled:
+        # gamma_3 moves the Weierstrass cubic as this transformation does:
+        # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z', times u^-6
+        moved = Deg3Transform.gamma(self.u, self.r, self.s, self.t).apply(
+            Deg3Model.weierstrass(*m.coefficients()))
+        # the JSON order is x^3, y^3, z^3, x^2 y, x^2 z, x y^2, y^2 z, x z^2, y z^2, xyz
+        c = moved.coefficients()
+        new = Deg1Model(c[9], -c[4], c[8], -c[7], -c[2])
+        if Deg3Model.weierstrass(*new.coefficients()) != moved:
             raise InternalCheckError("degree-1 substitution left a non-Weierstrass polynomial")
         return new
 
@@ -152,18 +135,20 @@ class Deg2Transform:
         return self.mu * scalar_det(self.B)
 
     def apply(self, m: Deg2Model) -> Deg2Model:
-        p_b, = _substitute(self.B, 2, m.p)
-        q_b, = _substitute(self.B, 4, m.q)
-        rho = _rho(self.r)
-        new_p = self.mu * (p_b + 2 * rho)
-        new_q = self.mu * self.mu * (q_b - p_b * rho - rho * rho)
-        return Deg2Model(new_p, new_q)
+        # p and q under B, then y = y' + rho: p + 2 rho and q - (p + rho) rho,
+        # rescaled by mu and mu^2; r is rho's vector over x^2, xz, z^2
+        mu, rho = self.mu, self.r
+        (p_b,), (q_b,) = (substituted_coefficients([vec], self.B, d)
+                          for vec, d in zip(m.vectors, (2, 4)))
+        shifted = binary_product([a + b for a, b in zip(p_b, rho)], rho)
+        return Deg2Model._of([mu * (a + 2 * b) for a, b in zip(p_b, rho)],
+                             [mu * mu * (a - b) for a, b in zip(q_b, shifted)])
 
     def compose(self, g2: "Deg2Transform") -> "Deg2Transform":
         inv_mu2 = _upow(g2.mu, -1)
-        rho = inv_mu2 * _rho(self.r) + _substitute(self.B, 2, _rho(g2.r))[0]
-        r = (rho.coefficient((2, 0)), rho.coefficient((1, 1)), rho.coefficient((0, 2)))
-        return Deg2Transform(self.mu * g2.mu, r, mat_mul(self.B, g2.B))
+        moved, = substituted_coefficients([g2.r], self.B, 2)
+        return Deg2Transform(self.mu * g2.mu, [inv_mu2 * a + b for a, b in zip(self.r, moved)],
+                             mat_mul(self.B, g2.B))
 
 
 @dataclass(frozen=True)
@@ -194,7 +179,8 @@ class Deg3Transform:
         return self.mu * scalar_det(self.B)
 
     def apply(self, m: Deg3Model) -> Deg3Model:
-        return Deg3Model(self.mu * _substitute(self.B, 3, m.cubic)[0])
+        moved, = substituted_coefficients(m.vectors, self.B, 3)
+        return Deg3Model._of([self.mu * c for c in moved])
 
     def compose(self, g2: "Deg3Transform") -> "Deg3Transform":
         return Deg3Transform(self.mu * g2.mu, mat_mul(self.B, g2.B))
@@ -241,9 +227,8 @@ class Deg4Transform(_MatrixPair):
         return scalar_det(self.A) * scalar_det(self.B)
 
     def apply(self, m: Deg4Model) -> Deg4Model:
-        q1, q2 = _substitute(self.B, 2, m.q1, m.q2)
-        return Deg4Model(self.A[0][0] * q1 + self.A[0][1] * q2,
-                         self.A[1][0] * q1 + self.A[1][1] * q2)
+        q1, q2 = substituted_coefficients(m.vectors, self.B, 2)
+        return Deg4Model._of(*([a * c + b * d for c, d in zip(q1, q2)] for a, b in self.A))
 
 
 @dataclass(frozen=True)
@@ -284,8 +269,8 @@ class Deg5Transform(_MatrixPair):
         a = self.A
         wedge = [[a[i][k] * a[j][l] - a[i][l] * a[j][k] for k, l in DEG5_PAIRS]
                  for i, j in DEG5_PAIRS]
-        moved = mat_mul(m.coefficients(), tuple(zip(*self.B)))
-        return Deg5Model.from_coefficients(mat_mul(wedge, moved))
+        moved = mat_mul(m.vectors, tuple(zip(*self.B)))
+        return Deg5Model._of(*mat_mul(wedge, moved))
 
 
 Transformation = (Deg1Transform | Deg2Transform | Deg3Transform
@@ -335,9 +320,8 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
     Weierstrass family: apply(gamma(g), pi_n(w)) == pi_n(apply(g, w)), and
     the det character is preserved."""
     require_transformation(g, "gamma", (1,))
-    if degree not in (2, 3, 4, 5):
-        raise InputError(f"gamma has no target of degree {degree} (expected 2..5)")
-    return TRANSFORM_CLASSES[degree].gamma(g.u, g.r, g.s, g.t)
+    classes = {d: cls for d, cls in TRANSFORM_CLASSES.items() if hasattr(cls, "gamma")}
+    return class_for_degree(classes, degree, "gamma target").gamma(g.u, g.r, g.s, g.t)
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
     python tests/scaled_triple.py TRANSFORMATION_JSON C4 C6 DELTA
 
 The moved model has d^4 c4, d^6 c6 and d^12 Delta, with d the det
-character of the transformation: mu det B in degrees 2 and 3, det A det B
-in degree 4 and (det A)^2 det B in degree 5.  The determinants are taken
+character of the transformation: 1/u in degree 1, mu det B in degrees 2
+and 3, det A det B in degree 4 and (det A)^2 det B in degree 5.  The determinants are taken
 by the Leibniz formula, and nothing is imported from genus1, so the output
 is a reference for ``genus1 invariants`` that the package did not compute.
 Scalars are integers or "n/d" strings; the output prints them as genus1
@@ -28,6 +28,8 @@ def det(m):
 
 
 def character(g) -> Fraction:
+    if g["degree"] == 1:
+        return 1 / Fraction(str(g["u"]))
     if g["degree"] in (2, 3):
         return Fraction(str(g["mu"])) * det(g["B"])
     return det(g["A"]) ** (g["degree"] - 3) * det(g["B"])

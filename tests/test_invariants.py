@@ -22,7 +22,7 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     invariants_deg2, invariants_deg3, invariants_deg4,
                     invariants_deg5, j_invariant, jacobian, matrix_discriminant,
                     tate_quantities, weierstrass_model)
-from genus1.invariants import V_RING, _symmetric_matrix
+from genus1.invariants import V_RING, _symmetric
 from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG5_RING
 from genus1.poly import monomials
@@ -249,15 +249,14 @@ class TestDegree4:
         checked = 0
         while checked < 3:
             m = random_model(rng, 4)
-            mat_a = _symmetric_matrix(m.q1)
-            mat_b = _symmetric_matrix(m.q2)
+            mat_a, mat_b = (_symmetric(vec, 4) for vec in m.coefficients())
             a = scalar_det(mat_a)
             e = scalar_det(mat_b)
             if a == 0 or e == 0:
                 continue
-            q1p, q2p = deg4_auxiliary_quadrics(m)
-            t1 = _symmetric_matrix(q1p)
-            t2 = _symmetric_matrix(q2p)
+            # the auxiliary quadrics as a model, to read their coefficients
+            auxiliary = Deg4Model(*deg4_auxiliary_quadrics(m))
+            t1, t2 = (_symmetric(vec, 4) for vec in auxiliary.coefficients())
             adj_a = adjugate(mat_a)
             adj_b = adjugate(mat_b)
             for s, t in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3)]:
@@ -299,8 +298,9 @@ class TestDegree4Matrix:
         for m in models:
             delta = invariants_deg4(m).delta
             assert discriminant_deg4_matrix(m) == DISC_MATRIX_SIGN[4] * 16 * delta
-            singular_a += scalar_det(_symmetric_matrix(m.q1)) == 0
-            singular_b += scalar_det(_symmetric_matrix(m.q2)) == 0
+            mat_a, mat_b = (_symmetric(vec, 4) for vec in m.coefficients())
+            singular_a += scalar_det(mat_a) == 0
+            singular_b += scalar_det(mat_b) == 0
         assert singular_a and singular_b
 
 
@@ -745,8 +745,8 @@ class TestInvariantLawsByProperty:
 
 
 # q1 = -x1^2 - x2^2 - x4^2 and q2 = 2 x1 x2 + 2 x3^2: the rows of its sA + tB
-# have 2, 2, 1 and 1 terms, so the determinant has at most 4 terms, too few
-# to fill the 5 quartics in s, t, and it takes linalg._maximal_minors.
+# have 2, 2, 1 and 1 terms, so its determinant has at most 4 of the 5 terms
+# of a binary quartic.
 SPARSE_DEG4 = Deg4Model.from_coefficients([-1, 0, 0, 0, -1, 0, 0, 0, 0, -1],
                                           [0, 2, 0, 0, 0, 0, 0, 2, 0, 0])
 
@@ -765,23 +765,11 @@ def sparse_smooth_deg4(rng):
 
 
 class TestSparseDegree4:
-    """Quadric pairs sparse enough that det(sA + tB) can leave the dense
-    path, against the 10x10 discriminant and dense transformed images."""
+    """Sparse quadric pairs, whose det(sA + tB) has few terms, against the
+    10x10 discriminant and dense transformed images."""
 
-    def test_pinned_model_takes_the_generic_minors(self, monkeypatch):
-        import genus1.linalg as linalg
-        minors = linalg._maximal_minors
-        calls = []
-
-        def recorded(rows):
-            calls.append(rows)
-            return minors(rows)
-
-        monkeypatch.setattr(linalg, "_maximal_minors", recorded)
+    def test_pinned_model_values(self):
         assert invariants(SPARSE_DEG4) == (3072, 0, 16777216)
-        (rows,) = calls  # det(sA + tB), which the dense path declined
-        assert rows[0][0].variables == ("s", "t")
-        assert linalg._linear_determinant(("s", "t"), rows) is None
         assert discriminant_deg4_matrix(SPARSE_DEG4) == -268435456 == -16 * 16777216
 
     @settings(deadline=None, max_examples=30)

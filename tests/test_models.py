@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from genus1 import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
-                    InputError, Poly, a1_char2, apply, compose, deg5_covariants,
-                    det_character, determinant, dumps_model, equations, generators,
-                    identity_transform, invariants, is_alternating, loads_model,
-                    matrix_discriminant, model_from_dict, model_to_dict,
-                    project_from_point, transformation_to_dict, weierstrass_model)
+from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg3Model, Deg4Model,
+                    Deg5Model, InputError, Poly, a1_char2, apply, compose,
+                    deg5_covariants, det_character, determinant, dumps_model,
+                    equations, gamma, generators, identity_transform, invariants,
+                    is_alternating, loads_model, matrix_discriminant, model_from_dict,
+                    model_to_dict, project_from_point, transformation_to_dict,
+                    weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
                      deg5_models, fraction_moved_wuthrich, random_model,
-                     wuthrich_model)
+                     random_transformation, wuthrich_model)
 
 X1, X2 = generators(DEG5_RING)[:2]
 ZERO5 = Poly.zero(DEG5_RING)
@@ -140,6 +141,94 @@ def test_a_non_model_or_transformation_is_input_error(call, name, kind):
     with pytest.raises(InputError, match=rf"^{name} takes {kind}s of degree 1, 2, 3, 4, 5, "
                                          rf"not a str$"):
         call("x")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Deg2Model(1, 2), r"^p must be a polynomial in the ring \('x', 'z'\)$"),
+    (lambda: Deg3Model(5), r"^cubic must be a polynomial in the ring \('x', 'y', 'z'\)$"),
+    (lambda: Deg4Model(1, 2), r"^q1 must be a polynomial in the ring \('x1', "),
+    (lambda: Deg4Model(Poly.zero(DEG4_RING), Poly.zero(DEG3_RING)), r"^q2 must be a polyno"),
+    (lambda: Deg5Model((1,) * 10), r"^matrix entry must be a polynomial in the ring \('x1', "),
+    (lambda: Deg5Model.from_matrix([[0] * 5] * 5), r"^matrix entry must be a polynomial in "),
+    (lambda: Deg5Model(5), r"^the upper triangle must be a list, not int$"),
+    (lambda: project_from_point(wuthrich_model(), None), r"^the point must have 5 "),
+    (lambda: project_from_point(wuthrich_model(), [[0]] * 5), r"^the point must have 5 "),
+], ids=["deg2", "deg3", "deg4", "deg4-ring", "deg5", "from_matrix", "deg5-int", "point-none",
+        "point-lists"])
+def test_a_bad_model_argument_is_input_error(call, message):
+    # each raised AttributeError or TypeError: the constructors check their
+    # arguments once, and a point that is not 5 exact scalars is a bad point
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("degree", [2.0, True, 1, 6])
+def test_weierstrass_and_gamma_take_a_plain_int_degree(degree):
+    # 2.0 gave a degree-2 model and 3.0 a degree-3 transformation; the one
+    # degree check, class_for_degree, refuses a bool or float
+    with pytest.raises(InputError, match=rf"^unsupported Weierstrass model degree: "
+                                         rf"{degree!r} \(expected 2, 3, 4, 5\)$"):
+        weierstrass_model(Deg1Model(0, 0, 0, -1, 0), degree)
+    with pytest.raises(InputError, match=rf"^unsupported gamma target degree: "
+                                         rf"{degree!r} \(expected 2, 3, 4, 5\)$"):
+        gamma(Deg1Transform(2, 1, 0, 0), degree)
+
+
+def test_models_store_normalised_vectors():
+    # one stored tuple per model: the same model from Poly values (one with
+    # an integral Fraction left by Poly addition) and from coefficients
+    x, y, z = generators(DEG3_RING)
+    half = Fraction(1, 2) * x ** 3
+    cubic = Deg3Model(half + half + 3 * x * y * z)
+    same = Deg3Model.from_coefficients([1, 0, 0, 0, 0, 0, 0, 0, 0, 3])
+    assert cubic == same and hash(cubic) == hash(same)
+    assert type(cubic.coefficients()[0]) is int
+    assert cubic.cubic == x ** 3 + 3 * x * y * z
+    assert repr(cubic) == "Deg3Model(vectors=((1, 0, 0, 0, 3, 0, 0, 0, 0, 0),))"
+    m2, m4, m5 = (random_model(random.Random(degree), degree) for degree in (2, 4, 5))
+    assert Deg2Model(m2.p, m2.q) == m2
+    assert Deg4Model(m4.q1, m4.q2) == m4
+    assert Deg5Model(m5.upper) == m5
+
+
+def dense_model(rng, degree):
+    """A model of degree 1 to 4 with no zero coefficient, some of them Fractions."""
+    pick = lambda n: [rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+                      for _ in range(n)]
+    if degree == 1:
+        return Deg1Model(*pick(5))
+    if degree == 2:
+        return Deg2Model.from_coefficients(pick(3), pick(5))
+    if degree == 3:
+        return Deg3Model.from_coefficients(pick(10))
+    return Deg4Model.from_coefficients(pick(10), pick(10))
+
+
+POLY_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__neg__", "__pow__", "__truediv__")
+
+
+def test_degrees_1_to_4_run_without_poly_arithmetic(monkeypatch):
+    # models store coefficient vectors: the invariants, the actions and the
+    # file format of degrees 1-4 run on them, and Poly is only a view
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic")
+
+    for name in POLY_OPERATORS:
+        monkeypatch.setattr(Poly, name, refuse)
+    rng = random.Random(21)
+    for degree in (1, 2, 3, 4):
+        for _ in range(4):
+            m = dense_model(rng, degree)
+            g1, g2 = random_transformation(rng, degree), random_transformation(rng, degree)
+            triple = invariants(m)
+            if degree > 2:
+                assert matrix_discriminant(m) == triple.delta
+            assert apply(compose(g1, g2), m) == apply(g1, apply(g2, m))
+            assert loads_model(dumps_model(m)) == m
+    w = Deg1Model(1, -1, 0, -2, 3)
+    for n in (2, 3, 4):
+        assert invariants(weierstrass_model(w, n)) == invariants(w)
 
 
 class TestWeierstrassFamily:
