@@ -43,9 +43,9 @@ from .errors import (DegenerateModelError, InputError, InternalCheckError,
                      SingularModelError)
 from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant, mat_mul,
                      perm_sign, scalar_det, solve_linear)
-from .models import (DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
+from .models import (_QUADRICS5, DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, require_degree)
+                     Deg5Model, GenusOneModel, _symmetric, require_degree)
 from .poly import Poly, Scalar, as_scalar, binary_product, monomials, times_variable
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
@@ -249,15 +249,6 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 # degree 4
 # ----------------------------------------------------------------------
 
-def _symmetric(vec, n: int):
-    """The Hessian M of the quadric (1/2) x^T M x of coefficients ``vec``:
-    row i holds the coefficients of its derivative by x_i."""
-    out = [[0] * n for _ in range(n)]
-    for (i, j), c in zip(combinations_with_replacement(range(n), 2), vec):
-        out[i][j] = out[j][i] = 2 * c if i == j else c
-    return out
-
-
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     """Invariants of a quadric pair via the binary quartic det(sA + tB), its
     entries a_ij s + b_ij t straight into ``linalg._dense_determinant`` in
@@ -342,9 +333,8 @@ class Deg5Covariants:
     pencil_quintic: Poly   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
 
 
-# The monomials of degree 2, 4 and 5 in x1..x5 (or v1..v5), and the index
+# The monomials of degree 4 and 5 in x1..x5 (or v1..v5), and the index
 # of the product of two quadric monomials, x_t (x_u m) through the tables.
-_QUADRICS5 = monomials(DEG5_RING, 2)
 _QUARTICS5 = monomials(DEG5_RING, 4)
 _QUINTICS5 = monomials(DEG5_RING, 5)
 _PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
@@ -355,23 +345,12 @@ _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
 _QUINTIC_WEIGHTS = {e: prod(map(factorial, e)) for e in _QUINTICS5}
 
 
-def _deg5_frame(m: Deg5Model):
-    """What every degree-5 covariant reads off the model: the Pfaffians
-    p_k over ``_QUADRICS5``, hess[k][t][u] = d^2 p_k/dx_t dx_u (hess[k][t]
-    is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
-    pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in m.pfaffians()]
-    upper = dict(zip(DEG5_PAIRS, m.coefficients()))
-    dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
-             for i in range(5)] for t in range(5)]
-    return pf, [_symmetric(vec, 5) for vec in pf], dphi
-
-
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     """Build the covariants of the degree-5 evaluation algorithm; raises
     DegenerateModelError when the products p_i p_j are linearly dependent
     (in which case all the invariants vanish).  The quintics are dense
     vectors over ``_QUINTICS5`` until the ``Poly`` fields are built."""
-    pf, hess, dphi = _deg5_frame(model)
+    pf, hess, dphi = model._frame()
 
     # row k of the Jacobian holds dp_k/dx_t = sum_u hess[k][t][u] x_u
     secant = _dense_determinant(5, [[[(u, c) for u, c in enumerate(grad) if c] for grad in h]
@@ -457,7 +436,7 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
 
 
 def _deg5_omega(frame, r: int, s: int) -> list:
-    """The coefficients of Omega_{r,s}: hess[i][t] is dp_i/dx_t."""
+    """The coefficients of Omega_{r,s} from ``Deg5Model._frame``: hess[i][t] is dp_i/dx_t."""
     (t3, t4, t5), sign = _omega_indices(r, s, 5)
     _, hess, dphi = frame
     return _omega([h[t3] for h in hess], dphi[t4], [h[t5] for h in hess], sign)
@@ -471,7 +450,7 @@ def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
 
     Antisymmetric under swapping r and s, and only well defined modulo
     the span of the Pfaffians."""
-    return Poly(DEG5_RING, dict(zip(_QUADRICS5, _deg5_omega(_deg5_frame(m), r, s))))
+    return Poly(DEG5_RING, dict(zip(_QUADRICS5, _deg5_omega(m._frame(), r, s))))
 
 
 def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
@@ -481,7 +460,7 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
     Omega_{r,s} is only defined modulo the span of the Pfaffians, but the
     determinant is insensitive to that since the p-rows span that space.
     """
-    frame = _deg5_frame(m)
+    frame = m._frame()
     return scalar_det(frame[0] + [_deg5_omega(frame, r, s)
                                   for r, s in combinations(range(1, 6), 2)])
 
@@ -540,15 +519,15 @@ def a1_char2(m: GenusOneModel) -> int:
     (degree 3), the six-term pairing of off-diagonal coefficients
     (degree 4), or the x1..x5 coefficient of a sum of entry products over
     coset representatives of the dihedral group (degree 5).
+
+    The x1..x5 coefficient of a product of five linear forms is the
+    permanent of their coefficient vectors, which equals their determinant
+    mod 2, as do the signs of phi_ji = -phi_ij: so degree 5 sums the
+    ``scalar_det`` of the upper-triangle vectors of each product.
     """
     require_degree(m, (2, 3, 4, 5), "a1_char2")
-    pending = list(m.coefficients())
-    while pending:
-        c = pending.pop()
-        if isinstance(c, tuple):
-            pending.extend(c)
-        elif not isinstance(c, int):
-            raise InputError(f"degree-{m.degree} model must have integer coefficients")
+    if not all(isinstance(c, int) for vec in m.vectors for c in vec):
+        raise InputError(f"degree-{m.degree} model must have integer coefficients")
     if m.degree == 2:
         return m.vectors[0][1] % 2
     if m.degree == 3:
@@ -561,13 +540,6 @@ def a1_char2(m: GenusOneModel) -> int:
             k, l = (x for x in range(4) if x not in (i, j))
             total += a[i][j] * b[k][l]
         return total % 2
-    phi = m.matrix()
-    total = 0
-    for sigma in D5_COSET_REPS:
-        product = Poly.constant(DEG5_RING, 1)
-        for i in range(5):
-            product = product * phi[sigma[i] - 1][sigma[(i + 1) % 5] - 1]
-            if not product:
-                break
-        total += product.coefficient((1, 1, 1, 1, 1))
-    return int(total) % 2
+    upper = dict(zip(DEG5_PAIRS, m.vectors))
+    return sum(scalar_det([upper[min(i, j) - 1, max(i, j) - 1] for i, j in zip(s, s[1:] + s[:1])])
+               for s in D5_COSET_REPS) % 2

@@ -28,7 +28,11 @@ Degree-5 models are stored by their upper triangle only (positions
 ``from_matrix`` convert to and from the full matrix, and only
 ``from_matrix``, which takes outside input, checks alternation.  All model
 classes are frozen dataclasses; the polynomial rings are the fixed
-module-level tuples below.
+module-level tuples below.  ``Deg5Model._frame`` is the one reader of a
+degree-5 model's Pfaffians, as coefficient vectors and Hessian matrices:
+the degree-5 invariants and projection run on it, and the Weierstrass
+models on coefficient vectors, with no ``Poly`` arithmetic outside
+``pfaffians``.
 
 This module also provides the Weierstrass-family embeddings pi_n sending
 a degree-1 model to an equivalent model of degree n = 2..5, projection of
@@ -44,13 +48,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import is_alternating, kernel_basis, pivot_columns, scalar_rank
-from .poly import (Poly, Scalar, as_scalar, format_scalar, generators, monomials,
-                   substituted_coefficients)
+from .poly import Poly, Scalar, as_scalar, format_scalar, monomials, substituted_coefficients
 
 DEG1_RING = ("x", "y", "z")
 DEG2_RING = ("x", "z")
@@ -66,6 +70,8 @@ DEG5_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 DEG5_UNITS = monomials(DEG5_RING, 1)
 
 QUADRIC_MONOMIALS_DEG4 = monomials(DEG4_RING, 2)
+# The quadric monomials in x1..x5; those free of x5 are QUADRIC_MONOMIALS_DEG4, in order.
+_QUADRICS5 = monomials(DEG5_RING, 2)
 
 
 def json_scalars(values):
@@ -96,6 +102,15 @@ def _vector(p, ring, degree: int, what: str) -> list:
 
 def _view(ring, degree: int, vector) -> Poly:
     return Poly.from_vector(ring, monomials(ring, degree), vector)
+
+
+def _symmetric(vec, n: int):
+    """The Hessian M of the quadric (1/2) x^T M x of coefficients ``vec``:
+    row i holds the coefficients of its derivative by x_i."""
+    out = [[0] * n for _ in range(n)]
+    for (i, j), c in zip(combinations_with_replacement(range(n), 2), vec):
+        out[i][j] = out[j][i] = 2 * c if i == j else c
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,7 +178,7 @@ class Deg2Model(_Forms):
     @classmethod
     def from_coefficients(cls, p_coeffs: Sequence, q_coeffs: Sequence) -> "Deg2Model":
         """p as [alpha0, alpha1, alpha2] on x^2, xz, z^2; q as [a..e] on x^4..z^4."""
-        if len(p_coeffs) != 3 or len(q_coeffs) != 5:
+        if len(json_list(p_coeffs)) != 3 or len(json_list(q_coeffs)) != 5:
             raise InputError("degree-2 model needs 3 coefficients for p and 5 for q")
         return cls._of(p_coeffs, q_coeffs)
 
@@ -185,7 +200,7 @@ class Deg2Model(_Forms):
     @classmethod
     def from_json(cls, coeffs) -> "Deg2Model":
         check_keys(coeffs, ("p", "q"), "degree-2 coefficients")
-        return cls.from_coefficients(json_list(coeffs["p"]), json_list(coeffs["q"]))
+        return cls.from_coefficients(coeffs["p"], coeffs["q"])
 
 
 @dataclass(frozen=True, init=False)
@@ -208,7 +223,7 @@ class Deg3Model(_Forms):
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence) -> "Deg3Model":
-        if len(coeffs) != 10:
+        if len(json_list(coeffs)) != 10:
             raise InputError("degree-3 model needs 10 coefficients")
         return cls._of([coeffs[i] for i in cls._FROM_JSON])
 
@@ -230,9 +245,7 @@ class Deg3Model(_Forms):
     def to_json(self):
         return json_scalars(self.coefficients())
 
-    @classmethod
-    def from_json(cls, coeffs) -> "Deg3Model":
-        return cls.from_coefficients(json_list(coeffs))
+    from_json = from_coefficients
 
 
 @dataclass(frozen=True, init=False)
@@ -247,7 +260,7 @@ class Deg4Model(_Forms):
     @classmethod
     def from_coefficients(cls, q1_coeffs: Sequence, q2_coeffs: Sequence) -> "Deg4Model":
         """Each quadric as 10 coefficients in graded-lex monomial order."""
-        if len(q1_coeffs) != 10 or len(q2_coeffs) != 10:
+        if len(json_list(q1_coeffs)) != 10 or len(json_list(q2_coeffs)) != 10:
             raise InputError("degree-4 model needs 10 coefficients per quadric")
         return cls._of(q1_coeffs, q2_coeffs)
 
@@ -270,7 +283,7 @@ class Deg4Model(_Forms):
     @classmethod
     def from_json(cls, coeffs) -> "Deg4Model":
         check_keys(coeffs, ("q1", "q2"), "degree-4 coefficients")
-        return cls.from_coefficients(json_list(coeffs["q1"]), json_list(coeffs["q2"]))
+        return cls.from_coefficients(coeffs["q1"], coeffs["q2"])
 
 
 @dataclass(frozen=True, init=False)
@@ -286,6 +299,7 @@ class Deg5Model(_Forms):
 
     @classmethod
     def from_matrix(cls, rows) -> "Deg5Model":
+        rows = [json_list(row, "a matrix row") for row in json_list(rows, "the matrix")]
         if len(rows) != 5 or not is_alternating(rows):
             raise InputError("degree-5 model matrix must be 5x5 and alternating")
         return cls(tuple(rows[i][j] for i, j in DEG5_PAIRS))
@@ -293,19 +307,19 @@ class Deg5Model(_Forms):
     @classmethod
     def from_coefficients(cls, entries: Sequence[Sequence]) -> "Deg5Model":
         """Ten upper-triangle entries, each as 5 coefficients of x1..x5."""
+        entries = [json_list(entry) for entry in json_list(entries)]
         if len(entries) != 10 or any(len(coeffs) != 5 for coeffs in entries):
             raise InputError("degree-5 model needs 10 upper-triangle entries of 5 coefficients")
         return cls._of(*entries)
 
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg5Model":
-        x1, x2, x3, x4, x5 = generators(DEG5_RING)
-        ell = a1 * x5 - a2 * x4 + a3 * x3 - a4 * x2 - a6 * x1
-        zero = Poly.zero(DEG5_RING)
-        return cls((ell, x5, x4, x3,   # (1,2) (1,3) (1,4) (1,5)
-                    x4, x3, x2,        # (2,3) (2,4) (2,5)
-                    -x2, zero,         # (3,4) (3,5)
-                    x1))               # (4,5)
+        # a1 x5 - a2 x4 + a3 x3 - a4 x2 - a6 x1, then variables as unit vectors
+        x1, x2, x3, x4, x5 = DEG5_UNITS
+        return cls._of((-a6, -a4, a3, -a2, a1), x5, x4, x3,   # (1,2) (1,3) (1,4) (1,5)
+                       x4, x3, x2,                            # (2,3) (2,4) (2,5)
+                       (0, -1, 0, 0, 0), (0,) * 5,            # (3,4) (3,5)
+                       x1)                                    # (4,5)
 
     upper = property(lambda self: tuple(_view(DEG5_RING, 1, vec) for vec in self.vectors))
 
@@ -333,6 +347,16 @@ class Deg5Model(_Forms):
                                               for e, c in p.terms.items()}))
         return out
 
+    def _frame(self):
+        """What every degree-5 computation reads off the model: the Pfaffians
+        p_k over ``_QUADRICS5``, hess[k][t][u] = d^2 p_k/dx_t dx_u (hess[k][t]
+        is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
+        pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in self.pfaffians()]
+        upper = dict(zip(DEG5_PAIRS, self.vectors))
+        dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
+                 for i in range(5)] for t in range(5)]
+        return pf, [_symmetric(vec, 5) for vec in pf], dphi
+
     def equations(self) -> list[Poly]:
         return self.pfaffians()
 
@@ -342,7 +366,7 @@ class Deg5Model(_Forms):
     @classmethod
     def from_json(cls, coeffs) -> "Deg5Model":
         check_keys(coeffs, ("matrix",), "degree-5 coefficients")
-        return cls.from_coefficients([json_list(entry) for entry in json_list(coeffs["matrix"])])
+        return cls.from_coefficients(coeffs["matrix"])
 
 
 GenusOneModel = Deg1Model | Deg2Model | Deg3Model | Deg4Model | Deg5Model
@@ -428,10 +452,12 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     if len(point) != 5 or not any(point):
         raise InputError("the point must have 5 homogeneous coordinates, not all zero")
 
-    pfaffians = model.pfaffians()
-    if any(p.evaluate(point) != 0 for p in pfaffians):
+    pf, hess, _ = model._frame()
+    # row k of the Jacobian at the point is H_k point, and by Euler's
+    # identity point . H_k point = 2 p_k(point)
+    jac = [[sum(map(mul, row, point)) for row in h] for h in hess]
+    if any(sum(map(mul, grad, point)) for grad in jac):
         raise InputError("the point does not lie on the curve")
-    jac = [[p.derivative(v).evaluate(point) for v in DEG5_RING] for p in pfaffians]
     kernel = kernel_basis(jac)  # contains the point; rank 3 leaves 2 dimensions
     if len(kernel) != 2:
         raise DegenerateModelError("the point is a singular point of the model")
@@ -447,25 +473,19 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
 
     # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors:
     # the rows of Sym^2(B) give each moved Pfaffian's coefficients.
-    quad_monos = monomials(DEG5_RING, 2)
-    moved = substituted_coefficients([[p.terms.get(e, 0) for e in quad_monos]
-                                      for p in pfaffians], rows, 2)
+    moved = substituted_coefficients(pf, rows, 2)
     if scalar_rank(moved) != 5:
         raise DegenerateModelError("the Pfaffian quadrics are linearly dependent")
 
     # Combinations of the quadrics free of x5: the left kernel of their
     # coefficients on the x5-involving monomials.
-    restriction = [col for e, col in zip(quad_monos, zip(*moved)) if e[4] > 0]
-    combos = kernel_basis(restriction)
+    columns = list(zip(*moved))
+    combos = kernel_basis([col for e, col in zip(_QUADRICS5, columns) if e[4]])
     if len(combos) != 2:
         raise DegenerateModelError(
             "projection does not yield exactly 2 independent quadrics without x5")
-
-    out = []
-    for combo in combos:
-        quad = [sum(map(mul, combo, col)) for col in zip(*moved)]
-        out.append(Poly(DEG4_RING, {e[:4]: c for e, c in zip(quad_monos, quad) if c}))
-    return Deg4Model(out[0], out[1])
+    free = [col for e, col in zip(_QUADRICS5, columns) if not e[4]]
+    return Deg4Model._of(*([sum(map(mul, combo, col)) for col in free] for combo in combos))
 
 
 # ----------------------------------------------------------------------

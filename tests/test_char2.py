@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg2Model, Deg2Transform, Deg3Model,
                     Deg3Transform, Deg4Model, Deg4Transform, Deg5Model,
-                    Deg5Transform, InputError, a1_char2, apply, generators,
+                    Deg5Transform, InputError, Poly, a1_char2, apply, generators,
                     invariants, weierstrass_model)
 from genus1.invariants import D5_COSET_REPS
-from genus1.models import DEG3_RING
+from genus1.models import DEG3_RING, DEG5_RING
 
 from helpers import invertible_matrices, random_model
 
@@ -107,6 +107,21 @@ def test_non_integer_coefficients_rejected():
     m = Deg2Model.from_coefficients([Fraction(1, 2), 0, 0], [1, 0, 0, 0, 1])
     with pytest.raises(InputError):
         a1_char2(m)
+
+
+def test_degree5_is_the_coefficient_of_the_coset_products():
+    # the definition in Poly arithmetic: the x1..x5 coefficient of the sum
+    # over the coset representatives of prod_i phi_{sigma(i) sigma(i+1)}
+    rng = random.Random(22)
+    for _ in range(10):
+        m = random_model(rng, 5)
+        phi, total = m.matrix(), 0
+        for sigma in D5_COSET_REPS:
+            product = Poly.constant(DEG5_RING, 1)
+            for i in range(5):
+                product = product * phi[sigma[i] - 1][sigma[(i + 1) % 5] - 1]
+            total += product.coefficient((1, 1, 1, 1, 1))
+        assert a1_char2(m) == total % 2
 
 
 def test_degree1_not_supported():

@@ -153,11 +153,20 @@ def test_a_non_model_or_transformation_is_input_error(call, name, kind):
     (lambda: Deg5Model(5), r"^the upper triangle must be a list, not int$"),
     (lambda: project_from_point(wuthrich_model(), None), r"^the point must have 5 "),
     (lambda: project_from_point(wuthrich_model(), [[0]] * 5), r"^the point must have 5 "),
+    (lambda: Deg2Model.from_coefficients(5, 5), r"^coefficients must be a list, not int$"),
+    (lambda: Deg3Model.from_coefficients(None), r"^coefficients must be a list, not NoneType$"),
+    (lambda: Deg4Model.from_coefficients(None, [0] * 10), r"^coefficients must be a list, not "),
+    (lambda: Deg5Model.from_coefficients([5] * 10), r"^coefficients must be a list, not int$"),
+    (lambda: Deg5Model.from_matrix(5), r"^the matrix must be a list, not int$"),
+    (lambda: Deg5Model.from_matrix([5] * 5), r"^a matrix row must be a list, not int$"),
 ], ids=["deg2", "deg3", "deg4", "deg4-ring", "deg5", "from_matrix", "deg5-int", "point-none",
-        "point-lists"])
+        "point-lists", "deg2-not-a-list", "deg3-not-a-list", "deg4-not-a-list",
+        "deg5-entry-not-a-list", "from_matrix-not-a-list", "from_matrix-row-not-a-list"])
 def test_a_bad_model_argument_is_input_error(call, message):
-    # each raised AttributeError or TypeError: the constructors check their
-    # arguments once, and a point that is not 5 exact scalars is a bad point
+    # each raised AttributeError or TypeError: the constructors and the
+    # classmethods check their arguments once (from_coefficients and
+    # from_matrix as the file format does), and a point that is not 5
+    # exact scalars is a bad point
     with pytest.raises(InputError, match=message):
         call()
 
@@ -208,12 +217,13 @@ POLY_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rm
                   "__neg__", "__pow__", "__truediv__")
 
 
+def refuse(*args):
+    raise AssertionError("Poly arithmetic")
+
+
 def test_degrees_1_to_4_run_without_poly_arithmetic(monkeypatch):
     # models store coefficient vectors: the invariants, the actions and the
     # file format of degrees 1-4 run on them, and Poly is only a view
-    def refuse(*args):
-        raise AssertionError("Poly arithmetic")
-
     for name in POLY_OPERATORS:
         monkeypatch.setattr(Poly, name, refuse)
     rng = random.Random(21)
@@ -229,6 +239,26 @@ def test_degrees_1_to_4_run_without_poly_arithmetic(monkeypatch):
     w = Deg1Model(1, -1, 0, -2, 3)
     for n in (2, 3, 4):
         assert invariants(weierstrass_model(w, n)) == invariants(w)
+
+
+def test_degree_5_runs_without_poly_arithmetic(monkeypatch):
+    # Deg5Model._frame reads the Pfaffians once, as vectors and Hessians:
+    # the Weierstrass model, projection, a1_char2 and the invariants run on
+    # those, with the Pfaffians given and no other Poly arithmetic
+    w, point = Deg1Model(0, 0, 0, -1, 1), (1, 1, 1, 1, 1)  # (x, y) = (1, 1)
+    quintics = [weierstrass_model(w, 5), wuthrich_model(), random_model(random.Random(22), 5)]
+
+    def run():
+        m = weierstrass_model(w, 5)
+        return m, project_from_point(m, point), [
+            (invariants(q), matrix_discriminant(q), a1_char2(q)) for q in quintics]
+
+    expected = run()
+    saved = {q: q.pfaffians() for q in quintics}
+    monkeypatch.setattr(Deg5Model, "pfaffians", lambda self: saved[self])
+    for name in POLY_OPERATORS + ("evaluate", "derivative", "lift"):
+        monkeypatch.setattr(Poly, name, refuse)
+    assert run() == expected
 
 
 class TestWeierstrassFamily:

@@ -1,12 +1,17 @@
 """Projection of degree-5 models away from a rational point."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genus1 import (Deg1Model, Deg4Model, Deg5Model, Deg5Transform,
                     DegenerateModelError, InputError, apply, invariants,
-                    j_invariant, project_from_point, weierstrass_model)
+                    j_invariant, project_from_point, solve_linear, weierstrass_model)
+
+from helpers import random_matrix
 
 
 def pi5(a, b):
@@ -73,6 +78,34 @@ class TestProjection:
         projected = project_from_point(model, point)
         assert projected == Deg4Model.from_coefficients(q1, q2)
         assert j_invariant(projected) == 1728
+
+
+def pointed_curve(rng, fractions):
+    """A seeded curve w through (x, y), integer or Fraction, with Delta != 0,
+    and the image (1:x:y:x^2:xy) of (x, y) on pi_5(w)."""
+    if fractions:
+        c = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    else:
+        c = lambda: rng.randint(-4, 4)
+    while True:
+        a1, a2, a3, a4, x, y = (c() for _ in range(6))
+        w = Deg1Model(a1, a2, a3, a4, y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x)
+        if invariants(w).delta:
+            return w, (1, x, y, x * x, x * y)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_projecting_moved_images_keeps_j(seed):
+    # g substitutes x = x' B, so the point P of pi_5(w) moves to the x'
+    # with x' B = P, B^T x' = P: a Fraction point on a model with large
+    # coefficients, whose projection still has the j-invariant of w
+    rng = random.Random(seed)
+    w, point = pointed_curve(rng, fractions=seed % 2 == 1)
+    g = Deg5Transform(random_matrix(rng, 5, -9, 9), random_matrix(rng, 5, -9, 9))
+    _, (moved_point,) = solve_linear([list(col) for col in zip(*g.B)], [list(point)])
+    assert any(type(c) is Fraction for c in moved_point)
+    projected = project_from_point(apply(g, weierstrass_model(w, 5)), moved_point)
+    assert j_invariant(projected) == j_invariant(w)
 
 
 @st.composite
