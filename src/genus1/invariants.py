@@ -147,41 +147,26 @@ def invariants_deg2(m: Deg2Model) -> InvariantTriple:
 # degree 3
 # ----------------------------------------------------------------------
 
-def _hessian_matrix(terms, places) -> list[list[dict]]:
-    """The matrix d^2 f / dx_i dx_j of f = sum c x^e over ``terms`` as
-    {exponent: coefficient} entries, x_i the variable at ``places[i]``,
-    read off the terms in one pass: c x^e gives c e_i (e_j - [i = j])
-    x^(e - u_i - u_j) in entry (i, j).  For a ternary cubic U, entry
-    (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and d^3 U/dx_i dx_j dx_k is
-    the coefficient at u_i + u_j + u_k times prod_v e_v!."""
-    rows = [[{} for _ in places] for _ in places]
-    # distinct terms stay distinct in each entry, so nothing sums or cancels
-    for e, c in terms.items():
-        for row, i in zip(rows, places):
-            if e[i]:
-                once = e[:i] + (e[i] - 1,) + e[i + 1:]
-                for entry, j in zip(row, places):
-                    if once[j]:
-                        entry[once[:j] + (once[j] - 1,) + once[j + 1:]] = c * e[i] * once[j]
-    return rows
-
-
 def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
     """Hessian covariant -(1/2) det(d^2 U / dx_i dx_j) of a ternary cubic."""
-    rows = _hessian_matrix(cubic.terms, [cubic._var_index(v) for v in variables])
-    return determinant([[Poly._make(cubic.variables, entry) for entry in row]
-                        for row in rows]) * Fraction(-1, 2)
+    return determinant([[cubic.derivative(a).derivative(b) for b in variables]
+                        for a in variables]) * Fraction(-1, 2)
 
 
-# The cubic monomials in x, y, z, and those of U + nu G in (nu, x, y, z)
+# The cubic monomials in x, y, z, alpha! = prod_i alpha_i! for each, and
+# the place among them of x_i x_j x_k at [i][j][k], through the tables.
 _CUBICS3 = monomials(DEG3_RING, 3)
-_NU_CUBICS = [(k,) + e for k in (0, 1) for e in _CUBICS3]
+_CUBIC_WEIGHTS = [prod(map(factorial, e)) for e in _CUBICS3]
+_HESSIAN_PLACES = [[[times_variable(3, 2)[k][times_variable(3, 1)[j][i]] for k in range(3)]
+                    for j in range(3)] for i in range(3)]
 
 
 def _hessian_forms(vec) -> list[list[dict]]:
-    """The Hessian forms {variable index: coefficient} of a cubic over ``_CUBICS3``."""
-    rows = _hessian_matrix({e: c for e, c in zip(_CUBICS3, vec) if c}, range(3))
-    return [[{e.index(1): c for e, c in entry.items()} for entry in row] for row in rows]
+    """The Hessian forms {variable index: coefficient} of a cubic U over
+    ``_CUBICS3``: entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and
+    d^3 U/dx_i dx_j dx_k is alpha! U[q], q the place of x_i x_j x_k = x^alpha."""
+    return [[{k: _CUBIC_WEIGHTS[q] * vec[q] for k, q in enumerate(places) if vec[q]}
+             for places in row] for row in _HESSIAN_PLACES]
 
 
 def _deg3_frame(m: Deg3Model):
@@ -206,18 +191,15 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
     of U plus nu times that of G, so G(U + nu G) is the determinant of a
     pencil of linear forms in x, y, z: ``linalg._pencil_terms`` takes the
     two Hessians straight to the dense kernel by Kronecker substitution in
-    nu, and a pencil too sparse for it takes ``determinant``.  G = 0 is a
-    pencil with no nu part.  c4 and c6 are read off one coefficient where
-    U is nonzero, and both identities are checked on every coefficient:
-    the nu part is 12 c4 U, and the nu^2 part plus 12 c4 G is -48 c6 U.
+    nu.  G = 0 is a pencil with no nu part.  c4 and c6 are read off one
+    coefficient where U is nonzero, and both identities are checked on
+    every coefficient: the nu part is 12 c4 U, and the nu^2 part plus
+    12 c4 G is -48 c6 U.
     """
     if not any(m.vectors[0]):
         return InvariantTriple(0, 0, 0)
     scale, u, hess_u, g = _deg3_frame(m)
     expanded = _pencil_terms(DEG3_RING, hess_u, _hessian_forms(g)) if any(g) else {}
-    if expanded is None:  # too sparse for the dense kernel: -2 H(U + nu G)
-        expanded = (hessian(Poly.from_vector(("nu",) + DEG3_RING, _NU_CUBICS, u + g))
-                    * -2).terms
     nu1, nu2 = ([expanded.get((k,) + e, 0) for e in _CUBICS3] for k in (1, 2))
     k = next(i for i, c in enumerate(u) if c)
     # c4 = nu1[k] / 12 u[k]; each identity, times u[k], says that an

@@ -2,21 +2,21 @@
 elimination over the rationals.
 
 ``determinant`` takes a square matrix of ``Poly`` entries of one ring
-on one of three paths, read off the matrix:
+on one of two routes, chosen once, by ``_kronecker_determinant``:
 
-* ``_linear_determinant``, for linear forms, and
-  ``_kronecker_determinant``, for a pencil t M_1 + M_0 of linear forms
-  in the variables after t: both run the kernel ``_dense_determinant``,
-  minors on dense coefficient vectors, the pencil through its core
-  ``_pencil_terms``, which sets t to 2^w;
-* ``_maximal_minors``, for any other matrix: minor expansion on the
+* a pencil t M_1 + M_0 of linear forms in the variables after t, dense
+  enough for its coefficient vectors, goes to ``_pencil_terms``, which
+  sets t to 2^w and runs the kernel ``_dense_determinant``: minors on
+  dense coefficient vectors;
+* any other matrix goes to ``_maximal_minors``: minor expansion on the
   entries, which ``adjugate`` also runs on scalars.
 
-``invariants`` passes coefficient arrays below ``determinant``: entries
-of (variable, coefficient) pairs to the kernel (the degree-5 secant and
-dual, the degree-3 G and det(sA + tB) in s, t), and M_0 and M_1 of integer
-entries {variable index: coefficient} to ``_pencil_terms`` (G(U + nu G));
-the degree-5 pencil takes ``determinant``.
+``invariants`` enters below ``determinant`` with coefficient arrays, and
+nothing there declines: entries of (variable, coefficient) pairs go to
+the kernel (the degree-5 secant and dual, the degree-3 G and det(sA + tB)
+in s, t), and M_0 and M_1 of integer entries {variable index:
+coefficient} to ``_pencil_terms`` (G(U + nu G)).  Only the degree-5
+pencil takes ``determinant``.
 
 The scalar routines run Bareiss elimination (Bareiss, Math. Comp. 1968)
 on rows scaled to integers, and ``solve_linear`` tries p-adic lifting
@@ -91,34 +91,6 @@ def _dense_determinant(nvars: int, rows) -> list:
     return minors.get((1 << n) - 1) or [0] * comb(nvars + n - 1, n)
 
 
-def _dense_terms(ring: tuple, rows) -> dict | None:
-    """{exponents in ``ring``: nonzero coefficient} of ``_dense_determinant``
-    of entries {ring index of a variable: coefficient}; None when P, the
-    product of the rows' numbers of terms and a bound on the determinant's,
-    is below C(m + n - 1, n), its places for the m variables that occur."""
-    n = len(rows)
-    used = sorted({v for row in rows for entry in row for v in entry})
-    if comb(len(used) + n - 1, n) > prod(sum(map(len, row)) for row in rows):
-        return None
-    local = {v: i for i, v in enumerate(used)}
-    dense = _dense_determinant(len(used), [[[(local[v], c) for v, c in entry.items()]
-                                            for entry in row] for row in rows])
-    # put each exponent back at its variable's place in the ring
-    places = [local.get(v, len(used)) for v in range(len(ring))]
-    return {tuple(map((*e, 0).__getitem__, places)): c
-            for e, c in zip(monomials(used, n), dense) if c}
-
-
-def _linear_determinant(ring: tuple, rows) -> Poly | None:
-    """``determinant`` by ``_dense_terms`` for a matrix of linear forms,
-    every term of total degree 1, or None."""
-    if any(sum(e) != 1 for row in rows for entry in row for e in entry.terms):
-        return None
-    terms = _dense_terms(ring, [[{e.index(1): c for e, c in entry.terms.items()}
-                                 for entry in row] for row in rows])
-    return None if terms is None else Poly._make(ring, terms)
-
-
 def _maximal_minors(rows) -> dict:
     """{column mask: minor} over the given rows, zero minors left out,
     built last row first: the minors of the last k rows give those of the
@@ -145,17 +117,17 @@ def _maximal_minors(rows) -> dict:
 def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
     """{(k,) + exponents in ``ring``: t^k coefficient} of det(t M_1 + M_0),
     M_0 and M_1 of integer linear forms {ring index: nonzero coefficient},
-    by Kronecker substitution in t (Harvey, JSC 2009); None when M_1 = 0
-    or ``_dense_terms`` declines the substituted matrix.
+    by Kronecker substitution in t (Harvey, JSC 2009); None when M_1 = 0.
 
     First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
     so the t^k coefficient of det M is g^k times that of det M'.  Then t
-    is set to X = 2^w, and one determinant of linear forms, by
-    ``_dense_terms``, carries every power of t in the balanced base-X
-    digits of its coefficients.  B, the product over the rows of M' of the
-    sum of the l1 norms of their entries, bounds every coefficient of
-    det M' in all variables (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B,
-    so those digits are exactly the coefficients of t^0, t^1, ...
+    is set to X = 2^w, and one determinant of linear forms in the m
+    variables that occur, by ``_dense_determinant``, carries every power
+    of t in the balanced base-X digits of its coefficients.  B, the
+    product over the rows of M' of the sum of the l1 norms of their
+    entries, bounds every coefficient of det M' in all variables
+    (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those digits are
+    exactly the coefficients of t^0, t^1, ...
     """
     slopes = [c for row in m1 for entry in row for c in entry.values()]
     if not slopes:
@@ -169,33 +141,47 @@ def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
     # every row has l1 norm >= 1, so each digit c_k of an entry is below
     # X/2 in absolute value and no substituted coefficient c_0 + c_1 X is 0
     width, n = bound.bit_length() + 1, len(m0)
-    terms = _dense_terms(ring, [[{**a, **{v: a.get(v, 0) + (c // content << width)
-                                           for v, c in b.items()}} for a, b in zip(row0, row1)]
-                                for row0, row1 in zip(m0, m1)])
-    if terms is None:
-        return None
+    used = sorted({v for m in (m0, m1) for row in m for entry in row for v in entry})
+    local = {v: i for i, v in enumerate(used)}
+    dense = _dense_determinant(len(used), [
+        [[(local[v], a.get(v, 0) + (b.get(v, 0) // content << width)) for v in a.keys() | b.keys()]
+         for a, b in zip(row0, row1)] for row0, row1 in zip(m0, m1)])
     # det M' has t-degree at most n: adding X/2 to each of its n + 1
     # digits makes them all non-negative, and content^k restores t^k
     half, mask = 1 << (width - 1), (1 << width) - 1
     offset = sum(half << width * k for k in range(n + 1))
+    # each exponent goes back to its variables' places in the ring
+    places = [local.get(v, len(used)) for v in range(len(ring))]
     out: dict[tuple, int] = {}
-    for exps, c in terms.items():
-        c += offset
-        for k in range(n + 1):
-            d = (c >> width * k & mask) - half
-            if d:
-                out[(k,) + exps] = d * content ** k
+    for e, c in zip(monomials(used, n), dense):
+        if c:
+            exps = tuple(map((*e, 0).__getitem__, places))
+            c += offset
+            for k in range(n + 1):
+                d = (c >> width * k & mask) - half
+                if d:
+                    out[(k,) + exps] = d * content ** k
     return out
 
 
 def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
     """``_pencil_terms`` of integer rows in their first variable t, as for
-    det(lam Q + L) of degree 5; None unless each term is x_v or t x_v, v > 0."""
+    det(lam Q + L) of degree 5; None unless each term is x_v or t x_v,
+    v > 0, and the pencil is dense enough for ``_dense_determinant``: P,
+    the product of the rows' numbers of terms once t is set to 2^w and a
+    bound on the determinant's, is 0 (a zero row) or at least
+    C(m + n - 1, n), its places for the m variables that occur."""
     if not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for row in rows for entry in row
                        for e in entry.terms):
         return None
     m0, m1 = ([[{e.index(1, 1) - 1: c for e, c in entry.terms.items() if e[0] == k}
                 for entry in row] for row in rows] for k in (0, 1))
+    # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
+    used = {v for m in (m0, m1) for row in m for entry in row for v in entry}
+    size = prod(sum(len(a.keys() | b.keys()) for a, b in zip(row0, row1))
+                for row0, row1 in zip(m0, m1))
+    if 0 < size < comb(len(used) + len(rows) - 1, len(rows)):
+        return None
     terms = _pencil_terms(ring[1:], m0, m1)
     return None if terms is None else Poly._make(ring, terms)
 
@@ -206,11 +192,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     A row with a Fraction coefficient is first scaled to integers by the
     lcm of its denominators; the expansion runs in integers, and each
     coefficient of the result is divided once by the product of those
-    lcms.  The path is read off the scaled matrix: a pencil t M_1 + M_0
-    (every term a variable other than the first, t, times 1 or t, and
-    some term with t) takes ``_kronecker_determinant``, linear forms (every
-    term of total degree 1) ``_linear_determinant``, and a matrix both
-    decline ``_maximal_minors`` of all its rows.
+    lcms.  The route is chosen once, on the scaled matrix: a pencil
+    t M_1 + M_0 (every term a variable other than the first, t, times 1
+    or t, and some term with t) dense enough for the kernel takes
+    ``_kronecker_determinant``, and any other matrix ``_maximal_minors``
+    of all its rows.
 
     Entries from different rings raise ValueError, as Poly arithmetic does.
     """
@@ -232,8 +218,6 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
             scale *= mult
         rows = scaled
     det = _kronecker_determinant(ring, rows)
-    if det is None:
-        det = _linear_determinant(ring, rows)
     if det is None:
         det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
     if scale == 1:

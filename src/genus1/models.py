@@ -268,6 +268,7 @@ class Deg4Model(_Forms):
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg4Model":
         # q1 = x1 x4 - x2^2 and q2 = x3^2 + a1 x2 x3 + a3 x1 x3 - x2 x4
         # - a2 x2^2 - a4 x1 x2 - a6 x1^2 over QUADRIC_MONOMIALS_DEG4
+        a1, a2, a3, a4, a6 = Deg1Model(a1, a2, a3, a4, a6).coefficients()
         return cls.from_coefficients((0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
                                      (-a6, -a4, a3, 0, -a2, a1, -1, 1, 0, 0))
 
@@ -300,9 +301,10 @@ class Deg5Model(_Forms):
     @classmethod
     def from_matrix(cls, rows) -> "Deg5Model":
         rows = [json_list(row, "a matrix row") for row in json_list(rows, "the matrix")]
+        vectors = [[_vector(entry, DEG5_RING, 1, "matrix entry") for entry in row] for row in rows]
         if len(rows) != 5 or not is_alternating(rows):
             raise InputError("degree-5 model matrix must be 5x5 and alternating")
-        return cls(tuple(rows[i][j] for i, j in DEG5_PAIRS))
+        return cls._of(*(vectors[i][j] for i, j in DEG5_PAIRS))
 
     @classmethod
     def from_coefficients(cls, entries: Sequence[Sequence]) -> "Deg5Model":
@@ -315,6 +317,7 @@ class Deg5Model(_Forms):
     @classmethod
     def weierstrass(cls, a1, a2, a3, a4, a6) -> "Deg5Model":
         # a1 x5 - a2 x4 + a3 x3 - a4 x2 - a6 x1, then variables as unit vectors
+        a1, a2, a3, a4, a6 = Deg1Model(a1, a2, a3, a4, a6).coefficients()
         x1, x2, x3, x4, x5 = DEG5_UNITS
         return cls._of((-a6, -a4, a3, -a2, a1), x5, x4, x3,   # (1,2) (1,3) (1,4) (1,5)
                        x4, x3, x2,                            # (2,3) (2,4) (2,5)

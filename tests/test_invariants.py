@@ -22,7 +22,7 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     invariants_deg2, invariants_deg3, invariants_deg4,
                     invariants_deg5, j_invariant, jacobian, matrix_discriminant,
                     tate_quantities, weierstrass_model)
-from genus1.invariants import V_RING, _symmetric
+from genus1.invariants import V_RING, _hessian_forms, _symmetric
 from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG5_RING
 from genus1.poly import monomials
@@ -117,12 +117,16 @@ class TestHessian:
     @given(CUBICS)
     @degenerate_cubic_examples
     def test_matches_derivative_determinant(self, m):
-        # the Hessian matrix read off the terms against Poly.derivative,
-        # with the determinant by the Leibniz formula in Poly arithmetic
+        # against the determinant of the second derivatives by the Leibniz
+        # formula in Poly arithmetic; the Hessian forms invariants_deg3 reads
+        # off the coefficient vector through its table are the same entries
         d2 = [[m.cubic.derivative(a).derivative(b) for b in DEG3_RING] for a in DEG3_RING]
         det = sum((perm_sign(p) * d2[0][p[0]] * d2[1][p[1]] * d2[2][p[2]]
                    for p in permutations(range(3))), Poly.zero(DEG3_RING))
         assert hessian(m.cubic) == det * Fraction(-1, 2)
+        units = monomials(DEG3_RING, 1)
+        assert [[Poly(DEG3_RING, {units[k]: c for k, c in entry.items()}) for entry in row]
+                for row in _hessian_forms(m.vectors[0])] == d2
 
 
 class TestDegree3:

@@ -15,8 +15,7 @@ from genus1 import (Deg1Model, Deg5Transform, Poly, apply, deg5_covariants,
                     determinant, generators, invariants_deg3, kernel_basis,
                     pivot_columns, scalar_det, scalar_rank, solve_linear,
                     weierstrass_model)
-from genus1.linalg import (_PRIME, _linear_determinant, adjugate, mat_mul,
-                           perm_sign)
+from genus1.linalg import _PRIME, adjugate, mat_mul, perm_sign
 from genus1.poly import monomials
 
 from helpers import wuthrich_model
@@ -99,8 +98,8 @@ def mixed_matrix(draw):
 
 @st.composite
 def linear_matrix(draw):
-    """n x n, n = 1..5, of linear forms in 1 to 6 variables, most of them
-    dense enough for ``determinant``'s dense coefficient vectors.  Zero
+    """n x n, n = 1..5, of linear forms in 1 to 6 variables, which are no
+    pencil: ``determinant`` takes them to the generic minors.  Zero
     entries, sometimes a zero row, and sometimes variables that occur
     nowhere."""
     ring = RING6[:draw(st.integers(1, 6))]
@@ -150,7 +149,7 @@ class TestDeterminant:
 
     def test_leaves_no_garbage_cycle(self):
         # the minors are freed on return, not left for a full collection,
-        # by _maximal_minors (X + 1 is not linear) and the dense path
+        # by _maximal_minors on entries with a constant and on linear forms
         for rows in ([[X, Y, Z], [Y, Z, W], [Z, W, X + 1]],
                      [[X, Y, Z], [Y, Z, W], [Z, W, X]]):
             gc.collect()
@@ -194,10 +193,9 @@ class TestDeterminant:
         assert all(type(c) is int or c.denominator > 1 for c in dense)
 
     def test_routing_edge_cases(self):
-        # one entry that is not a linear form (x + 1, a constant, x y) sends
-        # the matrix to _maximal_minors; the zero matrix, 1x1 and
-        # z, w-only matrices take the dense path, the last putting the
-        # exponents back at z's and w's places in the ring
+        # no pencil in x: entries x + 1, a constant or x y, the zero
+        # matrix, 1x1 matrices and z, w-only ones, whose exponents stay at
+        # z's and w's places in the ring, all take _maximal_minors
         one = Poly.constant(RING, 1)
         point, empty = Poly.constant((), 3), Poly.zero(())
         for rows in ([[X, Y, Z], [Y, Z, W], [Z, W, X + 1]],
@@ -209,17 +207,15 @@ class TestDeterminant:
             assert determinant(rows) == leibniz(rows)
 
     def test_sparse_linear_forms_take_the_generic_minors(self):
-        # 25 distinct variables: 120 terms, against C(29, 5) = 118755
-        # places in a dense quintic, so the dense path declines
-        ring = tuple(f"a{i}{j}" for i in range(5) for j in range(5))
-        gens = generators(ring)
-        rows = [list(gens[5 * i:5 * i + 5]) for i in range(5)]
-        assert _linear_determinant(ring, rows) is None
-        det = determinant(rows)
-        assert len(det.terms) == 120 and det == leibniz(rows)
-        # linear forms that can fill the quadrics in x, y take it
-        rows = [[X + Y, X - Y], [Y, 2 * X]]
-        assert _linear_determinant(RING, rows) == determinant(rows) == leibniz(rows)
+        # linear forms are no pencil, sparse (25 distinct variables, 120
+        # terms) or dense (the quadrics in x, y): the generic minors take them
+        gens = generators(tuple(f"a{i}{j}" for i in range(5) for j in range(5)))
+        for rows, size in (([list(gens[5 * i:5 * i + 5]) for i in range(5)], 120),
+                           ([[X + Y, X - Y], [Y, 2 * X]], 3)):
+            det, calls = pencil_route(rows)
+            assert calls["_kronecker_determinant"] == [None] and "_pencil_terms" not in calls
+            assert "_maximal_minors" in calls
+            assert len(det.terms) == size and det == leibniz(rows)
 
     def test_maximal_minors_of_a_wide_matrix(self):
         # every 2-column minor of a 2x4 matrix, keyed by its column mask,
@@ -256,7 +252,7 @@ class TestDeterminant:
 
 def pencil_route(rows):
     """determinant(rows) and {name: [result, ...]} of the calls it made to
-    ``_kronecker_determinant``, ``_dense_terms`` and ``_maximal_minors``,
+    ``_kronecker_determinant``, ``_pencil_terms`` and ``_maximal_minors``,
     asserting that ``_kronecker_determinant`` got integer rows: a Fraction
     row is scaled once, before the path."""
     calls = {}
@@ -273,17 +269,17 @@ def pencil_route(rows):
 
         return mock.patch.object(linalg, name, recorded)
 
-    with spy("_kronecker_determinant"), spy("_dense_terms"), spy("_maximal_minors"):
+    with spy("_kronecker_determinant"), spy("_pencil_terms"), spy("_maximal_minors"):
         det = determinant(rows)
     return det, calls
 
 
 def kronecker_path(rows):
     """determinant(rows), asserting that ``_kronecker_determinant`` took it,
-    from the terms of ``_dense_terms`` unless a zero row ended it first."""
+    from the terms of ``_pencil_terms``, and the generic minors did not."""
     det, calls = pencil_route(rows)
     assert calls["_kronecker_determinant"][0] is not None
-    assert None not in calls.get("_dense_terms", []) and "_maximal_minors" not in calls
+    assert calls["_pencil_terms"][0] is not None and "_maximal_minors" not in calls
     return det
 
 
@@ -363,33 +359,31 @@ class TestKroneckerDeterminant:
         det, calls = pencil_route(rows)
         assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
-        # a pencil too sparse for _dense_terms goes on to the generic minors
+        # a pencil too sparse for the kernel goes to the generic minors,
+        # decided before _pencil_terms, which never declines one with a t term
         declined = calls["_kronecker_determinant"][0] is None
-        assert declined == (None in calls.get("_dense_terms", [])) == ("_maximal_minors" in calls)
+        assert declined == ("_pencil_terms" not in calls) == ("_maximal_minors" in calls)
+        assert None not in calls.get("_pencil_terms", [])
 
     def test_coefficient_at_the_bound(self):
         # B = 4 * 3 = 12 is the x^2 y^2 coefficient of the determinant itself,
         # read off the top base-2^w digit of the dense terms
         for sign in (1, -1):
             rows = [[sign * 4 * X * Y, ZERO], [ZERO, 3 * X * Y]]
-            det, calls = pencil_route(rows)
-            assert calls["_dense_terms"][0] is not None
-            assert det == sign * 12 * X ** 2 * Y ** 2
+            assert kronecker_path(rows) == sign * 12 * X ** 2 * Y ** 2
 
     def test_bound_with_two_terms_per_row(self):
         # (2xy + 2y)(3xy - 3y): B = 4 * 6 = 24, coefficients 6, 0 and -6
         rows = [[2 * X * Y + 2 * Y, ZERO], [ZERO, 3 * X * Y - 3 * Y]]
-        det, calls = pencil_route(rows)
-        assert calls["_dense_terms"][0] is not None
-        assert det == (6 * X ** 2 - 6) * Y ** 2
+        assert kronecker_path(rows) == (6 * X ** 2 - 6) * Y ** 2
 
     def test_declined_pencil_takes_the_minors(self):
         # two diagonal entries in y and z: one term per row, below the
-        # C(3, 2) = 3 places of a quadric in y, z, so _dense_terms declines
-        # and determinant ends in the generic minors
+        # C(3, 2) = 3 places of a quadric in y, z, so _kronecker_determinant
+        # declines before _pencil_terms and determinant ends in the minors
         rows = [[4 * X * Y, ZERO], [ZERO, 3 * X * Z]]
         det, calls = pencil_route(rows)
-        assert calls["_dense_terms"] == [None] and calls["_kronecker_determinant"] == [None]
+        assert calls["_kronecker_determinant"] == [None] and "_pencil_terms" not in calls
         assert "_maximal_minors" in calls
         assert det == 12 * X ** 2 * Y * Z
 
@@ -421,10 +415,13 @@ class TestKroneckerDeterminant:
         assert all(type(c) is int for c in det.terms.values())
 
     def test_zero_row(self):
-        # B = 0: the determinant vanishes without an expansion
-        rows = [[X * Y + 5 * Z, -7 * X * W], [ZERO, ZERO]]
-        assert linalg._kronecker_determinant(RING, rows) == ZERO
-        assert kronecker_path(rows) == ZERO
+        # B = 0: the determinant vanishes without an expansion.  A zero row
+        # makes P = 0, below the C(m + 1, 2) places of a quadric in the m
+        # variables that occur, but the pencil is not declined
+        for rows in ([[X * Y + 5 * Z, -7 * X * W], [ZERO, ZERO]],
+                     [[X * Y, ZERO], [ZERO, ZERO]]):
+            assert linalg._kronecker_determinant(RING, rows) == ZERO
+            assert kronecker_path(rows) == ZERO
 
     def test_no_first_variable(self):
         # no x term: the dense path or the generic minors take the matrix
@@ -459,7 +456,7 @@ class TestKroneckerDeterminant:
     def test_pair_entry_property(self, data):
         # t M_1 + M_0 in integers, M_1 of content g, over y, z, w: the pair
         # entry equals the generic minors of the same matrix as Poly rows,
-        # or declines where _dense_terms does; a zero row gives 0
+        # sparse or not, and never declines; a zero row gives 0
         n = data.draw(st.integers(1, 4))
         g = data.draw(st.sampled_from([2, 3 ** 9, 2 ** 40]))
         form = st.dictionaries(st.integers(0, 2), st.integers(-9, 9).filter(bool), max_size=3)
@@ -471,20 +468,9 @@ class TestKroneckerDeterminant:
             m0[zero], m1[zero] = [{}] * n, [{}] * n
         if not any(any(row) for row in m1):
             m1[zero == 0][0] = {0: g}
-        dense, declined = linalg._dense_terms, []
-
-        def recorded(ring, rows):
-            declined.append(dense(ring, rows) is None)
-            return None if declined[-1] else dense(ring, rows)
-
-        with mock.patch.object(linalg, "_dense_terms", recorded):
-            terms = linalg._pencil_terms(RING[1:], m0, m1)
+        terms = linalg._pencil_terms(RING[1:], m0, m1)
         rows = pencil_rows(RING, m0, m1)
-        if terms is None:
-            assert declined == [True]
-        else:
-            assert True not in declined
-            assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
+        assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
         # with no t coefficient it declines
         assert linalg._pencil_terms(RING[1:], m0, [[{}] * n] * n) is None
 

@@ -13,7 +13,7 @@ from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg3Model, Deg4Model,
                     is_alternating, loads_model, matrix_discriminant, model_from_dict,
                     model_to_dict, project_from_point, transformation_to_dict,
                     weierstrass_model)
-from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
+from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING, MODEL_CLASSES
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_QUADRIC_COEFFS,
                      deg5_models, fraction_moved_wuthrich, random_model,
@@ -159,14 +159,18 @@ def test_a_non_model_or_transformation_is_input_error(call, name, kind):
     (lambda: Deg5Model.from_coefficients([5] * 10), r"^coefficients must be a list, not int$"),
     (lambda: Deg5Model.from_matrix(5), r"^the matrix must be a list, not int$"),
     (lambda: Deg5Model.from_matrix([5] * 5), r"^a matrix row must be a list, not int$"),
+    (lambda: Deg5Model.from_matrix([[0, "a", 0, 0, 0]] + [[0] * 5] * 4),
+     r"^matrix entry must be a polynomial"),
 ], ids=["deg2", "deg3", "deg4", "deg4-ring", "deg5", "from_matrix", "deg5-int", "point-none",
         "point-lists", "deg2-not-a-list", "deg3-not-a-list", "deg4-not-a-list",
-        "deg5-entry-not-a-list", "from_matrix-not-a-list", "from_matrix-row-not-a-list"])
+        "deg5-entry-not-a-list", "from_matrix-not-a-list", "from_matrix-row-not-a-list",
+        "from_matrix-string-entry"])
 def test_a_bad_model_argument_is_input_error(call, message):
     # each raised AttributeError or TypeError: the constructors and the
     # classmethods check their arguments once (from_coefficients and
-    # from_matrix as the file format does), and a point that is not 5
-    # exact scalars is a bad point
+    # from_matrix as the file format does, from_matrix each entry before
+    # the alternation that negates it), and a point that is not 5 exact
+    # scalars is a bad point
     with pytest.raises(InputError, match=message):
         call()
 
@@ -181,6 +185,16 @@ def test_weierstrass_and_gamma_take_a_plain_int_degree(degree):
     with pytest.raises(InputError, match=rf"^unsupported gamma target degree: "
                                          rf"{degree!r} \(expected 2, 3, 4, 5\)$"):
         gamma(Deg1Transform(2, 1, 0, 0), degree)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_weierstrass_classmethods_take_what_deg1model_takes(degree):
+    # degrees 4 and 5 negated a string coefficient (TypeError); each
+    # classmethod normalises its five arguments through Deg1Model
+    cls = MODEL_CLASSES[degree]
+    assert cls.weierstrass(0, "2", 0, 0, 0) == weierstrass_model(Deg1Model(0, 2, 0, 0, 0), degree)
+    with pytest.raises(ValueError, match=r"^not an exact number n or n/d: 'a'$"):
+        cls.weierstrass(0, "a", 0, 0, 0)
 
 
 def test_models_store_normalised_vectors():
@@ -221,9 +235,18 @@ def refuse(*args):
     raise AssertionError("Poly arithmetic")
 
 
+# x^3 (G = 0), xyz and x^3 + y^3 + z^3 (sparse Hessians) and the three
+# lines x^3 + y^3 + z^3 - 3xyz, in the JSON order of Deg3Model.MONOMIALS,
+# with their (c4, c6, Delta)
+EDGE_CUBICS = [([1] + [0] * 9, (0, 0, 0)), ([0] * 9 + [1], (1, -1, 0)),
+               ([1, 1, 1] + [0] * 7, (0, 5832, -19683)),
+               ([1, 1, 1] + [0] * 6 + [-3], (729, 19683, 0))]
+
+
 def test_degrees_1_to_4_run_without_poly_arithmetic(monkeypatch):
     # models store coefficient vectors: the invariants, the actions and the
-    # file format of degrees 1-4 run on them, and Poly is only a view
+    # file format of degrees 1-4 run on them, and Poly is only a view; the
+    # edge cubics' pencils G(U + nu G) take the dense kernel too
     for name in POLY_OPERATORS:
         monkeypatch.setattr(Poly, name, refuse)
     rng = random.Random(21)
@@ -239,6 +262,9 @@ def test_degrees_1_to_4_run_without_poly_arithmetic(monkeypatch):
     w = Deg1Model(1, -1, 0, -2, 3)
     for n in (2, 3, 4):
         assert invariants(weierstrass_model(w, n)) == invariants(w)
+    for coeffs, triple in EDGE_CUBICS:
+        m = Deg3Model.from_coefficients(coeffs)
+        assert invariants(m) == triple and matrix_discriminant(m) == triple[2]
 
 
 def test_degree_5_runs_without_poly_arithmetic(monkeypatch):
