@@ -32,7 +32,6 @@ and a strong cross-check on the main formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, lcm, prod
@@ -45,7 +44,7 @@ from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant, m
                      perm_sign, scalar_det, solve_linear)
 from .models import (_QUADRICS5, DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, _symmetric, require_degree)
+                     Deg5Model, GenusOneModel, Record, _symmetric, require_degree)
 from .poly import Poly, Scalar, as_scalar, binary_product, monomials, times_variable
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
@@ -304,15 +303,17 @@ def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
 # degree 5
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Deg5Covariants:
+class Deg5Covariants(Record):
     """Intermediate covariants of the degree-5 evaluation algorithm."""
 
-    pfaffians: tuple       # p1..p5, quadrics in x1..x5
-    secant_quintic: Poly   # det of the Pfaffian Jacobian; cuts out the secant variety
-    aux_quadrics: tuple    # q1..q5 in v1..v5, with dS/dx_i = q_i(p1..p5)
-    dual_quintic: Poly     # det(sum_k d^2 p_k/dx_i dx_j v_k), in dual coordinates
-    pencil_quintic: Poly   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
+    FIELDS = ("pfaffians", "secant_quintic", "aux_quadrics", "dual_quintic", "pencil_quintic")
+
+    def __init__(self, pfaffians: tuple,  # p1..p5, quadrics in x1..x5
+                 secant_quintic: Poly,    # det of the Pfaffian Jacobian; zero on the secant variety
+                 aux_quadrics: tuple,     # q1..q5 in v1..v5, with dS/dx_i = q_i(p1..p5)
+                 dual_quintic: Poly,      # det(sum_k d^2 p_k/dx_i dx_j v_k), in dual coordinates
+                 pencil_quintic: Poly):   # det(lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k)
+        self._set((pfaffians, secant_quintic, aux_quadrics, dual_quintic, pencil_quintic))
 
 
 # The monomials of degree 4 and 5 in x1..x5 (or v1..v5), and the index

@@ -27,12 +27,12 @@ Degree-5 models are stored by their upper triangle only (positions
 ``DEG5_PAIRS``); alternation is structural, not data.  ``matrix`` and
 ``from_matrix`` convert to and from the full matrix, and only
 ``from_matrix``, which takes outside input, checks alternation.  All model
-classes are frozen dataclasses; the polynomial rings are the fixed
-module-level tuples below.  ``Deg5Model._frame`` is the one reader of a
-degree-5 model's Pfaffians, as coefficient vectors and Hessian matrices:
-the degree-5 invariants and projection run on it, and the Weierstrass
-models on coefficient vectors, with no ``Poly`` arithmetic outside
-``pfaffians``.
+classes are ``Record`` values: immutable, compared and hashed by
+``FIELDS``.  The polynomial rings are the fixed module-level tuples below.
+``Deg5Model._frame`` is the one reader of a degree-5 model's Pfaffians, as
+coefficient vectors and Hessian matrices: the degree-5 invariants and
+projection run on it, and the Weierstrass models on coefficient vectors,
+with no ``Poly`` arithmetic outside ``pfaffians``.
 
 This module also provides the Weierstrass-family embeddings pi_n sending
 a degree-1 model to an equivalent model of degree n = 2..5, projection of
@@ -47,14 +47,13 @@ module-level functions dispatch on the model or through ``MODEL_CLASSES``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import is_alternating, kernel_basis, pivot_columns, scalar_rank
-from .poly import Poly, Scalar, as_scalar, format_scalar, monomials, substituted_coefficients
+from .poly import Poly, as_scalar, format_scalar, monomials, substituted_coefficients
 
 DEG1_RING = ("x", "y", "z")
 DEG2_RING = ("x", "z")
@@ -100,6 +99,14 @@ def _vector(p, ring, degree: int, what: str) -> list:
     return [p.terms.get(e, 0) for e in monomials(ring, degree)]
 
 
+def _exact(values) -> tuple:
+    """``as_scalar`` of each value given to a public constructor; a bad one is an InputError."""
+    try:
+        return tuple(map(as_scalar, values))
+    except (TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _view(ring, degree: int, vector) -> Poly:
     return Poly.from_vector(ring, monomials(ring, degree), vector)
 
@@ -113,21 +120,45 @@ def _symmetric(vec, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class Deg1Model:
+class Record:
+    """An immutable value of the attributes ``FIELDS``, each set once by ``_set``: equal
+    and hashed by class and fields, printed as a dataclass, ``Name(field=value, ...)``."""
+
+    FIELDS = ()
+
+    def _set(self, values):  # not by __dict__, which takes attribute reads off their fast path
+        for name, value in zip(self.FIELDS, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Deg1Model(Record):
     """Weierstrass equation y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    a1: Scalar
-    a2: Scalar
-    a3: Scalar
-    a4: Scalar
-    a6: Scalar
-
+    FIELDS = ("a1", "a2", "a3", "a4", "a6")
     degree = 1
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    def __init__(self, a1, a2, a3, a4, a6):
+        self._set(_exact((a1, a2, a3, a4, a6)))
 
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -147,18 +178,16 @@ class Deg1Model:
         return cls(*json_list(coeffs))
 
 
-@dataclass(frozen=True, init=False)
-class _Forms:
+class _Forms(Record):
     """A model of degree 2 to 5, stored as ``vectors`` (see above)."""
 
-    vectors: tuple
+    FIELDS = ("vectors",)
 
     def coefficients(self):
         return self.vectors
 
     def _store(self, *vectors):
-        object.__setattr__(self, "vectors", tuple(tuple(map(as_scalar, v)) for v in vectors))
-        return self
+        return self._set((tuple(map(_exact, vectors)),))
 
     @classmethod
     def _of(cls, *vectors):
@@ -166,7 +195,6 @@ class _Forms:
         return object.__new__(cls)._store(*vectors)
 
 
-@dataclass(frozen=True, init=False)
 class Deg2Model(_Forms):
     """Generalised binary quartic: y^2 + p(x,z) y = q(x,z)."""
 
@@ -203,7 +231,6 @@ class Deg2Model(_Forms):
         return cls.from_coefficients(coeffs["p"], coeffs["q"])
 
 
-@dataclass(frozen=True, init=False)
 class Deg3Model(_Forms):
     """Ternary cubic in x, y, z, stored over ``monomials(DEG3_RING, 3)``."""
 
@@ -248,7 +275,6 @@ class Deg3Model(_Forms):
     from_json = from_coefficients
 
 
-@dataclass(frozen=True, init=False)
 class Deg4Model(_Forms):
     """Pair of quadrics in x1..x4."""
 
@@ -287,7 +313,6 @@ class Deg4Model(_Forms):
         return cls.from_coefficients(coeffs["q1"], coeffs["q2"])
 
 
-@dataclass(frozen=True, init=False)
 class Deg5Model(_Forms):
     """5x5 alternating matrix of linear forms, stored as its upper triangle."""
 

@@ -229,6 +229,9 @@ class Poly:
     def __hash__(self):
         return hash((self.variables, frozenset((e, Fraction(c)) for e, c in self.terms.items())))
 
+    def __reduce__(self):
+        return Poly, (self.variables, self.terms)
+
     def __bool__(self):
         return bool(self.terms)
 

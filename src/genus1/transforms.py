@@ -26,20 +26,20 @@ model is the same as pushing g through the family map.
 Per-degree behaviour lives on the transformation classes (``identity``,
 ``det_character``, ``apply``, ``compose`` and, for n = 2..5, ``gamma``);
 the module-level functions dispatch on the transformation or through
-``TRANSFORM_CLASSES``.  The JSON keys are the dataclass field names.
+``TRANSFORM_CLASSES``.  The classes are ``models.Record`` values, and the
+JSON keys are their ``FIELDS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import get_args
 
 from .errors import InputError, InternalCheckError
 from .linalg import identity_matrix, mat_mul, scalar_det
 from .models import (DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, check_keys, class_for_degree, json_list,
-                     json_scalars, require_degree)
+                     Deg5Model, GenusOneModel, Record, _exact, check_keys, class_for_degree,
+                     json_list, json_scalars, require_degree)
 from .poly import Scalar, as_scalar, binary_product, substituted_coefficients
 
 
@@ -48,29 +48,19 @@ def _upow(base: Scalar, k: int) -> Scalar:
     return as_scalar(Fraction(base) ** k)
 
 
-def _scalars(data, what: str) -> tuple:
-    return tuple(as_scalar(x) for x in json_list(data, what))
-
-
 def _matrix(data, n: int, what: str):
-    rows = tuple(_scalars(row, what) for row in json_list(data, what))
+    rows = tuple(_exact(json_list(row, what)) for row in json_list(data, what))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"{what} must be a {n}x{n} matrix")
     return rows
 
 
-@dataclass(frozen=True)
-class Deg1Transform:
-    u: Scalar
-    r: Scalar
-    s: Scalar
-    t: Scalar
-
+class Deg1Transform(Record):
+    FIELDS = ("u", "r", "s", "t")
     degree = 1
 
-    def __post_init__(self):
-        for name in "urst":
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+    def __init__(self, u, r, s, t):
+        self._set(_exact((u, r, s, t)))
         if self.u == 0:
             raise InputError("degree-1 transformation needs u != 0")
 
@@ -104,22 +94,16 @@ class Deg1Transform:
         )
 
 
-@dataclass(frozen=True)
-class Deg2Transform:
-    mu: Scalar
-    r: tuple
-    B: tuple
-
+class Deg2Transform(Record):
+    FIELDS = ("mu", "r", "B")
     degree = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", as_scalar(self.mu))
-        r = _scalars(self.r, "r")
+    def __init__(self, mu, r, B):
+        mu, r = _exact((mu,))[0], _exact(json_list(r, "r"))
         if len(r) != 3:
             raise InputError("degree-2 transformation needs r = (r0, r1, r2)")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "B", _matrix(self.B, 2, "B"))
-        if self.mu * scalar_det(self.B) == 0:
+        self._set((mu, r, _matrix(B, 2, "B")))
+        if mu * scalar_det(self.B) == 0:
             raise InputError("degree-2 transformation needs mu det B != 0")
 
     @classmethod
@@ -151,16 +135,12 @@ class Deg2Transform:
                              mat_mul(self.B, g2.B))
 
 
-@dataclass(frozen=True)
-class Deg3Transform:
-    mu: Scalar
-    B: tuple
-
+class Deg3Transform(Record):
+    FIELDS = ("mu", "B")
     degree = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", as_scalar(self.mu))
-        object.__setattr__(self, "B", _matrix(self.B, 3, "B"))
+    def __init__(self, mu, B):
+        self._set((_exact((mu,))[0], _matrix(B, 3, "B")))
         if self.mu * scalar_det(self.B) == 0:
             raise InputError("degree-3 transformation needs mu det B != 0")
 
@@ -186,14 +166,14 @@ class Deg3Transform:
         return Deg3Transform(self.mu * g2.mu, mat_mul(self.B, g2.B))
 
 
-class _MatrixPair:
+class _MatrixPair(Record):
     """The groups of degrees 4 and 5: pairs (A, B) of invertible matrices
     of sizes SIZES, composed entrywise."""
 
-    def __post_init__(self):
-        size_a, size_b = self.SIZES
-        object.__setattr__(self, "A", _matrix(self.A, size_a, "A"))
-        object.__setattr__(self, "B", _matrix(self.B, size_b, "B"))
+    FIELDS = ("A", "B")
+
+    def __init__(self, A, B):
+        self._set((_matrix(A, self.SIZES[0], "A"), _matrix(B, self.SIZES[1], "B")))
         if scalar_det(self.A) * scalar_det(self.B) == 0:
             raise InputError(f"degree-{self.degree} transformation needs det A det B != 0")
 
@@ -205,11 +185,7 @@ class _MatrixPair:
         return type(self)(mat_mul(self.A, g2.A), mat_mul(self.B, g2.B))
 
 
-@dataclass(frozen=True)
 class Deg4Transform(_MatrixPair):
-    A: tuple
-    B: tuple
-
     degree = 4
     SIZES = (2, 4)
 
@@ -231,11 +207,7 @@ class Deg4Transform(_MatrixPair):
         return Deg4Model._of(*([a * c + b * d for c, d in zip(q1, q2)] for a, b in self.A))
 
 
-@dataclass(frozen=True)
 class Deg5Transform(_MatrixPair):
-    A: tuple
-    B: tuple
-
     degree = 5
     SIZES = (5, 5)
 
@@ -330,7 +302,7 @@ def gamma(g: Deg1Transform, degree: int) -> Transformation:
 
 def transformation_to_dict(g: Transformation) -> dict:
     data = {"degree": require_transformation(g, "transformation_to_dict")}
-    data.update((f.name, json_scalars(getattr(g, f.name))) for f in fields(g))
+    data.update((name, json_scalars(getattr(g, name))) for name in g.FIELDS)
     return data
 
 
@@ -341,9 +313,8 @@ def transformation_from_dict(data) -> Transformation:
         if not isinstance(data, dict):
             raise InputError(f"a transformation must be a JSON object, not {type(data).__name__}")
         cls = class_for_degree(TRANSFORM_CLASSES, data["degree"], "transformation")
-        names = [f.name for f in fields(cls)]
-        check_keys(data, ("degree", *names), f"a degree-{cls.degree} transformation")
-        return cls(**{name: data[name] for name in names})
+        check_keys(data, ("degree", *cls.FIELDS), f"a degree-{cls.degree} transformation")
+        return cls(**{name: data[name] for name in cls.FIELDS})
     except KeyError as exc:
         raise InputError(f"malformed transformation data: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg3Model, Deg4Model,
-                    Deg5Model, InputError, Poly, a1_char2, apply, compose,
+from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg3Model, Deg3Transform,
+                    Deg4Model, Deg5Model, InputError, Poly, a1_char2, apply, compose,
                     deg5_covariants, det_character, determinant, dumps_model,
                     equations, gamma, generators, identity_transform, invariants,
                     is_alternating, loads_model, matrix_discriminant, model_from_dict,
@@ -161,16 +161,23 @@ def test_a_non_model_or_transformation_is_input_error(call, name, kind):
     (lambda: Deg5Model.from_matrix([5] * 5), r"^a matrix row must be a list, not int$"),
     (lambda: Deg5Model.from_matrix([[0, "a", 0, 0, 0]] + [[0] * 5] * 4),
      r"^matrix entry must be a polynomial"),
+    (lambda: Deg1Model(0, 0.5, 0, 0, 0), r"^not an exact scalar: 0\.5$"),
+    (lambda: Deg3Model.from_coefficients([0.5] + [0] * 9), r"^not an exact scalar: 0\.5$"),
+    (lambda: Deg3Transform(0.5, identity_transform(3).B), r"^not an exact scalar: 0\.5$"),
+    (lambda: Deg1Model(0, "a", 0, 0, 0), r"^not an exact number n or n/d: 'a'$"),
+    (lambda: Deg1Transform("x", 0, 0, 0), r"^not an exact number n or n/d: 'x'$"),
 ], ids=["deg2", "deg3", "deg4", "deg4-ring", "deg5", "from_matrix", "deg5-int", "point-none",
         "point-lists", "deg2-not-a-list", "deg3-not-a-list", "deg4-not-a-list",
         "deg5-entry-not-a-list", "from_matrix-not-a-list", "from_matrix-row-not-a-list",
-        "from_matrix-string-entry"])
+        "from_matrix-string-entry", "deg1-float", "deg3-float-coefficient",
+        "deg3-transform-float", "deg1-string", "deg1-transform-string"])
 def test_a_bad_model_argument_is_input_error(call, message):
-    # each raised AttributeError or TypeError: the constructors and the
-    # classmethods check their arguments once (from_coefficients and
+    # each raised AttributeError, TypeError or ValueError: the constructors
+    # and the classmethods check their arguments once (from_coefficients and
     # from_matrix as the file format does, from_matrix each entry before
-    # the alternation that negates it), and a point that is not 5 exact
-    # scalars is a bad point
+    # the alternation that negates it), a scalar that is not exact is
+    # as_scalar's message, and a point that is not 5 exact scalars is a bad
+    # point
     with pytest.raises(InputError, match=message):
         call()
 

@@ -11,7 +11,6 @@ so this pins (c4, c6) up to isogeny; the weight law pins the rest.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -83,9 +82,10 @@ def good_primes(m, triple):
 def fraction_moved(rng, m):
     """m moved by a random transformation with a 1/3 in its scalar part."""
     g = random_transformation(rng, m.degree)
+    rest = [getattr(g, name) for name in g.FIELDS[1:]]  # all but mu (degrees 2, 3) or A
     if m.degree <= 3:
-        return apply(replace(g, mu=Fraction(g.mu) / 3), m)
-    return apply(replace(g, A=[[Fraction(c, 3) for c in row] for row in g.A]), m)
+        return apply(type(g)(Fraction(g.mu) / 3, *rest), m)
+    return apply(type(g)([[Fraction(c, 3) for c in row] for row in g.A], *rest), m)
 
 
 @st.composite
