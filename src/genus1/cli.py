@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every verb reads a model from a JSON file (or standard input with ``-``)
-and prints exact values, one ``label = value`` line per quantity, with
-numbers rendered as decimal integers or ``num/den``.  Verbs that produce
-a model (weierstrass, transform, project) write the model file to
-standard output so they compose in a pipeline:
+Every verb but weierstrass, which builds its model from five coefficients,
+reads a model from a JSON file (or standard input with ``-``) and prints
+exact values, one ``label = value`` line per quantity, with numbers
+rendered as decimal integers or ``num/den``.  Verbs that produce a model
+(weierstrass, transform, project) write the model file to standard output
+so they compose in a pipeline:
 
     genus1 weierstrass 0 0 0 -1 0 --degree 5 | genus1 invariants -
 
@@ -25,7 +26,7 @@ from .invariants import (a1_char2, invariants, j_invariant, jacobian,
                          matrix_discriminant)
 from .models import (Deg1Model, dumps_model, loads_model, project_from_point,
                      require_degree, weierstrass_model)
-from .poly import as_scalar, format_scalar
+from .poly import as_scalar
 from .transforms import apply, transformation_from_dict
 
 
@@ -46,73 +47,55 @@ def _read_model(path: str):
         raise InputError(f"cannot read model file {path!r}: {exc}") from exc
 
 
-def _cmd_invariants(args) -> int:
-    model = _read_model(args.model)
-    c4, c6, delta = invariants(model)
-    print(f"c4 = {format_scalar(c4)}")
-    print(f"c6 = {format_scalar(c6)}")
-    print(f"Delta = {format_scalar(delta)}")
-    return 0
+def _lines(labels, values) -> str:
+    return "".join(f"{label} = {value}\n" for label, value in zip(labels, values))
 
 
-def _cmd_jacobian(args) -> int:
-    model = _read_model(args.model)
-    curve = jacobian(model)
-    for label, value in zip(("a1", "a2", "a3", "a4", "a6"), curve.coefficients()):
-        print(f"{label} = {format_scalar(value)}")
-    return 0
+# Each verb maps the model read (None for weierstrass) and the parsed
+# arguments to the text it writes on standard output.
+
+def _invariants(model, args) -> str:
+    return _lines(("c4", "c6", "Delta"), invariants(model))
 
 
-def _cmd_j(args) -> int:
-    model = _read_model(args.model)
-    print(f"j = {format_scalar(j_invariant(model))}")
-    return 0
+def _jacobian(model, args) -> str:
+    return _lines(("a1", "a2", "a3", "a4", "a6"), jacobian(model).coefficients())
 
 
-def _cmd_pfaffians(args) -> int:
-    model = _read_model(args.model)
+def _j(model, args) -> str:
+    return _lines(("j",), (j_invariant(model),))
+
+
+def _pfaffians(model, args) -> str:
     require_degree(model, (5,), "pfaffians")
-    for i, p in enumerate(model.pfaffians(), start=1):
-        print(f"p{i} = {p}")
-    return 0
+    return _lines(("p1", "p2", "p3", "p4", "p5"), model.pfaffians())
 
 
-def _cmd_discriminant(args) -> int:
-    model = _read_model(args.model)
+def _discriminant(model, args) -> str:
     delta = invariants(model).delta if args.method == "formula" else matrix_discriminant(model)
-    print(f"Delta = {format_scalar(delta)}")
-    return 0
+    return _lines(("Delta",), (delta,))
 
 
-def _cmd_weierstrass(args) -> int:
+def _weierstrass(_, args) -> str:
     w = Deg1Model(*[_parse_scalar(c) for c in (args.a1, args.a2, args.a3, args.a4, args.a6)])
-    model = w if args.degree == 1 else weierstrass_model(w, args.degree)
-    sys.stdout.write(dumps_model(model))
-    return 0
+    return dumps_model(w if args.degree == 1 else weierstrass_model(w, args.degree))
 
 
-def _cmd_transform(args) -> int:
-    model = _read_model(args.model)
+def _transform(model, args) -> str:
     try:
         data = json.loads(args.transformation)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid transformation JSON: {exc}") from exc
-    g = transformation_from_dict(data)
-    sys.stdout.write(dumps_model(apply(g, model)))
-    return 0
+    return dumps_model(apply(transformation_from_dict(data), model))
 
 
-def _cmd_project(args) -> int:
-    model = _read_model(args.model)
+def _project(model, args) -> str:
     point = [_parse_scalar(part) for part in args.point.split(",")]
-    sys.stdout.write(dumps_model(project_from_point(model, point)))
-    return 0
+    return dumps_model(project_from_point(model, point))
 
 
-def _cmd_a1_char2(args) -> int:
-    model = _read_model(args.model)
-    print(f"a1 mod 2 = {a1_char2(model)}")
-    return 0
+def _a1_char2(model, args) -> str:
+    return _lines(("a1 mod 2",), (a1_char2(model),))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,60 +104,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants and Jacobians of genus one models of degree 1 to 5.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def with_model(p):
+    def verb(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("model", help="model JSON file, or - for standard input")
+        p.set_defaults(func=func)
         return p
 
-    p = with_model(sub.add_parser("invariants", help="print c4, c6 and Delta"))
-    p.set_defaults(func=_cmd_invariants)
-
-    p = with_model(sub.add_parser("jacobian", help="print the Jacobian Weierstrass coefficients"))
-    p.set_defaults(func=_cmd_jacobian)
-
-    p = with_model(sub.add_parser("j", help="print the j-invariant c4^3 / Delta"))
-    p.set_defaults(func=_cmd_j)
-
-    p = with_model(sub.add_parser("pfaffians", help="print the quadrics of a degree-5 model"))
-    p.set_defaults(func=_cmd_pfaffians)
-
-    p = with_model(sub.add_parser("discriminant", help="print Delta by either method"))
+    verb("invariants", _invariants, "print c4, c6 and Delta")
+    verb("jacobian", _jacobian, "print the Jacobian Weierstrass coefficients")
+    verb("j", _j, "print the j-invariant c4^3 / Delta")
+    verb("pfaffians", _pfaffians, "print the quadrics of a degree-5 model")
+    p = verb("discriminant", _discriminant, "print Delta by either method")
     p.add_argument("--method", choices=("formula", "matrix"), default="formula",
                    help="formula: via c4, c6; matrix: via the determinant identity")
-    p.set_defaults(func=_cmd_discriminant)
 
     p = sub.add_parser("weierstrass", help="emit the degree-n model of a Weierstrass equation")
     for name in ("a1", "a2", "a3", "a4", "a6"):
         p.add_argument(name, help=f"Weierstrass coefficient {name}")
     p.add_argument("--degree", type=int, default=1, choices=(1, 2, 3, 4, 5))
-    p.set_defaults(func=_cmd_weierstrass)
+    p.set_defaults(func=_weierstrass)
 
-    p = with_model(sub.add_parser("transform", help="apply a transformation to a model"))
+    p = verb("transform", _transform, "apply a transformation to a model")
     p.add_argument("--transformation", required=True, metavar="JSON",
                    help='e.g. \'{"degree": 3, "mu": "2", "B": [["1","0","0"],["0","1","0"],["0","0","1"]]}\'')
-    p.set_defaults(func=_cmd_transform)
-
-    p = with_model(sub.add_parser("project", help="project a degree-5 model from a rational point"))
+    p = verb("project", _project, "project a degree-5 model from a rational point")
     p.add_argument("--point", required=True, metavar="x1,x2,x3,x4,x5",
                    help="homogeneous coordinates of a smooth point on the curve")
-    p.set_defaults(func=_cmd_project)
-
-    p = with_model(sub.add_parser("a1-char2", help="print the weight-1 invariant mod 2"))
-    p.set_defaults(func=_cmd_a1_char2)
-
+    verb("a1-char2", _a1_char2, "print the weight-1 invariant mod 2")
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SingularModelError as exc:
+        model = _read_model(args.model) if "model" in args else None
+        sys.stdout.write(args.func(model, args))
+        return 0
+    except (SingularModelError, InputError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, DegenerateModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SingularModelError) else 2
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

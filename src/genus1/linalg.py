@@ -243,7 +243,10 @@ def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
 # ----------------------------------------------------------------------
 
 def _integerize(rows):
-    """Scale each row to integers; return the rows and the factors."""
+    """Scale each row to integers; return the rows and the factors.  Rows
+    of unequal lengths are a ValueError."""
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
     int_rows = []
     factors = []
     for row in rows:
@@ -326,8 +329,6 @@ def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
     """The pivot columns of the echelon form, ascending: each is
     independent of the columns before it, so they pick the first basis of
     the column space scanning left to right."""
-    if not rows or not rows[0]:
-        return []
     m, _ = _integerize(rows)
     return _bareiss_echelon(m)[0]
 
@@ -458,8 +459,6 @@ def solve_linear(rows: Sequence[Sequence], columns: Sequence[Sequence]):
     if n_rows == 0:
         return 0, [[] for _ in columns]
     n_cols = len(rows[0])
-    if any(len(r) != n_cols for r in rows):
-        raise ValueError("ragged matrix")
     m, factors = _integerize([list(row) + [b[i] for b in columns] for i, row in enumerate(rows)])
     # rows scaled from Fractions seldom give integral solutions, which
     # the lift would pursue to its Hadamard step limit before giving up

@@ -23,8 +23,8 @@ k-th power under the action.
 compatible with the Weierstrass family: applying gamma(g) to a Weierstrass
 model is the same as pushing g through the family map.
 
-Per-degree behaviour lives on the transformation classes (``identity``,
-``det_character``, ``apply``, ``compose`` and, for n = 2..5, ``gamma``);
+Per-degree behaviour lives on the transformation classes (``det_character``,
+``apply``, ``compose`` and, for n = 2..5, ``gamma``);
 the module-level functions dispatch on the transformation or through
 ``TRANSFORM_CLASSES``.  The classes are ``models.Record`` values, and the
 JSON keys are their ``FIELDS``.
@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import get_args
 
 from .errors import InputError, InternalCheckError
-from .linalg import identity_matrix, mat_mul, scalar_det
+from .linalg import mat_mul, scalar_det
 from .models import (DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
                      Deg5Model, GenusOneModel, Record, _exact, check_keys, class_for_degree,
                      json_list, json_scalars, require_degree)
@@ -63,10 +63,6 @@ class Deg1Transform(Record):
         self._set(_exact((u, r, s, t)))
         if self.u == 0:
             raise InputError("degree-1 transformation needs u != 0")
-
-    @classmethod
-    def identity(cls) -> "Deg1Transform":
-        return cls(1, 0, 0, 0)
 
     def det_character(self) -> Scalar:
         return _upow(self.u, -1)
@@ -107,10 +103,6 @@ class Deg2Transform(Record):
             raise InputError("degree-2 transformation needs mu det B != 0")
 
     @classmethod
-    def identity(cls) -> "Deg2Transform":
-        return cls(1, (0, 0, 0), identity_matrix(2))
-
-    @classmethod
     def gamma(cls, u, r, s, t) -> "Deg2Transform":
         u2 = u * u
         return cls(_upow(u, -3), (0, u2 * s, t), ((u2, 0), (r, 1)))
@@ -145,10 +137,6 @@ class Deg3Transform(Record):
             raise InputError("degree-3 transformation needs mu det B != 0")
 
     @classmethod
-    def identity(cls) -> "Deg3Transform":
-        return cls(1, identity_matrix(3))
-
-    @classmethod
     def gamma(cls, u, r, s, t) -> "Deg3Transform":
         # x = u^2 x' + r z',  y = u^2 s x' + u^3 y' + t z',  z = z'
         # (the matrix in ring order x, y, z; the cubic rescales by u^-6).
@@ -176,10 +164,6 @@ class _MatrixPair(Record):
         self._set((_matrix(A, self.SIZES[0], "A"), _matrix(B, self.SIZES[1], "B")))
         if scalar_det(self.A) * scalar_det(self.B) == 0:
             raise InputError(f"degree-{self.degree} transformation needs det A det B != 0")
-
-    @classmethod
-    def identity(cls):
-        return cls(*map(identity_matrix, cls.SIZES))
 
     def compose(self, g2):
         return type(self)(mat_mul(self.A, g2.A), mat_mul(self.B, g2.B))
@@ -257,7 +241,12 @@ def require_transformation(g, what: str, degrees=TRANSFORM_CLASSES) -> int:
 
 
 def identity_transform(degree: int) -> Transformation:
-    return class_for_degree(TRANSFORM_CLASSES, degree, "transformation").identity()
+    """The identity of the degree-n group: gamma_n is a homomorphism, so
+    for n >= 2 it is gamma_n of the degree-1 identity."""
+    one = Deg1Transform(1, 0, 0, 0)
+    if class_for_degree(TRANSFORM_CLASSES, degree, "transformation") is Deg1Transform:
+        return one
+    return gamma(one, degree)
 
 
 def det_character(g: Transformation) -> Scalar:

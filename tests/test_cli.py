@@ -361,6 +361,37 @@ class TestExitCodes:
         assert err.splitlines() == ["internal error: RuntimeError: boom on two lines"]
 
 
+VERBS = ["invariants", "jacobian", "j", "pfaffians", "discriminant", "weierstrass",
+         "transform", "project", "a1-char2"]
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["invariants", "-"], None), (["jacobian", "-"], None), (["j", "-"], None),
+    (["pfaffians", "-"], None), (["discriminant", "-"], None),
+    (["weierstrass", "1e5", "0", "0", "0", "0"], None),
+    (["transform", "-", "--transformation", "{oops"], 3),
+    (["project", "-", "--point", "0,0,0,x,1"], 5), (["a1-char2", "-"], None),
+], ids=VERBS)
+def test_a_failing_verb_writes_one_stderr_line_only(capsys, monkeypatch, argv, degree):
+    # non-object JSON for a model, or a good model and a bad option
+    stdin = "[1, 2]" if degree is None else dumps_model(
+        weierstrass_model(Deg1Model(0, 0, 0, -1, 0), degree))
+    code, out, err = invoke(capsys, argv, stdin, monkeypatch)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+def test_help_lists_the_verbs_in_order(capsys):
+    with pytest.raises(SystemExit) as done:
+        run(["--help"])
+    assert done.value.code == 0
+    assert "{" + ",".join(VERBS) + "}" in capsys.readouterr().out
+    for verb in VERBS:
+        with pytest.raises(SystemExit) as done:
+            run([verb, "--help"])
+        assert done.value.code == 0
+        assert f"usage: genus1 {verb}" in capsys.readouterr().out
+
+
 def test_long_integers_in_a_cli_pipeline():
     # Values past Python's default 4300-digit int/str limit, read and printed
     # by separate CLI processes.  The expected text is built from strings,

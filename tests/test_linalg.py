@@ -507,6 +507,15 @@ class TestScalarElimination:
         assert pivot_columns([[1, 1, 0], [1, 1, 1]]) == [0, 2]
         assert pivot_columns([]) == pivot_columns([[], []]) == []
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]], [[], [1]]])
+    def test_ragged_matrix_is_refused(self, rows):
+        # the short row raised IndexError, or its missing entries were read
+        # as zeros: rank 1 and an empty kernel for [[1], [3, 4]]
+        for call in (pivot_columns, scalar_rank, kernel_basis,
+                     lambda m: solve_linear(m, [[0] * len(m)])):
+            with pytest.raises(ValueError, match="^ragged matrix$"):
+                call(rows)
+
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_pivot_columns_are_the_greedy_basis(self, data):

@@ -158,8 +158,14 @@ class TestAction:
 
 class TestGamma:
     def test_identity_maps_to_identity(self):
-        for degree in (2, 3, 4, 5):
-            assert gamma(Deg1Transform(1, 0, 0, 0), degree) == identity_transform(degree)
+        # built from identity matrices, not from gamma as identity_transform is
+        identities = {2: Deg2Transform(1, (0, 0, 0), identity_matrix(2)),
+                      3: Deg3Transform(1, identity_matrix(3)),
+                      4: Deg4Transform(identity_matrix(2), identity_matrix(4)),
+                      5: Deg5Transform(identity_matrix(5), identity_matrix(5))}
+        for degree, identity in identities.items():
+            assert gamma(Deg1Transform(1, 0, 0, 0), degree) == identity
+            assert identity_transform(degree) == identity
 
     def test_gamma2_scaling(self):
         g = gamma(Deg1Transform(2, 0, 0, 0), 2)
