@@ -17,8 +17,8 @@ from .invariants import (Deg5Covariants, InvariantTriple, TateQuantities,
                          invariants_deg3, invariants_deg4, invariants_deg5,
                          j_invariant, jacobian, matrix_discriminant,
                          tate_quantities)
-from .linalg import (determinant, is_alternating, kernel_basis,
-                     pivot_columns, scalar_det, scalar_rank, solve_linear)
+from .linalg import (determinant, kernel_basis, pivot_columns, scalar_det,
+                     scalar_rank, solve_linear)
 from .models import (Deg1Model, Deg2Model, Deg3Model, Deg4Model, Deg5Model,
                      GenusOneModel, dumps_model, equations, loads_model,
                      model_from_dict, model_to_dict, project_from_point,

@@ -135,8 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact values have no size limit, nor has their decimal text: lift the
+    # int/str digit limit (4300 by default) for this call, then restore it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if limit is not None:  # Python >= 3.10.7
+            sys.set_int_max_str_digits(0)
+        args = build_parser().parse_args(argv)
         model = _read_model(args.model) if "model" in args else None
         sys.stdout.write(args.func(model, args))
         return 0
@@ -150,14 +155,12 @@ def run(argv) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:
-    # Exact values have no size limit, so neither has their decimal text:
-    # lift the int/str digit limit (4300 by default) for this process only,
-    # not for programs that import the package.
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
-        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

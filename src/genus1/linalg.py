@@ -2,7 +2,7 @@
 elimination over the rationals.
 
 ``determinant`` takes a square matrix of ``Poly`` entries of one ring
-on one of two routes, chosen once, by ``_kronecker_determinant``:
+and chooses one of two routes, once, itself:
 
 * a pencil t M_1 + M_0 of linear forms in the variables after t, dense
   enough for its coefficient vectors, goes to ``_pencil_terms``, which
@@ -114,10 +114,10 @@ def _maximal_minors(rows) -> dict:
     return minors
 
 
-def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
+def _pencil_terms(ring: tuple, m0, m1) -> dict:
     """{(k,) + exponents in ``ring``: t^k coefficient} of det(t M_1 + M_0),
-    M_0 and M_1 of integer linear forms {ring index: nonzero coefficient},
-    by Kronecker substitution in t (Harvey, JSC 2009); None when M_1 = 0.
+    M_0 and M_1 of integer linear forms {ring index: nonzero coefficient}
+    and M_1 != 0, by Kronecker substitution in t (Harvey, JSC 2009).
 
     First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
     so the t^k coefficient of det M is g^k times that of det M'.  Then t
@@ -129,10 +129,7 @@ def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
     (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those digits are
     exactly the coefficients of t^0, t^1, ...
     """
-    slopes = [c for row in m1 for entry in row for c in entry.values()]
-    if not slopes:
-        return None
-    content = gcd(*slopes)
+    content = gcd(*(c for row in m1 for entry in row for c in entry.values()))
     bound = prod(sum(abs(c) for entry in row0 for c in entry.values())
                  + sum(abs(c) for entry in row1 for c in entry.values()) // content
                  for row0, row1 in zip(m0, m1))
@@ -164,43 +161,24 @@ def _pencil_terms(ring: tuple, m0, m1) -> dict | None:
     return out
 
 
-def _kronecker_determinant(ring: tuple, rows) -> Poly | None:
-    """``_pencil_terms`` of integer rows in their first variable t, as for
-    det(lam Q + L) of degree 5; None unless each term is x_v or t x_v,
-    v > 0, and the pencil is dense enough for ``_dense_determinant``: P,
-    the product of the rows' numbers of terms once t is set to 2^w and a
-    bound on the determinant's, is 0 (a zero row) or at least
-    C(m + n - 1, n), its places for the m variables that occur."""
-    if not ring or any(e[0] > 1 or sum(e) != e[0] + 1 for row in rows for entry in row
-                       for e in entry.terms):
-        return None
-    m0, m1 = ([[{e.index(1, 1) - 1: c for e, c in entry.terms.items() if e[0] == k}
-                for entry in row] for row in rows] for k in (0, 1))
-    # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
-    used = {v for m in (m0, m1) for row in m for entry in row for v in entry}
-    size = prod(sum(len(a.keys() | b.keys()) for a, b in zip(row0, row1))
-                for row0, row1 in zip(m0, m1))
-    if 0 < size < comb(len(used) + len(rows) - 1, len(rows)):
-        return None
-    terms = _pencil_terms(ring[1:], m0, m1)
-    return None if terms is None else Poly._make(ring, terms)
-
-
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
     A row with a Fraction coefficient is first scaled to integers by the
     lcm of its denominators; the expansion runs in integers, and each
     coefficient of the result is divided once by the product of those
-    lcms.  The route is chosen once, on the scaled matrix: a pencil
-    t M_1 + M_0 (every term a variable other than the first, t, times 1
-    or t, and some term with t) dense enough for the kernel takes
-    ``_kronecker_determinant``, and any other matrix ``_maximal_minors``
-    of all its rows.
+    lcms.  The route is chosen once, on the scaled matrix.  It is a
+    pencil t M_1 + M_0 for ``_pencil_terms`` when every term is x_v or
+    t x_v, v > 0 and t the first variable, some term has t, and it is
+    dense enough for ``_dense_determinant``: P, the product of the rows'
+    numbers of terms once t is set to 2^w and a bound on the
+    determinant's, is 0 (a zero row) or at least C(m + n - 1, n), its
+    places for the m variables that occur.  Any other matrix takes
+    ``_maximal_minors`` of all its rows.
 
     Entries from different rings raise ValueError, as Poly arithmetic does.
     """
-    _check_square(rows)
+    n = _check_square(rows)
     ring = rows[0][0].variables
     for row in rows:
         for entry in row:
@@ -217,25 +195,21 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
                            for entry in row])
             scale *= mult
         rows = scaled
-    det = _kronecker_determinant(ring, rows)
-    if det is None:
-        det = _maximal_minors(rows).get((1 << len(rows)) - 1, Poly.zero(ring))
+    pencil = bool(ring) and all(e[0] <= 1 and sum(e) == e[0] + 1 for row in rows
+                                for entry in row for e in entry.terms)
+    if pencil:
+        m0, m1 = ([[{e.index(1, 1) - 1: c for e, c in entry.terms.items() if e[0] == k}
+                    for entry in row] for row in rows] for k in (0, 1))
+        # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
+        used = {v for m in (m0, m1) for row in m for entry in row for v in entry}
+        size = prod(sum(len(a.keys() | b.keys()) for a, b in zip(row0, row1))
+                    for row0, row1 in zip(m0, m1))
+        pencil = any(map(any, m1)) and not 0 < size < comb(len(used) + n - 1, n)
+    det = (Poly._make(ring, _pencil_terms(ring[1:], m0, m1)) if pencil
+           else _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring)))
     if scale == 1:
         return det
     return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
-
-
-def is_alternating(rows: Sequence[Sequence[Poly]]) -> bool:
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        return False
-    for i in range(n):
-        if rows[i][i]:
-            return False
-        for j in range(i + 1, n):
-            if rows[j][i] != -rows[i][j]:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from operator import mul
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
-from .linalg import is_alternating, kernel_basis, pivot_columns, scalar_rank
+from .linalg import kernel_basis, pivot_columns, scalar_rank
 from .poly import Poly, as_scalar, format_scalar, monomials, substituted_coefficients
 
 DEG1_RING = ("x", "y", "z")
@@ -327,7 +327,8 @@ class Deg5Model(_Forms):
     def from_matrix(cls, rows) -> "Deg5Model":
         rows = [json_list(row, "a matrix row") for row in json_list(rows, "the matrix")]
         vectors = [[_vector(entry, DEG5_RING, 1, "matrix entry") for entry in row] for row in rows]
-        if len(rows) != 5 or not is_alternating(rows):
+        if list(map(len, vectors)) != [5] * 5 or any(
+                vectors[j][i] != [-c for c in vectors[i][j]] for i in range(5) for j in range(i, 5)):
             raise InputError("degree-5 model matrix must be 5x5 and alternating")
         return cls._of(*(vectors[i][j] for i, j in DEG5_PAIRS))
 

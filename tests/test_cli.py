@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus1 import Deg1Model, dumps_model, model_to_dict, weierstrass_model
+from genus1 import (Deg1Model, dumps_model, model_to_dict, transformation_to_dict,
+                    weierstrass_model)
 from genus1.cli import run
 
 from helpers import (STRING_COEFFICIENTS, WUTHRICH_C4, WUTHRICH_C6,
-                     fraction_moved_wuthrich, wuthrich_model)
+                     fraction_moved_wuthrich, random_transformation, wuthrich_model)
 
 # ``genus1 pfaffians`` of ``fraction_moved_wuthrich()``, whose Pfaffians once
 # held integral Fractions such as Fraction(8, 1): the text stays the same.
@@ -188,13 +190,10 @@ class TestExitCodes:
             path.write_text(json.dumps({"degree": 1, "coefficients": ["0", "0", "0", text, "0"]}))
             code, out, _ = invoke(capsys, ["invariants", str(path)])
             assert (code, out) == (2, "")
-        # Within this process the int/str digit limit holds, so a JSON
-        # integer past it is bad input; nesting past the decoder's stack too.
-        for text in ('{"degree": 1, "coefficients": [0, 0, 0, 1%s, 0]}' % ("0" * 4400),
-                     "[" * 100000):
-            path.write_text(text)
-            code, out, _ = invoke(capsys, ["invariants", str(path)])
-            assert (code, out) == (2, "")
+        # nesting past the decoder's stack is bad input
+        path.write_text("[" * 100000)
+        code, out, _ = invoke(capsys, ["invariants", str(path)])
+        assert (code, out) == (2, "")
 
     def test_zero_denominator_is_2(self, capsys, tmp_path, model_file):
         path = tmp_path / "bad.json"
@@ -419,6 +418,34 @@ def test_long_integers_in_a_cli_pipeline():
         f"c4 = 0\nc6 = -864{'0' * 4400}\nDelta = -432{'0' * 8800}\n")
 
 
+def test_run_lifts_the_digit_limit_only_while_it_runs(capsys, monkeypatch, tmp_path):
+    # run, like the console script, reads and prints integers past Python's
+    # int/str digit limit, and gives the caller back the limit it had.  The
+    # expected text is built from strings, as this process keeps the limit.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    before = sys.get_int_max_str_digits()
+    text = dumps_model(Deg1Model(0, 0, 0, 10 ** 1500, 0))
+    code, out, err = invoke(capsys, ["invariants", "-"], text, monkeypatch)
+    assert (code, out, err) == (0, f"c4 = -48{'0' * 1500}\nc6 = 0\nDelta = -64{'0' * 4500}\n", "")
+    assert sys.get_int_max_str_digits() == before
+    # a 4401-digit JSON integer is read as the console script reads it
+    path = tmp_path / "long.json"
+    path.write_text('{"degree": 1, "coefficients": [0, 0, 0, 0, 1%s]}' % ("0" * 4400))
+    code, out, _ = invoke(capsys, ["invariants", str(path)])
+    assert (code, out) == (0, f"c4 = 0\nc6 = -864{'0' * 4400}\nDelta = -432{'0' * 8800}\n")
+    # a caller's own limit comes back after a failing verb and after --help too
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert invoke(capsys, ["invariants", "-"], "[1, 2]", monkeypatch)[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            run(["--help"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 # Model-reading verbs, each run on a model read from standard input.
 MODEL_VERBS = [["invariants"], ["jacobian"], ["j"], ["pfaffians"], ["discriminant"],
                ["discriminant", "--method", "matrix"], ["project", "--point", "0,0,0,0,1"],
@@ -466,3 +493,71 @@ def test_any_json_model_ends_in_a_documented_exit_code(data, verb):
         code = run([verb[0], "-", *verb[1:]])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+# The fuzz property: a valid model, transformation and point of one degree,
+# with a few random edits - a value or subtree swapped for junk, an item
+# dropped or added, the JSON text cut short - run through every model verb.
+FUZZ_CURVE = Deg1Model(0, 0, 0, -1, 1)
+FUZZ_MODELS = [model_to_dict(FUZZ_CURVE)] + [
+    model_to_dict(weierstrass_model(FUZZ_CURVE, d)) for d in range(2, 6)]
+FUZZ_TRANSFORMATIONS = [transformation_to_dict(random_transformation(random.Random(d), d))
+                        for d in range(1, 6)]
+FUZZ_POINTS = [["1", "1", "1", "1", "1"], ["0", "0", "0", "0", "1"], ["1/2"] * 5]
+FUZZ_JUNK = [None, True, 0, -1, 2, 1.5, "", "x", "1/0", "0", "1/2", "-2/3", "1e5", "-3",
+             "10" * 20, [], {}, [0], ["1", "0"], {"degree": 1}]
+FUZZ_KEYS = ["degree", "coefficients", "p", "q", "q1", "q2", "matrix", "u", "r", "s", "t",
+             "mu", "A", "B", "extra"]
+
+
+def _edit(rng, value):
+    """``value`` with one random edit, at the top or inside it."""
+    if isinstance(value, (list, dict)) and value and rng.random() < 0.8:
+        key = rng.choice(list(value) if isinstance(value, dict) else range(len(value)))
+        edit, copy = rng.choice(["inside"] * 3 + ["drop", "add"]), value.copy()
+        if edit == "inside":
+            copy[key] = _edit(rng, value[key])
+        elif edit == "drop":
+            del copy[key]
+        elif isinstance(copy, list):
+            copy.insert(key, rng.choice(FUZZ_JUNK))
+        else:
+            copy[rng.choice(FUZZ_KEYS)] = rng.choice(FUZZ_JUNK)
+        return copy
+    return rng.choice(FUZZ_JUNK)
+
+
+def _mutated_json(rng, value, edits):
+    for _ in range(edits):
+        value = _edit(rng, value)
+    text = json.dumps(value)
+    return text[:rng.randrange(len(text))] if rng.random() < 0.1 else text
+
+
+@settings(deadline=None, max_examples=150)
+@given(rng=st.randoms(use_true_random=False), verb=st.sampled_from(MODEL_VERBS),
+       degree=st.integers(1, 5))
+def test_mutated_inputs_end_in_one_clean_refusal(rng, verb, degree):
+    # 0 success, 1 singular or 2 bad input; never 3, and a refusal writes
+    # nothing on stdout and one line on stderr
+    model_edits, option_edits = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)])
+    stdin = _mutated_json(rng, FUZZ_MODELS[degree - 1], model_edits)
+    if verb[0] == "transform":
+        g = _mutated_json(rng, FUZZ_TRANSFORMATIONS[degree - 1], option_edits)
+        verb = ["transform", f"--transformation={g}"]
+    elif verb[0] == "project":
+        point = rng.choice(FUZZ_POINTS)
+        for _ in range(option_edits):
+            point = _edit(rng, point)
+        text = ",".join(map(str, point)) if isinstance(point, list) else json.dumps(point)
+        verb = ["project", f"--point={text}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (mock.patch.object(sys, "stdin", io.StringIO(stdin)),
+          contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+        code = run([verb[0], "-", *verb[1:]])
+    assert code in (0, 1, 2), stderr.getvalue()
+    if code:
+        assert stdout.getvalue() == ""
+        assert len(stderr.getvalue().splitlines()) == 1
+    else:
+        assert stderr.getvalue() == ""

@@ -212,9 +212,7 @@ class TestDeterminant:
         gens = generators(tuple(f"a{i}{j}" for i in range(5) for j in range(5)))
         for rows, size in (([list(gens[5 * i:5 * i + 5]) for i in range(5)], 120),
                            ([[X + Y, X - Y], [Y, 2 * X]], 3)):
-            det, calls = pencil_route(rows)
-            assert calls["_kronecker_determinant"] == [None] and "_pencil_terms" not in calls
-            assert "_maximal_minors" in calls
+            det = minors_path(rows)
             assert len(det.terms) == size and det == leibniz(rows)
 
     def test_maximal_minors_of_a_wide_matrix(self):
@@ -252,34 +250,43 @@ class TestDeterminant:
 
 def pencil_route(rows):
     """determinant(rows) and {name: [result, ...]} of the calls it made to
-    ``_kronecker_determinant``, ``_pencil_terms`` and ``_maximal_minors``,
-    asserting that ``_kronecker_determinant`` got integer rows: a Fraction
-    row is scaled once, before the path."""
+    ``_pencil_terms`` and ``_maximal_minors``, asserting that
+    ``_pencil_terms`` got integer M_0 and M_1 with M_1 != 0: a Fraction row
+    is scaled once, before the route is chosen."""
     calls = {}
 
     def spy(name):
         original = getattr(linalg, name)
 
         def recorded(*args):
-            if name == "_kronecker_determinant":
-                assert all(type(c) is int for row in args[1] for entry in row
-                           for c in entry.terms.values())
+            if name == "_pencil_terms":
+                _, m0, m1 = args
+                assert all(type(c) is int for m in (m0, m1) for row in m for entry in row
+                           for c in entry.values())
+                assert any(entry for row in m1 for entry in row)
             calls.setdefault(name, []).append(original(*args))
             return calls[name][-1]
 
         return mock.patch.object(linalg, name, recorded)
 
-    with spy("_kronecker_determinant"), spy("_pencil_terms"), spy("_maximal_minors"):
+    with spy("_pencil_terms"), spy("_maximal_minors"):
         det = determinant(rows)
     return det, calls
 
 
 def kronecker_path(rows):
-    """determinant(rows), asserting that ``_kronecker_determinant`` took it,
-    from the terms of ``_pencil_terms``, and the generic minors did not."""
+    """determinant(rows), asserting that it took the terms of one
+    ``_pencil_terms`` call and the generic minors did not."""
     det, calls = pencil_route(rows)
-    assert calls["_kronecker_determinant"][0] is not None
-    assert calls["_pencil_terms"][0] is not None and "_maximal_minors" not in calls
+    assert len(calls["_pencil_terms"]) == 1 and "_maximal_minors" not in calls
+    return det
+
+
+def minors_path(rows):
+    """determinant(rows), asserting that ``_maximal_minors`` took it and
+    ``_pencil_terms`` did not."""
+    det, calls = pencil_route(rows)
+    assert "_pencil_terms" not in calls and "_maximal_minors" in calls
     return det
 
 
@@ -340,8 +347,7 @@ class TestKroneckerDeterminant:
         # x^2 y and x^2 are not a pencil's terms: the generic minors take them
         for square in (-25 * X ** 2 * Y, 5 * X ** 2):
             rows = [[5 * X * Y + Z, square + W], [10 * X * W - Y, 3 * Y]]
-            assert linalg._kronecker_determinant(RING, rows) is None
-            assert determinant(rows) == leibniz(rows)
+            assert minors_path(rows) == leibniz(rows)
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
@@ -360,10 +366,9 @@ class TestKroneckerDeterminant:
         assert det == leibniz(rows)
         assert all(type(c) is int or c.denominator > 1 for c in det.terms.values())
         # a pencil too sparse for the kernel goes to the generic minors,
-        # decided before _pencil_terms, which never declines one with a t term
-        declined = calls["_kronecker_determinant"][0] is None
-        assert declined == ("_pencil_terms" not in calls) == ("_maximal_minors" in calls)
-        assert None not in calls.get("_pencil_terms", [])
+        # decided in determinant: _pencil_terms never declines
+        assert ("_pencil_terms" in calls) != ("_maximal_minors" in calls)
+        assert all(type(terms) is dict for terms in calls.get("_pencil_terms", []))
 
     def test_coefficient_at_the_bound(self):
         # B = 4 * 3 = 12 is the x^2 y^2 coefficient of the determinant itself,
@@ -379,13 +384,10 @@ class TestKroneckerDeterminant:
 
     def test_declined_pencil_takes_the_minors(self):
         # two diagonal entries in y and z: one term per row, below the
-        # C(3, 2) = 3 places of a quadric in y, z, so _kronecker_determinant
-        # declines before _pencil_terms and determinant ends in the minors
+        # C(3, 2) = 3 places of a quadric in y, z, so determinant sends it
+        # to the minors and never to _pencil_terms
         rows = [[4 * X * Y, ZERO], [ZERO, 3 * X * Z]]
-        det, calls = pencil_route(rows)
-        assert calls["_kronecker_determinant"] == [None] and "_pencil_terms" not in calls
-        assert "_maximal_minors" in calls
-        assert det == 12 * X ** 2 * Y * Z
+        assert minors_path(rows) == 12 * X ** 2 * Y * Z
 
     def test_borrow_chains(self):
         # negative digits borrow from the next one up
@@ -420,25 +422,21 @@ class TestKroneckerDeterminant:
         # variables that occur, but the pencil is not declined
         for rows in ([[X * Y + 5 * Z, -7 * X * W], [ZERO, ZERO]],
                      [[X * Y, ZERO], [ZERO, ZERO]]):
-            assert linalg._kronecker_determinant(RING, rows) == ZERO
             assert kronecker_path(rows) == ZERO
 
     def test_no_first_variable(self):
-        # no x term: the dense path or the generic minors take the matrix
+        # no x term, M_1 = 0: the generic minors take the matrix
         for rows in ([[Y, Z], [W, Y + 10 ** 20 * Z]], [[Y + 2 * W, 3 * Z], [W, 5 * Y]],
                      [[7 * Y]], [[ZERO]]):
-            assert linalg._kronecker_determinant(RING, rows) is None
-            assert determinant(rows) == leibniz(rows)
+            assert minors_path(rows) == leibniz(rows)
 
     def test_routing(self):
         # only a pencil takes the path: not an x^2 term, an x-only term
         # such as 4x, a matrix without x, or the empty ring
         for rows in ([[X * Y, X ** 2], [Z, W]], [[X * Y, 4 * X], [Z, W]], [[Y, Z], [W, Y]]):
-            assert linalg._kronecker_determinant(RING, rows) is None
-            assert determinant(rows) == leibniz(rows)
+            assert minors_path(rows) == leibniz(rows)
         point = Poly.constant((), 3)
-        assert linalg._kronecker_determinant((), [[point]]) is None
-        assert determinant([[point]]) == point
+        assert minors_path([[point]]) == point
         # the degree-5 pencil det(lam Q + L), through determinant, and the
         # degree-3 G(U + nu G), straight from its Hessian pair
         pencils = pencil_matrices(deg5_covariants, wuthrich_model())
@@ -446,17 +444,14 @@ class TestKroneckerDeterminant:
                                        weierstrass_model(Deg1Model(0, 0, 0, -1, 0), 3)))
         assert sorted(pencils) == ["lam", "nu"]
         for rows in pencils.values():
-            ring = rows[0][0].variables
-            det = linalg._kronecker_determinant(ring, rows)
-            assert isinstance(det, Poly)
-            assert det == linalg._maximal_minors(rows)[(1 << len(rows)) - 1]
+            assert kronecker_path(rows) == linalg._maximal_minors(rows)[(1 << len(rows)) - 1]
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_pair_entry_property(self, data):
-        # t M_1 + M_0 in integers, M_1 of content g, over y, z, w: the pair
-        # entry equals the generic minors of the same matrix as Poly rows,
-        # sparse or not, and never declines; a zero row gives 0
+        # t M_1 + M_0 in integers, M_1 != 0 of content g, over y, z, w: the
+        # pair entry equals the generic minors of the same matrix as Poly
+        # rows, sparse or not; a zero row gives 0
         n = data.draw(st.integers(1, 4))
         g = data.draw(st.sampled_from([2, 3 ** 9, 2 ** 40]))
         form = st.dictionaries(st.integers(0, 2), st.integers(-9, 9).filter(bool), max_size=3)
@@ -471,8 +466,6 @@ class TestKroneckerDeterminant:
         terms = linalg._pencil_terms(RING[1:], m0, m1)
         rows = pencil_rows(RING, m0, m1)
         assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
-        # with no t coefficient it declines
-        assert linalg._pencil_terms(RING[1:], m0, [[{}] * n] * n) is None
 
     def test_non_square(self):
         for rows in ([[X * Y, Z]], [], [[X * Y], [Z]]):

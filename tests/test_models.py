@@ -10,7 +10,7 @@ from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg3Model, Deg3Transfor
                     Deg4Model, Deg5Model, InputError, Poly, a1_char2, apply, compose,
                     deg5_covariants, det_character, determinant, dumps_model,
                     equations, gamma, generators, identity_transform, invariants,
-                    is_alternating, loads_model, matrix_discriminant, model_from_dict,
+                    loads_model, matrix_discriminant, model_from_dict,
                     model_to_dict, project_from_point, transformation_to_dict,
                     weierstrass_model)
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING, MODEL_CLASSES
@@ -80,16 +80,23 @@ class TestPfaffians:
         assert p == [X1 * X1, -X1 * X1, X1 * X1, -X1 * X1, X1 * X1]
 
     def test_rejects_non_alternating(self):
-        rows = [[X1] * 5 for _ in range(5)]
-        assert not is_alternating(rows)
-        with pytest.raises(InputError):
-            Deg5Model.from_matrix(rows)
+        # every entry x1; a nonzero diagonal entry, a pair with phi_ji !=
+        # -phi_ij, and 4x5 and 5x4 shapes of an alternating matrix
+        rows = wuthrich_model().matrix()
+        diagonal = [list(row) for row in rows]
+        diagonal[2][2] = X2
+        asymmetric = [list(row) for row in rows]
+        asymmetric[3][1] = rows[1][3] + X1
+        for bad in ([[X1] * 5 for _ in range(5)], diagonal, asymmetric, rows[:4],
+                    [row[:4] for row in rows]):
+            with pytest.raises(InputError, match="^degree-5 model matrix must be 5x5 and alternating$"):
+                Deg5Model.from_matrix(bad)
 
     @settings(deadline=None, max_examples=30)
     @given(deg5_models())
     def test_matrix_kills_pfaffians(self, m):
         rows, p = m.matrix(), m.pfaffians()
-        assert is_alternating(rows)
+        assert Deg5Model.from_matrix(rows) == m
         for row in rows:
             assert sum((a * b for a, b in zip(row, p)), ZERO5) == 0
 
