@@ -44,7 +44,7 @@ from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant, m
                      perm_sign, scalar_det, solve_linear)
 from .models import (_QUADRICS5, DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, Record, _symmetric, require_degree)
+                     Deg5Model, GenusOneModel, Record, _frame, _symmetric, require_degree)
 from .poly import Poly, Scalar, as_scalar, binary_product, monomials, times_variable
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
@@ -111,6 +111,7 @@ def _omega(left, middle, right, sign) -> list:
 # ----------------------------------------------------------------------
 
 def tate_quantities(m: Deg1Model) -> TateQuantities:
+    require_degree(m, (1,), "tate_quantities")
     a1, a2, a3, a4, a6 = m.coefficients()
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -120,6 +121,7 @@ def tate_quantities(m: Deg1Model) -> TateQuantities:
 
 
 def invariants_deg1(m: Deg1Model) -> InvariantTriple:
+    require_degree(m, (1,), "invariants_deg1")
     b2, b4, b6, b8 = tate_quantities(m)
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
@@ -135,6 +137,7 @@ def invariants_deg1(m: Deg1Model) -> InvariantTriple:
 # ----------------------------------------------------------------------
 
 def invariants_deg2(m: Deg2Model) -> InvariantTriple:
+    require_degree(m, (2,), "invariants_deg2")
     # y^2 + py = q becomes y^2 = q + p^2/4; as I, J have weights 16 and 64,
     # c4 = 16 I, c6 = 32 J of that quartic are I and J/2 of 4q + p^2.
     p, q = m.vectors
@@ -160,22 +163,23 @@ _HESSIAN_PLACES = [[[times_variable(3, 2)[k][times_variable(3, 1)[j][i]] for k i
                     for j in range(3)] for i in range(3)]
 
 
-def _hessian_forms(vec) -> list[list[dict]]:
-    """The Hessian forms {variable index: coefficient} of a cubic U over
-    ``_CUBICS3``: entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and
+def _hessian_forms(vec) -> list[list[list]]:
+    """The Hessian forms of a cubic U over ``_CUBICS3``, as coefficient
+    vectors over x, y, z: entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and
     d^3 U/dx_i dx_j dx_k is alpha! U[q], q the place of x_i x_j x_k = x^alpha."""
-    return [[{k: _CUBIC_WEIGHTS[q] * vec[q] for k, q in enumerate(places) if vec[q]}
-             for places in row] for row in _HESSIAN_PLACES]
+    return [[[_CUBIC_WEIGHTS[q] * vec[q] for q in places] for places in row]
+            for row in _HESSIAN_PLACES]
 
 
-def _deg3_frame(m: Deg3Model):
-    """L, the lcm of U's denominators, and over ``_CUBICS3`` the integral
-    L U, its Hessian forms and their determinant G by the dense kernel."""
+def _deg3_frame(m: Deg3Model, what: str):
+    """For ``what``, on degree 3 only: L, the lcm of U's denominators, and over
+    ``_CUBICS3`` the integral L U, its Hessian forms and G, their determinant."""
+    require_degree(m, (3,), what)
     vec = m.vectors[0]
     scale = lcm(*(c.denominator for c in vec if type(c) is not int))
     u = [int(c * scale) for c in vec]
     hess_u = _hessian_forms(u)
-    return scale, u, hess_u, _dense_determinant(3, [[e.items() for e in row] for row in hess_u])
+    return scale, u, hess_u, _dense_determinant(hess_u)
 
 
 def invariants_deg3(m: Deg3Model) -> InvariantTriple:
@@ -195,10 +199,10 @@ def invariants_deg3(m: Deg3Model) -> InvariantTriple:
     every coefficient: the nu part is 12 c4 U, and the nu^2 part plus
     12 c4 G is -48 c6 U.
     """
-    if not any(m.vectors[0]):
+    scale, u, hess_u, g = _deg3_frame(m, "invariants_deg3")
+    if not any(u):
         return InvariantTriple(0, 0, 0)
-    scale, u, hess_u, g = _deg3_frame(m)
-    expanded = _pencil_terms(DEG3_RING, hess_u, _hessian_forms(g)) if any(g) else {}
+    expanded = _pencil_terms(hess_u, _hessian_forms(g)) if any(g) else {}
     nu1, nu2 = ([expanded.get((k,) + e, 0) for e in _CUBICS3] for k in (1, 2))
     k = next(i for i, c in enumerate(u) if c)
     # c4 = nu1[k] / 12 u[k]; each identity, times u[k], says that an
@@ -220,7 +224,7 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
     of a cubic f has coefficient (b_i + 1) f[x_i b] at the quadric b, read
     through ``times_variable``.  Three rows use G = -2H for H, and the
     determinant has weight 12 in U, so the result is divided by -8 L^12."""
-    scale, u, _, g = _deg3_frame(m)
+    scale, u, _, g = _deg3_frame(m, "discriminant_deg3_matrix")
     rows = [[(b[i] + 1) * f[q] for b, q in zip(monomials(DEG3_RING, 2), tab)]
             for f in (u, g) for i, tab in enumerate(times_variable(3, 2))]
     return as_scalar(Fraction(scalar_det(rows), -8 * scale ** 12))
@@ -230,14 +234,18 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 # degree 4
 # ----------------------------------------------------------------------
 
+def _deg4_matrices(m: Deg4Model, what: str) -> list:
+    """For ``what``, on degree 4 only: A and B, the Hessians of q1 and q2."""
+    require_degree(m, (4,), what)
+    return [_symmetric(vec, 4) for vec in m.vectors]
+
+
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
     """Invariants of a quadric pair via the binary quartic det(sA + tB), its
-    entries a_ij s + b_ij t straight into ``linalg._dense_determinant`` in
-    the two variables s, t, whose coefficients are the quartic's a..e."""
-    mat_a, mat_b = (_symmetric(vec, 4) for vec in m.vectors)
-    c4, j = _quartic_invariants(_dense_determinant(
-        2, [[[(v, c) for v, c in enumerate(pair) if c] for pair in zip(*rows)]
-            for rows in zip(mat_a, mat_b)]))
+    entries a_ij s + b_ij t, as the vectors (a_ij, b_ij), straight into
+    ``linalg._dense_determinant``, whose coefficients are the quartic's a..e."""
+    mat_a, mat_b = _deg4_matrices(m, "invariants_deg4")
+    c4, j = _quartic_invariants(_dense_determinant([list(zip(a, b)) for a, b in zip(mat_a, mat_b)]))
     return _triple(c4, Fraction(j) / 2)
 
 
@@ -258,7 +266,7 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
     Both sides of the identity are polynomials in A and B that agree where
     a e != 0, so they agree everywhere, degenerate pencils included.
     """
-    mat_a, mat_b = (_symmetric(vec, 4) for vec in m.vectors)
+    mat_a, mat_b = _deg4_matrices(m, "deg4_auxiliary_quadrics")
 
     def mixed(x, y):
         x_adj_y = mat_mul(x, adjugate(y))
@@ -283,14 +291,14 @@ def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
     to a permutation with ascending tail and form the signed 2x2 minor of
     the gradients of q1, q2 on the remaining variables.  Antisymmetric
     under swapping r and s."""
-    omega = _deg4_omega(*(_symmetric(vec, 4) for vec in m.vectors), r, s)
+    omega = _deg4_omega(*_deg4_matrices(m, "deg4_omega_quadric"), r, s)
     return Poly(DEG4_RING, dict(zip(monomials(DEG4_RING, 2), omega)))
 
 
 def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
     """Determinant of the 10x10 coefficient matrix of q1, q2, q1', q2' and
     the six quadrics Omega_{r,s}; equal to DISC_MATRIX_SIGN[4] * 16 * Delta."""
-    mat_a, mat_b = (_symmetric(vec, 4) for vec in m.vectors)
+    mat_a, mat_b = _deg4_matrices(m, "discriminant_deg4_matrix")
     # deg4_auxiliary_quadrics is called by its module name, which the
     # benchmark's tracer rebinds
     auxiliary = [[q.terms.get(e, 0) for e in QUADRIC_MONOMIALS_DEG4]
@@ -333,25 +341,24 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     DegenerateModelError when the products p_i p_j are linearly dependent
     (in which case all the invariants vanish).  The quintics are dense
     vectors over ``_QUINTICS5`` until the ``Poly`` fields are built."""
-    pf, hess, dphi = model._frame()
+    pf, hess, dphi = _frame(model, "deg5_covariants")
 
     # row k of the Jacobian holds dp_k/dx_t = sum_u hess[k][t][u] x_u
-    secant = _dense_determinant(5, [[[(u, c) for u, c in enumerate(grad) if c] for grad in h]
-                                    for h in hess])
+    secant = _dense_determinant(hess)
 
     # dS/dx_i is a quadric in the Pfaffians: 70 equations, one per quartic
     # monomial, and 15 unknowns, the k-th the coefficient of the k-th
     # monomial v_i v_j, whose column holds the coefficients of p_i p_j.
     # One elimination solves for every gradient and its rank is the check
     # that the 15 products are independent.
-    terms = [[(a, c) for a, c in enumerate(vec) if c] for vec in pf]
     products = []
     for i, j in combinations_with_replacement(range(5), 2):
         column = [0] * len(_QUARTICS5)
-        for a, ca in terms[i]:
-            index = _PRODUCT_INDEX[a]
-            for b, cb in terms[j]:
-                column[index[b]] += ca * cb
+        for index, ca in zip(_PRODUCT_INDEX, pf[i]):
+            if ca:
+                for b, cb in zip(index, pf[j]):
+                    if cb:
+                        column[b] += ca * cb
         products.append(column)
     # the x_i gradient at quartic b is (e_i(b) + 1) times the secant's
     # coefficient at x_i b, the quintic times_variable places
@@ -365,8 +372,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
             raise InternalCheckError(f"no quadric expresses dS/d{xi} in the Pfaffians")
 
     # entry (i, j) is sum_k d^2 p_k/dx_i dx_j v_k
-    dual = _dense_determinant(5, [[[(k, h[i][j]) for k, h in enumerate(hess) if h[i][j]]
-                                   for j in range(5)] for i in range(5)])
+    dual = _dense_determinant([list(zip(*(h[i] for h in hess))) for i in range(5)])
 
     # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
     aux_hess = [_symmetric(sol, 5) for sol in solutions]
@@ -403,6 +409,7 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
     powers of lam, and the lam^5 coefficient giving exactly c4^2) is
     asserted; a failure indicates a bug, not bad input.
     """
+    require_degree(m, (5,), "invariants_deg5")
     try:
         cov = deg5_covariants(m)
     except DegenerateModelError:
@@ -419,7 +426,7 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
 
 
 def _deg5_omega(frame, r: int, s: int) -> list:
-    """The coefficients of Omega_{r,s} from ``Deg5Model._frame``: hess[i][t] is dp_i/dx_t."""
+    """The coefficients of Omega_{r,s} from ``models._frame``: hess[i][t] is dp_i/dx_t."""
     (t3, t4, t5), sign = _omega_indices(r, s, 5)
     _, hess, dphi = frame
     return _omega([h[t3] for h in hess], dphi[t4], [h[t5] for h in hess], sign)
@@ -433,7 +440,8 @@ def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
 
     Antisymmetric under swapping r and s, and only well defined modulo
     the span of the Pfaffians."""
-    return Poly(DEG5_RING, dict(zip(_QUADRICS5, _deg5_omega(m._frame(), r, s))))
+    omega = _deg5_omega(_frame(m, "deg5_omega_quadric"), r, s)
+    return Poly(DEG5_RING, dict(zip(_QUADRICS5, omega)))
 
 
 def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
@@ -443,7 +451,7 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
     Omega_{r,s} is only defined modulo the span of the Pfaffians, but the
     determinant is insensitive to that since the p-rows span that space.
     """
-    frame = m._frame()
+    frame = _frame(m, "discriminant_deg5_matrix")
     return scalar_det(frame[0] + [_deg5_omega(frame, r, s)
                                   for r, s in combinations(range(1, 6), 2)])
 
@@ -517,7 +525,7 @@ def a1_char2(m: GenusOneModel) -> int:
         return m.coefficients()[9] % 2
     if m.degree == 4:
         # off-diagonal entries of the symmetric matrices are the xi xj coefficients
-        a, b = (_symmetric(vec, 4) for vec in m.vectors)
+        a, b = _deg4_matrices(m, "a1_char2")
         total = 0
         for i, j in combinations(range(4), 2):
             k, l = (x for x in range(4) if x not in (i, j))

@@ -11,12 +11,12 @@ and chooses one of two routes, once, itself:
 * any other matrix goes to ``_maximal_minors``: minor expansion on the
   entries, which ``adjugate`` also runs on scalars.
 
-``invariants`` enters below ``determinant`` with coefficient arrays, and
-nothing there declines: entries of (variable, coefficient) pairs go to
-the kernel (the degree-5 secant and dual, the degree-3 G and det(sA + tB)
-in s, t), and M_0 and M_1 of integer entries {variable index:
-coefficient} to ``_pencil_terms`` (G(U + nu G)).  Only the degree-5
-pencil takes ``determinant``.
+Below ``determinant`` every entry is the coefficient vector of a linear
+form over one list of variables, the format the models store.
+``invariants`` enters there, and nothing there declines: matrices of
+vectors go to the kernel (the degree-5 secant and dual, the degree-3 G
+and det(sA + tB) in s, t), and integer M_0 and M_1 to ``_pencil_terms``
+(G(U + nu G)).  Only the degree-5 pencil takes ``determinant``.
 
 The scalar routines run Bareiss elimination (Bareiss, Math. Comp. 1968)
 on rows scaled to integers, and ``solve_linear`` tries p-adic lifting
@@ -48,25 +48,23 @@ def _check_square(rows) -> int:
     return n
 
 
-def _dense_determinant(nvars: int, rows) -> list:
-    """The determinant of an n x n matrix of linear forms in nvars
-    variables, each entry a list of (variable index, coefficient) pairs,
-    as its coefficients over the monomials of degree n (``monomials``).
+def _dense_determinant(rows) -> list:
+    """The determinant of an n x n matrix of linear forms, each entry the
+    coefficient vector of its form over one list of m variables, as its
+    coefficients over the monomials of degree n in them (``monomials``).
 
-    A minor of k rows is a list over the monomials of degree k.  The
-    minors of the last k rows on every k-column set give those of the
-    last k + 1 by expansion along the new row: a coefficient a of x_v
-    times the b-th coefficient of a minor adds to place ``tab[v][b]`` of
-    the wider one (``times_variable``), the exact place of the product.
-    The expansion runs in integers: det M = det(L M) / L^n, L the lcm of
-    the denominators.
+    The expansion runs in integers, det M = det(L M) / L^n with L the lcm
+    of the denominators, and reads each entry of L M as its (variable
+    index, coefficient) pairs, zeros left out.  A minor of k rows is a list
+    over the monomials of degree k.  The minors of the last k rows on every
+    k-column set give those of the last k + 1 by expansion along the new
+    row: a coefficient a of x_v times the b-th coefficient of a minor adds
+    to place ``tab[v][b]`` of the wider one (``times_variable``), the exact
+    place of the product.
     """
-    n = len(rows)
-    fractions = [c for row in rows for pairs in row for _, c in pairs if type(c) is not int]
-    if fractions:
-        scale = lcm(*(c.denominator for c in fractions))
-        scaled = [[[(v, int(c * scale)) for v, c in pairs] for pairs in row] for row in rows]
-        return [as_scalar(Fraction(c, scale ** n)) for c in _dense_determinant(nvars, scaled)]
+    n, nvars = len(rows), len(rows[0][0])
+    scale = lcm(*(c.denominator for row in rows for entry in row for c in entry if type(c) is not int))
+    rows = [[[(v, int(c * scale)) for v, c in enumerate(entry) if c] for entry in row] for row in rows]
     minors: dict[int, list] = {0: [1]}  # no rows: the constant 1
     for k in range(n):
         tab = times_variable(nvars, k)
@@ -88,7 +86,8 @@ def _dense_determinant(nvars: int, rows) -> list:
                     for i, m in zip(tab[v], minor):
                         out[i] += a * m
         minors = wider
-    return minors.get((1 << n) - 1) or [0] * comb(nvars + n - 1, n)
+    det = minors.get((1 << n) - 1) or [0] * comb(nvars + n - 1, n)
+    return det if scale == 1 else [as_scalar(Fraction(c, scale ** n)) for c in det]
 
 
 def _maximal_minors(rows) -> dict:
@@ -114,14 +113,15 @@ def _maximal_minors(rows) -> dict:
     return minors
 
 
-def _pencil_terms(ring: tuple, m0, m1) -> dict:
-    """{(k,) + exponents in ``ring``: t^k coefficient} of det(t M_1 + M_0),
-    M_0 and M_1 of integer linear forms {ring index: nonzero coefficient}
-    and M_1 != 0, by Kronecker substitution in t (Harvey, JSC 2009).
+def _pencil_terms(m0, m1) -> dict:
+    """{(k,) + exponents: t^k coefficient} of det(t M_1 + M_0), M_0 and
+    M_1 != 0 of integer linear forms, each entry its coefficient vector
+    over the variables after t, by Kronecker substitution in t (Harvey,
+    JSC 2009).
 
     First g, the gcd of the t coefficients, is taken out: M(t) = M'(g t),
     so the t^k coefficient of det M is g^k times that of det M'.  Then t
-    is set to X = 2^w, and one determinant of linear forms in the m
+    is set to X = 2^w, and one determinant of linear forms in the
     variables that occur, by ``_dense_determinant``, carries every power
     of t in the balanced base-X digits of its coefficients.  B, the
     product over the rows of M' of the sum of the l1 norms of their
@@ -129,26 +129,24 @@ def _pencil_terms(ring: tuple, m0, m1) -> dict:
     (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those digits are
     exactly the coefficients of t^0, t^1, ...
     """
-    content = gcd(*(c for row in m1 for entry in row for c in entry.values()))
-    bound = prod(sum(abs(c) for entry in row0 for c in entry.values())
-                 + sum(abs(c) for entry in row1 for c in entry.values()) // content
+    content = gcd(*(c for row in m1 for entry in row for c in entry))
+    bound = prod(sum(map(abs, chain.from_iterable(row0)))
+                 + sum(map(abs, chain.from_iterable(row1))) // content
                  for row0, row1 in zip(m0, m1))
     if not bound:  # a zero row
         return {}
     # every row has l1 norm >= 1, so each digit c_k of an entry is below
     # X/2 in absolute value and no substituted coefficient c_0 + c_1 X is 0
-    width, n = bound.bit_length() + 1, len(m0)
-    used = sorted({v for m in (m0, m1) for row in m for entry in row for v in entry})
-    local = {v: i for i, v in enumerate(used)}
-    dense = _dense_determinant(len(used), [
-        [[(local[v], a.get(v, 0) + (b.get(v, 0) // content << width)) for v in a.keys() | b.keys()]
-         for a, b in zip(row0, row1)] for row0, row1 in zip(m0, m1)])
+    width, n, nvars = bound.bit_length() + 1, len(m0), len(m0[0][0])
+    used = [v for v in range(nvars) if any(entry[v] for m in (m0, m1) for row in m for entry in row)]
+    dense = _dense_determinant([[[a[v] + (b[v] // content << width) for v in used]
+                                 for a, b in zip(row0, row1)] for row0, row1 in zip(m0, m1)])
     # det M' has t-degree at most n: adding X/2 to each of its n + 1
     # digits makes them all non-negative, and content^k restores t^k
     half, mask = 1 << (width - 1), (1 << width) - 1
     offset = sum(half << width * k for k in range(n + 1))
-    # each exponent goes back to its variables' places in the ring
-    places = [local.get(v, len(used)) for v in range(len(ring))]
+    # each exponent goes back to its variables' places
+    places = [used.index(v) if v in used else len(used) for v in range(nvars)]
     out: dict[tuple, int] = {}
     for e, c in zip(monomials(used, n), dense):
         if c:
@@ -198,14 +196,15 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     pencil = bool(ring) and all(e[0] <= 1 and sum(e) == e[0] + 1 for row in rows
                                 for entry in row for e in entry.terms)
     if pencil:
-        m0, m1 = ([[{e.index(1, 1) - 1: c for e, c in entry.terms.items() if e[0] == k}
+        # the t^0 and t^1 parts of each entry as vectors over the variables after t
+        m0, m1 = ([[[entry.terms.get((k,) + e, 0) for e in monomials(ring[1:], 1)]
                     for entry in row] for row in rows] for k in (0, 1))
         # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
-        used = {v for m in (m0, m1) for row in m for entry in row for v in entry}
-        size = prod(sum(len(a.keys() | b.keys()) for a, b in zip(row0, row1))
-                    for row0, row1 in zip(m0, m1))
-        pencil = any(map(any, m1)) and not 0 < size < comb(len(used) + n - 1, n)
-    det = (Poly._make(ring, _pencil_terms(ring[1:], m0, m1)) if pencil
+        forms = [[{e[1:] for e in entry.terms} for entry in row] for row in rows]
+        used = set().union(*chain.from_iterable(forms))
+        size = prod(sum(map(len, row)) for row in forms)
+        pencil = any(map(any, chain.from_iterable(m1))) and not 0 < size < comb(len(used) + n - 1, n)
+    det = (Poly._make(ring, _pencil_terms(m0, m1)) if pencil
            else _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring)))
     if scale == 1:
         return det

@@ -29,7 +29,7 @@ Degree-5 models are stored by their upper triangle only (positions
 ``from_matrix``, which takes outside input, checks alternation.  All model
 classes are ``Record`` values: immutable, compared and hashed by
 ``FIELDS``.  The polynomial rings are the fixed module-level tuples below.
-``Deg5Model._frame`` is the one reader of a degree-5 model's Pfaffians, as
+``_frame`` is the one reader of a degree-5 model's Pfaffians, as
 coefficient vectors and Hessian matrices: the degree-5 invariants and
 projection run on it, and the Weierstrass models on coefficient vectors,
 with no ``Poly`` arithmetic outside ``pfaffians``.
@@ -376,16 +376,6 @@ class Deg5Model(_Forms):
                                               for e, c in p.terms.items()}))
         return out
 
-    def _frame(self):
-        """What every degree-5 computation reads off the model: the Pfaffians
-        p_k over ``_QUADRICS5``, hess[k][t][u] = d^2 p_k/dx_t dx_u (hess[k][t]
-        is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
-        pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in self.pfaffians()]
-        upper = dict(zip(DEG5_PAIRS, self.vectors))
-        dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
-                 for i in range(5)] for t in range(5)]
-        return pf, [_symmetric(vec, 5) for vec in pf], dphi
-
     def equations(self) -> list[Poly]:
         return self.pfaffians()
 
@@ -434,6 +424,17 @@ def check_keys(data, allowed, what: str) -> None:
         raise InputError(f"unknown keys for {what}: {', '.join(sorted(unknown))}")
 
 
+def _frame(model: Deg5Model, what: str):
+    """For ``what``, on degree 5 only: the Pfaffians p_k over ``_QUADRICS5``, hess[k][t][u]
+    = d^2 p_k/dx_t dx_u (hess[k][t] is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
+    require_degree(model, (5,), what)
+    pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in model.pfaffians()]
+    upper = dict(zip(DEG5_PAIRS, model.vectors))
+    dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
+             for i in range(5)] for t in range(5)]
+    return pf, [_symmetric(vec, 5) for vec in pf], dphi
+
+
 def equations(model: GenusOneModel) -> list[Poly]:
     """The defining polynomial(s) of the model's curve."""
     require_degree(model, MODEL_CLASSES, "equations")
@@ -473,15 +474,14 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     All choices (kernel basis, basis completion) are the canonical
     row-reduction ones, so the output is deterministic.
     """
-    require_degree(model, (5,), "project_from_point")
+    pf, hess, _ = _frame(model, "project_from_point")
     try:
-        point = [as_scalar(c) for c in point]
+        point = [as_scalar(c) for c in json_list(point, "the point")]
     except (TypeError, ValueError):
-        point = []  # not a sequence of exact scalars
+        point = []  # not a list or tuple of exact scalars
     if len(point) != 5 or not any(point):
         raise InputError("the point must have 5 homogeneous coordinates, not all zero")
 
-    pf, hess, _ = model._frame()
     # row k of the Jacobian at the point is H_k point, and by Euler's
     # identity point . H_k point = 2 p_k(point)
     jac = [[sum(map(mul, row, point)) for row in h] for h in hess]

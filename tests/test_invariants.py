@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     Deg2Transform, Deg3Model, Deg3Transform, Deg4Model,
                     Deg4Transform, Deg5Model, Deg5Transform, DegenerateModelError,
-                    InternalCheckError, Poly, SingularModelError, apply,
-                    contract_quintics, deg4_auxiliary_quadrics,
-                    deg5_covariants, det_character, determinant,
+                    InputError, InternalCheckError, Poly, SingularModelError, apply,
+                    contract_quintics, deg4_auxiliary_quadrics, deg4_omega_quadric,
+                    deg5_covariants, deg5_omega_quadric, det_character, determinant,
                     discriminant_deg3_matrix, discriminant_deg4_matrix,
                     discriminant_deg5_matrix, generators, hessian,
                     invariants, invariants_deg1,
@@ -24,7 +24,7 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     tate_quantities, weierstrass_model)
 from genus1.invariants import V_RING, _hessian_forms, _symmetric
 from genus1.linalg import perm_sign
-from genus1.models import DEG3_RING, DEG5_RING
+from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
 from genus1.poly import monomials
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
@@ -125,7 +125,7 @@ class TestHessian:
                    for p in permutations(range(3))), Poly.zero(DEG3_RING))
         assert hessian(m.cubic) == det * Fraction(-1, 2)
         units = monomials(DEG3_RING, 1)
-        assert [[Poly(DEG3_RING, {units[k]: c for k, c in entry.items()}) for entry in row]
+        assert [[Poly(DEG3_RING, dict(zip(units, vec))) for vec in row]
                 for row in _hessian_forms(m.vectors[0])] == d2
 
 
@@ -170,9 +170,11 @@ class TestDegree3:
         expand = module._pencil_terms
         m = weierstrass_model(short_weierstrass(-1, 0), 3)
         for power, message in ((1, r"^nu coefficient"), (2, r"^nu\^2 coefficient")):
-            def perturbed(ring, m0, m1, power=power):
-                terms = expand(ring, m0, m1)
-                assert ring == DEG3_RING and (power, 1, 1, 1) not in terms
+            def perturbed(m0, m1, power=power):
+                terms = expand(m0, m1)
+                # the pencil's entries are vectors over x, y, z
+                assert {len(vec) for m in (m0, m1) for row in m for vec in row} == {len(DEG3_RING)}
+                assert (power, 1, 1, 1) not in terms
                 return {**terms, (power, 1, 1, 1): 1}
 
             monkeypatch.setattr(module, "_pencil_terms", perturbed)
@@ -787,3 +789,52 @@ class TestSparseDegree4:
         assert discriminant_deg4_matrix(m) == -16 * invariants(m).delta
         assert _disc_identity_holds(apply(g, m))
         assert _weight_law_holds(g, m)
+
+
+# Each per-degree entry: the degree it takes and its value on the image in
+# that degree of y^2 = x^3 - x + 1, whose (c4, c6, Delta) is (48, -864, -368).
+# The degree-5 covariants are read through their contraction, whose lam,
+# lam^3 and lam^5 coefficients are 40 c4, -320 c6 and 128 c4^2.
+X1, X2, X3, X4 = generators(DEG4_RING)
+X5 = generators(DEG5_RING)
+TRIPLE = (48, -864, -368)
+
+
+def _contraction(cov):
+    return contract_quintics(cov.dual_quintic, cov.pencil_quintic)
+
+
+PER_DEGREE = {
+    "tate_quantities": (1, tate_quantities, (0, -2, 4, -1)),
+    "invariants_deg1": (1, invariants_deg1, TRIPLE),
+    "invariants_deg2": (2, invariants_deg2, TRIPLE),
+    "invariants_deg3": (3, invariants_deg3, TRIPLE),
+    "invariants_deg4": (4, invariants_deg4, TRIPLE),
+    "invariants_deg5": (5, invariants_deg5, TRIPLE),
+    "discriminant_deg3_matrix": (3, discriminant_deg3_matrix, 1728 * -368),
+    "discriminant_deg4_matrix": (4, discriminant_deg4_matrix, -16 * -368),
+    "discriminant_deg5_matrix": (5, discriminant_deg5_matrix, 32 * -368),
+    "deg4_auxiliary_quadrics": (4, deg4_auxiliary_quadrics,
+                                (X1 ** 2 - 8 * X1 * X2 - 2 * X1 * X4 + 4 * X2 ** 2 + X4 ** 2,
+                                 -4 * X1 ** 2 + 4 * X1 * X2 - 4 * X2 * X4)),
+    "deg4_omega_quadric": (4, lambda m: deg4_omega_quadric(m, 1, 2), -2 * X1 * X3),
+    "deg5_covariants": (5, lambda m: _contraction(deg5_covariants(m)),
+                        {1: 40 * 48, 3: -320 * -864, 5: 128 * 48 ** 2}),
+    "deg5_omega_quadric": (5, lambda m: deg5_omega_quadric(m, 1, 2), 2 * X5[0] * X5[2]),
+}
+
+
+@pytest.mark.parametrize("given", range(1, 6))
+@pytest.mark.parametrize("name", PER_DEGREE)
+def test_per_degree_entries_take_their_degree_only(name, given):
+    # invariants_deg3 of the degree-4 image gave (1, -1, 0), and several
+    # entries gave zeros or raised AttributeError on another degree
+    degree, call, expected = PER_DEGREE[name]
+    w = Deg1Model(0, 0, 0, -1, 1)
+    m = w if given == 1 else weierstrass_model(w, given)
+    if given == degree:
+        assert call(m) == expected
+    else:
+        with pytest.raises(InputError, match=rf"^{name} takes models of degree {degree}, "
+                                             rf"not a degree-{given} model$"):
+            call(m)

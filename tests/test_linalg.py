@@ -177,18 +177,18 @@ class TestDeterminant:
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_dense_kernel_matches_leibniz(self, data):
-        # the tensor entry: entries as (variable index, coefficient) pairs,
-        # empty for zero, in 1 to 6 variables; Fraction coefficients too
+        # the tensor entry: entries as coefficient vectors over 1 to 6
+        # variables, zero vectors and zero coefficients among them;
+        # Fraction coefficients too
         nvars = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, 4))
-        pair = st.tuples(st.integers(0, nvars - 1), st.one_of(st.integers(-9, 9), COEFFS))
-        entry = st.lists(pair, max_size=4, unique_by=lambda p: p[0])
+        coeff = st.one_of(st.just(0), st.integers(-9, 9), COEFFS)
+        entry = st.one_of(st.just([0] * nvars), st.lists(coeff, min_size=nvars, max_size=nvars))
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         ring = RING6[:nvars]
         units = monomials(ring, 1)
-        det = leibniz([[Poly(ring, {units[v]: c for v, c in pairs}) for pairs in row]
-                       for row in rows])
-        dense = linalg._dense_determinant(nvars, rows)
+        det = leibniz([[Poly(ring, dict(zip(units, vec))) for vec in row] for row in rows])
+        dense = linalg._dense_determinant(rows)
         assert dense == [det.coefficient(e) for e in monomials(ring, n)]
         assert all(type(c) is int or c.denominator > 1 for c in dense)
 
@@ -260,10 +260,10 @@ def pencil_route(rows):
 
         def recorded(*args):
             if name == "_pencil_terms":
-                _, m0, m1 = args
+                m0, m1 = args
                 assert all(type(c) is int for m in (m0, m1) for row in m for entry in row
-                           for c in entry.values())
-                assert any(entry for row in m1 for entry in row)
+                           for c in entry)
+                assert any(c for row in m1 for entry in row for c in entry)
             calls.setdefault(name, []).append(original(*args))
             return calls[name][-1]
 
@@ -304,9 +304,9 @@ def pencil_matrices(compute, model):
             pencils["lam"] = rows
         return expand(rows)
 
-    def recorded_pair(ring, m0, m1):
-        pencils["nu"] = pencil_rows(("nu",) + ring, m0, m1)
-        return pair_entry(ring, m0, m1)
+    def recorded_pair(m0, m1):
+        pencils["nu"] = pencil_rows(("nu",) + module.DEG3_RING, m0, m1)
+        return pair_entry(m0, m1)
 
     with mock.patch.object(module, "determinant", recorded), \
             mock.patch.object(module, "_pencil_terms", recorded_pair):
@@ -316,11 +316,11 @@ def pencil_matrices(compute, model):
 
 def pencil_rows(ring, m0, m1):
     """The ``Poly`` rows of t M_1 + M_0 over ``ring``, whose first variable
-    is t, from entries {index of a variable after t: coefficient}."""
+    is t, from entries that are coefficient vectors over the variables
+    after t."""
     units = monomials(ring, 1)
-    return [[Poly(ring, {**{units[v + 1]: c for v, c in a.items()},
-                         **{tuple(map(sum, zip(units[0], units[v + 1]))): c
-                            for v, c in b.items()}})
+    return [[Poly(ring, {**dict(zip(units[1:], a)),
+                         **{tuple(map(sum, zip(units[0], u))): c for u, c in zip(units[1:], b)}})
              for a, b in zip(row0, row1)] for row0, row1 in zip(m0, m1)]
 
 
@@ -454,16 +454,15 @@ class TestKroneckerDeterminant:
         # rows, sparse or not; a zero row gives 0
         n = data.draw(st.integers(1, 4))
         g = data.draw(st.sampled_from([2, 3 ** 9, 2 ** 40]))
-        form = st.dictionaries(st.integers(0, 2), st.integers(-9, 9).filter(bool), max_size=3)
+        form = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=3, max_size=3)
         m0 = [[data.draw(form) for _ in range(n)] for _ in range(n)]
-        m1 = [[{v: g * c for v, c in data.draw(form).items()} for _ in range(n)]
-              for _ in range(n)]
+        m1 = [[[g * c for c in data.draw(form)] for _ in range(n)] for _ in range(n)]
         zero = data.draw(st.integers(0, n - 1)) if n > 1 and data.draw(st.booleans()) else None
         if zero is not None:
-            m0[zero], m1[zero] = [{}] * n, [{}] * n
-        if not any(any(row) for row in m1):
-            m1[zero == 0][0] = {0: g}
-        terms = linalg._pencil_terms(RING[1:], m0, m1)
+            m0[zero], m1[zero] = [[0] * 3] * n, [[0] * 3] * n
+        if not any(c for row in m1 for entry in row for c in entry):
+            m1[zero == 0][0] = [g, 0, 0]
+        terms = linalg._pencil_terms(m0, m1)
         rows = pencil_rows(RING, m0, m1)
         assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
 

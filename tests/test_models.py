@@ -189,6 +189,19 @@ def test_a_bad_model_argument_is_input_error(call, message):
         call()
 
 
+def test_the_point_is_a_list_or_tuple():
+    # "00001" gave the projection from (0:0:0:0:1), read from the string's
+    # characters, and a dict gave the point of its keys; the file format
+    # refuses both (json_list)
+    m = weierstrass_model(Deg1Model(0, 0, 0, -1, 1), 5)
+    for point in ("00001", dict.fromkeys(["0", "00", "000", "0000", "1"])):
+        with pytest.raises(InputError, match=r"^the point must have 5 homogeneous coordinates"):
+            project_from_point(m, point)
+    projected = project_from_point(m, [0, 0, 0, 0, 1])
+    assert project_from_point(m, (0, 0, 0, 0, 1)) == projected
+    assert invariants(projected) == (48, -864, -368)
+
+
 @pytest.mark.parametrize("degree", [2.0, True, 1, 6])
 def test_weierstrass_and_gamma_take_a_plain_int_degree(degree):
     # 2.0 gave a degree-2 model and 3.0 a degree-3 transformation; the one
