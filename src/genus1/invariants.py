@@ -71,8 +71,10 @@ class InvariantTriple(NamedTuple):
 
 
 def _triple(c4: Scalar, c6: Scalar) -> InvariantTriple:
-    delta = (Fraction(c4) ** 3 - Fraction(c6) ** 2) / 1728
-    return InvariantTriple(as_scalar(c4), as_scalar(c6), as_scalar(delta))
+    c4, c6 = as_scalar(c4), as_scalar(c6)
+    num = c4 ** 3 - c6 ** 2  # an int when c4 and c6 are
+    delta = num // 1728 if type(num) is int and not num % 1728 else as_scalar(Fraction(num, 1728))
+    return InvariantTriple(c4, c6, delta)
 
 
 def _symmetrised(mat) -> list:
@@ -91,19 +93,20 @@ def _quartic_invariants(quartic):
 
 
 def _omega_indices(r: int, s: int, n: int):
-    """Complete the 1-based pair (r, s) to a permutation of 0..n-1 with an
-    ascending tail; return the tail and the sign of the permutation."""
-    if r == s or not {r, s} <= set(range(1, n + 1)):
-        raise InputError(f"omega quadrics need two distinct indices in 1..{n}")
+    """Complete the 1-based pair (r, s), plain ints as ``class_for_degree``
+    wants a degree, to a permutation of 0..n-1 with an ascending tail;
+    return the tail and the sign of the permutation."""
+    if {type(r), type(s)} != {int} or r == s or not {r, s} <= set(range(1, n + 1)):
+        raise InputError(f"omega quadrics need distinct int indices in 1..{n}, not {r!r}, {s!r}")
     rest = [k for k in range(n) if k not in (r - 1, s - 1)]
     return rest, perm_sign((r - 1, s - 1, *rest))
 
 
-def _omega(left, middle, right, sign) -> list:
-    """The coefficients of sign * sum_ij P_ij l_i r_j = x^T (sign L^T P R) x,
-    l_i and r_j the linear forms in the rows of L and R, P = ``middle``."""
-    outer = [[sum(map(mul, col, p_col)) for p_col in zip(*middle)] for col in zip(*left)]
-    return _symmetrised([[sign * sum(map(mul, row, col)) for col in zip(*right)] for row in outer])
+def _omega(left, right, sign) -> list:
+    """The coefficients of sign * sum_i l_i r_i = x^T (sign L^T R) x, l_i
+    and r_i the linear forms in the rows of L and R."""
+    return _symmetrised([[sign * sum(map(mul, l_col, r_col)) for r_col in zip(*right)]
+                         for l_col in zip(*left)])
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +286,14 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
 def _deg4_omega(mat_a, mat_b, r: int, s: int) -> list:
     """The coefficients of Omega_{r,s}: row u of mat_a is dq1/dx_u."""
     (u, v), sign = _omega_indices(r, s, 4)
-    return _omega([mat_a[u], mat_a[v]], ((0, 1), (-1, 0)), [mat_b[u], mat_b[v]], sign)
+    return _omega([mat_a[u], mat_a[v]], [mat_b[v], [-c for c in mat_b[u]]], sign)
 
 
 def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
-    """The quadric Omega_{r,s} (indices 1-based, r != s): complete (r, s)
-    to a permutation with ascending tail and form the signed 2x2 minor of
-    the gradients of q1, q2 on the remaining variables.  Antisymmetric
-    under swapping r and s."""
+    """The quadric Omega_{r,s} (plain int indices, 1-based, r != s):
+    complete (r, s) to a permutation with ascending tail and form the
+    signed 2x2 minor of the gradients of q1, q2 on the remaining
+    variables.  Antisymmetric under swapping r and s."""
     omega = _deg4_omega(*_deg4_matrices(m, "deg4_omega_quadric"), r, s)
     return Poly(DEG4_RING, dict(zip(monomials(DEG4_RING, 2), omega)))
 
@@ -331,9 +334,9 @@ _QUINTICS5 = monomials(DEG5_RING, 5)
 _PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
                   for t, u in combinations_with_replacement(range(5), 2)]
 # The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5); and
-# alpha! = prod_i alpha_i! for each quintic exponent alpha.
+# the place of each quintic exponent alpha and alpha! = prod_i alpha_i!.
 _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
-_QUINTIC_WEIGHTS = {e: prod(map(factorial, e)) for e in _QUINTICS5}
+_QUINTIC_PLACES = {e: (i, prod(map(factorial, e))) for i, e in enumerate(_QUINTICS5)}
 
 
 def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
@@ -387,18 +390,25 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
 
 
 def contract_quintics(dual_quintic: Poly, pencil_quintic: Poly) -> dict:
-    """Pair a quintic in dual coordinates against one in the v_i, per power
-    of lam: <v*^alpha, v^beta> = alpha! delta_{alpha beta}.  Returns
-    {lam power: scalar}, zero entries omitted."""
-    dual = dual_quintic.terms
-    out: dict[int, Scalar] = {}
-    for exps, coeff in pencil_quintic.terms.items():
-        alpha = exps[1:]
-        dual_coeff = dual.get(alpha)
-        if dual_coeff:
-            k = exps[0]
-            out[k] = out.get(k, 0) + coeff * dual_coeff * _QUINTIC_WEIGHTS[alpha]
-    return {k: as_scalar(v) for k, v in out.items() if v}
+    """Pair a quintic over ``V_RING``, in dual coordinates, against one in
+    v1..v5 over ``PENCIL_RING`` of lam-degree at most 5, per power of lam:
+    <v*^alpha, v^beta> = alpha! delta_{alpha beta}.  Returns {lam power:
+    scalar}, zero entries omitted.  Any other pair is an InputError: a
+    term outside those quintics fails its index lookup."""
+    if (getattr(dual_quintic, "variables", None) != V_RING
+            or getattr(pencil_quintic, "variables", None) != PENCIL_RING):
+        raise InputError(f"contract_quintics takes quintics over {V_RING} and {PENCIL_RING}")
+    weighted, out = [0] * len(_QUINTICS5), [0] * 6
+    try:
+        for exps, coeff in dual_quintic.terms.items():
+            place, weight = _QUINTIC_PLACES[exps]  # the dual weighted by alpha! once
+            weighted[place] = coeff * weight
+        for exps, coeff in pencil_quintic.terms.items():
+            out[exps[0]] += coeff * weighted[_QUINTIC_PLACES[exps[1:]][0]]
+    except (KeyError, IndexError):
+        raise InputError("contract_quintics takes quintics in v1..v5 of lam-degree at most 5, "
+                         f"not a term of exponents {exps}") from None
+    return {k: as_scalar(v) for k, v in enumerate(out) if v}
 
 
 def invariants_deg5(m: Deg5Model) -> InvariantTriple:
@@ -425,22 +435,27 @@ def invariants_deg5(m: Deg5Model) -> InvariantTriple:
     return _triple(c4, c6)
 
 
-def _deg5_omega(frame, r: int, s: int) -> list:
-    """The coefficients of Omega_{r,s} from ``models._frame``: hess[i][t] is dp_i/dx_t."""
+def _deg5_omega(frame, r: int, s: int, products: dict) -> list:
+    """The coefficients of Omega_{r,s} from ``models._frame``: sign L^T (P R), L and R the
+    rows dp_i/dx_t3 and dp_j/dx_t5 (hess[i][t] is dp_i/dx_t), P the x_t4 coefficients of phi;
+    ``products`` keeps P R by (t4, t5), for the ten Omegas share six."""
     (t3, t4, t5), sign = _omega_indices(r, s, 5)
     _, hess, dphi = frame
-    return _omega([h[t3] for h in hess], dphi[t4], [h[t5] for h in hess], sign)
+    if (t4, t5) not in products:
+        columns = list(zip(*(h[t5] for h in hess)))
+        products[t4, t5] = [[sum(map(mul, row, col)) for col in columns] for row in dphi[t4]]
+    return _omega([h[t3] for h in hess], products[t4, t5], sign)
 
 
 def deg5_omega_quadric(m: Deg5Model, r: int, s: int) -> Poly:
-    """The quadric Omega_{r,s} (indices 1-based, r != s): complete (r, s)
-    to a permutation with ascending tail (t3, t4, t5) and form
+    """The quadric Omega_{r,s} (plain int indices, 1-based, r != s):
+    complete (r, s) to a permutation with ascending tail (t3, t4, t5) and form
 
         sign(perm) * sum_{i,j} dp_i/dx_t3 * dphi_ij/dx_t4 * dp_j/dx_t5.
 
     Antisymmetric under swapping r and s, and only well defined modulo
     the span of the Pfaffians."""
-    omega = _deg5_omega(_frame(m, "deg5_omega_quadric"), r, s)
+    omega = _deg5_omega(_frame(m, "deg5_omega_quadric"), r, s, {})
     return Poly(DEG5_RING, dict(zip(_QUADRICS5, omega)))
 
 
@@ -451,8 +466,8 @@ def discriminant_deg5_matrix(m: Deg5Model) -> Scalar:
     Omega_{r,s} is only defined modulo the span of the Pfaffians, but the
     determinant is insensitive to that since the p-rows span that space.
     """
-    frame = _frame(m, "discriminant_deg5_matrix")
-    return scalar_det(frame[0] + [_deg5_omega(frame, r, s)
+    frame, products = _frame(m, "discriminant_deg5_matrix"), {}
+    return scalar_det(frame[0] + [_deg5_omega(frame, r, s, products)
                                   for r, s in combinations(range(1, 6), 2)])
 
 

@@ -2,7 +2,8 @@
 elimination over the rationals.
 
 ``determinant`` takes a square matrix of ``Poly`` entries of one ring
-and chooses one of two routes, once, itself:
+and chooses one of two routes, once, itself, in one pass over each
+entry's terms that also fills the entry's t^0 and t^1 vectors:
 
 * a pencil t M_1 + M_0 of linear forms in the variables after t, dense
   enough for its coefficient vectors, goes to ``_pencil_terms``, which
@@ -127,9 +128,10 @@ def _pencil_terms(m0, m1) -> dict:
     product over the rows of M' of the sum of the l1 norms of their
     entries, bounds every coefficient of det M' in all variables
     (||fg||_1 <= ||f||_1 ||g||_1), and 2^w > 2B, so those digits are
-    exactly the coefficients of t^0, t^1, ...
+    exactly the coefficients of t^0, t^1, ...  The decode shifts each
+    coefficient down one digit at a time, the k-th digit times g^k.
     """
-    content = gcd(*(c for row in m1 for entry in row for c in entry))
+    content = gcd(*chain.from_iterable(chain.from_iterable(m1)))
     bound = prod(sum(map(abs, chain.from_iterable(row0)))
                  + sum(map(abs, chain.from_iterable(row1))) // content
                  for row0, row1 in zip(m0, m1))
@@ -145,17 +147,20 @@ def _pencil_terms(m0, m1) -> dict:
     # digits makes them all non-negative, and content^k restores t^k
     half, mask = 1 << (width - 1), (1 << width) - 1
     offset = sum(half << width * k for k in range(n + 1))
-    # each exponent goes back to its variables' places
-    places = [used.index(v) if v in used else len(used) for v in range(nvars)]
+    powers = list(enumerate(content ** k for k in range(n + 1)))
+    exponents = monomials(used, n)
+    if len(used) < nvars:  # each exponent goes back to its variables' places
+        places = [used.index(v) if v in used else len(used) for v in range(nvars)]
+        exponents = [tuple(map((*e, 0).__getitem__, places)) for e in exponents]
     out: dict[tuple, int] = {}
-    for e, c in zip(monomials(used, n), dense):
+    for e, c in zip(exponents, dense):
         if c:
-            exps = tuple(map((*e, 0).__getitem__, places))
             c += offset
-            for k in range(n + 1):
-                d = (c >> width * k & mask) - half
+            for k, power in powers:
+                d = (c & mask) - half
                 if d:
-                    out[(k,) + exps] = d * content ** k
+                    out[(k,) + e] = d * power
+                c >>= width
     return out
 
 
@@ -174,38 +179,51 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     places for the m variables that occur.  Any other matrix takes
     ``_maximal_minors`` of all its rows.
 
+    One pass over each entry's terms checks its ring and fills its t^0 | t^1
+    vector; the first term that is not x_v or t x_v ends the pencil test.
+
     Entries from different rings raise ValueError, as Poly arithmetic does.
     """
     n = _check_square(rows)
     ring = rows[0][0].variables
+    scale = 1
+    if not all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
+        mults = [lcm(*(c.denominator for entry in row for c in entry.terms.values()
+                       if type(c) is not int)) for row in rows]
+        # int() also turns the integral Fractions a Poly sum may hold into ints
+        rows = [[Poly._make(entry.variables, {e: int(c * mult) for e, c in entry.terms.items()})
+                 for entry in row] for row, mult in zip(rows, mults)]
+        scale = prod(mults)
+    m = len(ring) - 1
+    # the place of x_v, then of t x_v, in an entry's vector, and x_v's bit
+    places = {(k,) + e: (k * m + v, 1 << v)
+              for k in (0, 1) for v, e in enumerate(monomials(ring[1:], 1))}
+    pencil, size, used, vectors = bool(ring), 1, 0, []
     for row in rows:
+        count, out = 0, []
         for entry in row:
             if entry.variables != ring:
                 raise ValueError(f"polynomial rings differ: {ring} vs {entry.variables}")
-    scale = 1
-    if not all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
-        scaled = []
-        for row in rows:
-            mult = lcm(*(c.denominator for entry in row for c in entry.terms.values()
-                         if isinstance(c, Fraction)), 1)
-            # int() also turns the integral Fractions a Poly sum may hold into ints
-            scaled.append([Poly._make(ring, {e: int(c * mult) for e, c in entry.terms.items()})
-                           for entry in row])
-            scale *= mult
-        rows = scaled
-    pencil = bool(ring) and all(e[0] <= 1 and sum(e) == e[0] + 1 for row in rows
-                                for entry in row for e in entry.terms)
-    if pencil:
-        # the t^0 and t^1 parts of each entry as vectors over the variables after t
-        m0, m1 = ([[[entry.terms.get((k,) + e, 0) for e in monomials(ring[1:], 1)]
-                    for entry in row] for row in rows] for k in (0, 1))
-        # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
-        forms = [[{e[1:] for e in entry.terms} for entry in row] for row in rows]
-        used = set().union(*chain.from_iterable(forms))
-        size = prod(sum(map(len, row)) for row in forms)
-        pencil = any(map(any, chain.from_iterable(m1))) and not 0 < size < comb(len(used) + n - 1, n)
-    det = (Poly._make(ring, _pencil_terms(m0, m1)) if pencil
-           else _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring)))
+            vec, seen = [0] * (2 * m), 0
+            try:
+                for e, c in entry.terms.items() if pencil else ():
+                    j, bit = places[e]
+                    vec[j] = c
+                    seen |= bit
+            except KeyError:  # a term that is not x_v or t x_v
+                pencil = False
+            out.append(vec)
+            count += seen.bit_count()
+            used |= seen
+        vectors.append(out)
+        size *= count
+    # setting t to 2^w cancels no coefficient, so x_v and t x_v make one term
+    if (pencil and any(any(vec[m:]) for row in vectors for vec in row)
+            and not 0 < size < comb(used.bit_count() + n - 1, n)):
+        det = Poly._make(ring, _pencil_terms([[vec[:m] for vec in row] for row in vectors],
+                                             [[vec[m:] for vec in row] for row in vectors]))
+    else:
+        det = _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring))
     if scale == 1:
         return det
     return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
@@ -476,13 +494,10 @@ def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
 # ----------------------------------------------------------------------
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if any(len(row) != k for row in a):
+    if any(len(row) != len(b) for row in a):
         raise ValueError("matrix shapes do not match")
-    return tuple(
-        tuple(as_scalar(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m))
-        for i in range(n)
-    )
+    columns = list(zip(*b))
+    return tuple(tuple(as_scalar(sum(map(mul, row, col))) for col in columns) for row in a)
 
 
 def identity_matrix(n: int):

@@ -370,10 +370,13 @@ class Deg5Model(_Forms):
         out = []
         for i in range(5):
             a, b, c, d = (k for k in range(5) if k != i)
-            p = phi[a, b] * phi[c, d] - phi[a, c] * phi[b, d] + phi[a, d] * phi[b, c]
+            flip, terms = (-1) ** i, {}  # the three signed products summed into one dict
+            for sign, p in ((flip, phi[a, b] * phi[c, d]), (-flip, phi[a, c] * phi[b, d]),
+                            (flip, phi[a, d] * phi[b, c])):
+                for e, x in p.terms.items():
+                    terms[e] = terms.get(e, 0) + sign * x
             # Poly products keep integral Fractions: as_scalar makes them ints
-            out.append(Poly._make(DEG5_RING, {e: as_scalar(-c if i % 2 else c)
-                                              for e, c in p.terms.items()}))
+            out.append(Poly._make(DEG5_RING, {e: as_scalar(x) for e, x in terms.items() if x}))
         return out
 
     def equations(self) -> list[Poly]:
@@ -429,9 +432,10 @@ def _frame(model: Deg5Model, what: str):
     = d^2 p_k/dx_t dx_u (hess[k][t] is dp_k/dx_t) and dphi[t][i][j], the x_t coefficient of phi_ij."""
     require_degree(model, (5,), what)
     pf = [[p.terms.get(e, 0) for e in _QUADRICS5] for p in model.pfaffians()]
-    upper = dict(zip(DEG5_PAIRS, model.vectors))
-    dphi = [[[upper[i, j][t] if i < j else -upper[j, i][t] if i > j else 0 for j in range(5)]
-             for i in range(5)] for t in range(5)]
+    dphi = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for (i, j), vec in zip(DEG5_PAIRS, model.vectors):
+        for t, c in enumerate(vec):
+            dphi[t][i][j], dphi[t][j][i] = c, -c
     return pf, [_symmetric(vec, 5) for vec in pf], dphi
 
 

@@ -480,6 +480,22 @@ class TestDegree5:
         assert pairing[3] == -320 * WUTHRICH_C6
         assert pairing[5] == 128 * WUTHRICH_C4 ** 2
 
+    def test_contraction_takes_its_quintics_only(self):
+        # the secant quintic (over x1..x5) as the dual gave {1: -2720, 3:
+        # -172032, 5: 1089536}, and the arguments swapped gave {}
+        cov = deg5_covariants(weierstrass_model(Deg1Model(0, 0, 0, -1, 1), 5))
+        dual, pencil = cov.dual_quintic, cov.pencil_quintic
+        v1 = Poly.variable(V_RING, "v1")
+        lam, w1 = generators(("lam",) + V_RING)[:2]
+        for args in ((cov.secant_quintic, pencil), (pencil, cov.secant_quintic),
+                     (pencil, dual), (dual, dual), (pencil, pencil),
+                     (dual * v1, pencil), (dual, pencil + lam ** 6 * w1 ** 5),
+                     (dual, pencil + lam * w1 ** 4), (dual + v1 ** 4, pencil),
+                     (dual.terms, pencil), (dual, None)):
+            with pytest.raises(InputError, match="contract_quintics"):
+                contract_quintics(*args)
+        assert contract_quintics(dual, pencil) == {1: 40 * 48, 3: -320 * -864, 5: 128 * 48 ** 2}
+
     def test_golden_invariants(self):
         triple = invariants_deg5(wuthrich_model())
         assert triple.c4 == WUTHRICH_C4
@@ -657,6 +673,17 @@ class TestOmegaQuadrics:
         rng = random.Random(10)
         with pytest.raises(InputError):
             deg4_omega_quadric(random_model(rng, 4), 2, 2)
+
+    @pytest.mark.parametrize("r, s", [(True, 2), (1.0, 2), (2, False), (Fraction(1), 2),
+                                      ("1", 2), (1, 2.0)])
+    def test_indices_are_plain_ints(self, r, s):
+        # True and 1.0 passed as the index 1: deg4_omega_quadric(m4, True, 2)
+        # equalled deg4_omega_quadric(m4, 1, 2), and deg5_omega_quadric(m5,
+        # 1.0, 2) gave 2*x1*x3 on the degree-5 image of y^2 = x^3 - x + 1
+        w = Deg1Model(0, 0, 0, -1, 1)
+        for quadric, degree in ((deg4_omega_quadric, 4), (deg5_omega_quadric, 5)):
+            with pytest.raises(InputError, match="distinct int indices"):
+                quadric(weierstrass_model(w, degree), r, s)
 
     def test_determinant_ignores_omega_representative(self):
         # Omega_{r,s} is defined only modulo the span of the Pfaffians;

@@ -5,6 +5,7 @@ import sys
 from unittest import mock
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -431,9 +432,18 @@ class TestKroneckerDeterminant:
             assert minors_path(rows) == leibniz(rows)
 
     def test_routing(self):
-        # only a pencil takes the path: not an x^2 term, an x-only term
-        # such as 4x, a matrix without x, or the empty ring
-        for rows in ([[X * Y, X ** 2], [Z, W]], [[X * Y, 4 * X], [Z, W]], [[Y, Z], [W, Y]]):
+        # only a pencil takes the path: not an x^2 or x^2 z term, an x-only
+        # term such as 4x or x, a constant entry, a y z term, a pencil too
+        # sparse for the kernel, a matrix without x, or the empty ring.
+        # The one routing pass stops at the first such term, which comes
+        # first, last or after pencil terms of its own entry; Fraction rows
+        # are scaled for the minors as for the kernel
+        seven = Poly.constant(RING, 7)
+        for odd in (X ** 2, X ** 2 * Z, 4 * X, X, seven, Y * Z):
+            for rows in ([[X * Y, odd], [Z, W]], [[odd, X * Y], [Z, W]],
+                         [[X * Y, Z], [W, X * Z + odd]], [[X * Y / 2, Z], [W, odd / 3]]):
+                assert minors_path(rows) == leibniz(rows)
+        for rows in ([[4 * X * Y, ZERO], [ZERO, 3 * X * Z]], [[Y, Z], [W, Y]]):
             assert minors_path(rows) == leibniz(rows)
         point = Poly.constant((), 3)
         assert minors_path([[point]]) == point
@@ -465,6 +475,38 @@ class TestKroneckerDeterminant:
         terms = linalg._pencil_terms(m0, m1)
         rows = pencil_rows(RING, m0, m1)
         assert Poly(RING, terms) == linalg._maximal_minors(rows).get((1 << n) - 1, ZERO)
+
+    def test_pencil_parts_reach_the_kernel(self):
+        # the one routing pass hands _pencil_terms the t^0 and t^1 vectors
+        # that reading each scaled entry's terms by monomial gives: the
+        # degree-5 pencil, Fraction rows and integral Fraction coefficients
+        def parts(rows):
+            ring = rows[0][0].variables
+            mults = [lcm(*(c.denominator for entry in row for c in entry.terms.values()
+                           if isinstance(c, Fraction))) for row in rows]
+            return tuple([[[int(entry.terms.get((k,) + e, 0) * mult)
+                            for e in monomials(ring[1:], 1)] for entry in row]
+                          for row, mult in zip(rows, mults)] for k in (0, 1))
+
+        one = X * Y / 2 + X * Y / 2
+        for rows in (pencil_matrices(deg5_covariants, wuthrich_model())["lam"],
+                     [[X * Y / 2 + Y, Fraction(-5, 3) * X * Z], [Z / 6, X * Y - Z / 4]],
+                     [[one, Z], [Z, one + Y]],
+                     [[X * Y + 5 * Z, -7 * X * W], [ZERO, ZERO]]):
+            _, calls = pencil_route(rows)
+            seen = []
+            with mock.patch.object(linalg, "_pencil_terms", lambda *args: seen.append(args) or {}):
+                determinant(rows)
+            assert len(calls["_pencil_terms"]) == 1 and seen == [parts(rows)]
+
+    def test_pair_entry_with_an_absent_variable(self):
+        # z never occurs and the t coefficients have content 6: the kernel
+        # runs on y and w only, and each exponent goes back to its place
+        m0 = [[[1, 0, -2], [0, 0, 3]], [[-4, 0, 0], [5, 0, 1]]]
+        m1 = [[[6, 0, 0], [0, 0, -12]], [[18, 0, 6], [0, 0, 0]]]
+        terms = linalg._pencil_terms(m0, m1)
+        rows = pencil_rows(RING, m0, m1)
+        assert all(e[2] == 0 for e in terms) and Poly(RING, terms) == leibniz(rows)
 
     def test_non_square(self):
         for rows in ([[X * Y, Z]], [], [[X * Y], [Z]]):
