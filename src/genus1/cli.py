@@ -16,14 +16,13 @@ Exit codes: 0 success, 1 singular model where a smooth one is required
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import json
 import sys
 
-from .errors import (DegenerateModelError, InputError, InternalCheckError,
-                     SingularModelError)
-from .invariants import (a1_char2, invariants, j_invariant, jacobian,
-                         matrix_discriminant)
+from .errors import DegenerateModelError, InputError, InternalCheckError, SingularModelError
+from .invariants import a1_char2, invariants, j_invariant, jacobian, matrix_discriminant
 from .models import (Deg1Model, dumps_model, loads_model, project_from_point,
                      require_degree, weierstrass_model)
 from .poly import as_scalar
@@ -72,7 +71,10 @@ def _pfaffians(model, args) -> str:
 
 
 def _discriminant(model, args) -> str:
-    delta = invariants(model).delta if args.method == "formula" else matrix_discriminant(model)
+    matrix = None if args.method == "formula" else matrix_discriminant(model)
+    delta = matrix if args.method == "matrix" else invariants(model).delta
+    if matrix is not None and matrix != delta:
+        raise InternalCheckError(f"degree-{model.degree} model: formula and matrix Delta differ")
     return _lines(("Delta",), (delta,))
 
 
@@ -115,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     verb("j", _j, "print the j-invariant c4^3 / Delta")
     verb("pfaffians", _pfaffians, "print the quadrics of a degree-5 model")
     p = verb("discriminant", _discriminant, "print Delta by either method")
-    p.add_argument("--method", choices=("formula", "matrix"), default="formula",
-                   help="formula: via c4, c6; matrix: via the determinant identity")
+    p.add_argument("--method", choices=("formula", "matrix", "both"), default="formula",
+                   help="formula: via c4, c6; matrix: via the determinant identity; "
+                        "both: each, and exit 3 if they differ")
 
     p = sub.add_parser("weierstrass", help="emit the degree-n model of a Weierstrass equation")
     for name in ("a1", "a2", "a3", "a4", "a6"):
@@ -134,13 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DIGITS, _DIGITS_LOCK = [0, None], _thread.allocate_lock()  # calls in run, limit to restore
+
+
+def _digit_limit(step: int) -> None:
+    """Count a call into (+1) or out of (-1) ``run``: the first in lifts the process-wide
+    int/str digit limit (4300 by default), as exact values have none, the last out restores it."""
+    with _DIGITS_LOCK:
+        if not _DIGITS[0] and hasattr(sys, "get_int_max_str_digits"):  # Python >= 3.10.7
+            _DIGITS[1] = sys.get_int_max_str_digits()
+        _DIGITS[0] += step
+        if _DIGITS[1] is not None:
+            sys.set_int_max_str_digits(0 if _DIGITS[0] else _DIGITS[1])
+
+
 def run(argv) -> int:
-    # Exact values have no size limit, nor has their decimal text: lift the
-    # int/str digit limit (4300 by default) for this call, then restore it.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    _digit_limit(1)
     try:
-        if limit is not None:  # Python >= 3.10.7
-            sys.set_int_max_str_digits(0)
         args = build_parser().parse_args(argv)
         model = _read_model(args.model) if "model" in args else None
         sys.stdout.write(args.func(model, args))
@@ -148,16 +161,12 @@ def run(argv) -> int:
     except (SingularModelError, InputError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SingularModelError) else 2
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # a bug: report it in the exit-code contract, not a traceback
-        message = " ".join(str(exc).splitlines())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    except Exception as exc:  # a failed check, or a bug: in the exit-code contract, not a traceback
+        kind = "" if isinstance(exc, InternalCheckError) else f"{type(exc).__name__}: "
+        print(f"internal error: {kind}{' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 3
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        _digit_limit(-1)
 
 
 def main() -> None:

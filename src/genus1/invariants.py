@@ -34,18 +34,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (DegenerateModelError, InputError, InternalCheckError,
-                     SingularModelError)
-from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant, mat_mul,
+from .errors import DegenerateModelError, InputError, InternalCheckError, SingularModelError
+from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant,
                      perm_sign, scalar_det, solve_linear)
 from .models import (_QUADRICS5, DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
                      Deg5Model, GenusOneModel, Record, _frame, _symmetric, require_degree)
-from .poly import Poly, Scalar, as_scalar, binary_product, monomials, times_variable
+from .poly import (Poly, Scalar, _divided, as_scalar, binary_product, integral, monomials,
+                   times_variable)
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
@@ -77,13 +77,6 @@ def _triple(c4: Scalar, c6: Scalar) -> InvariantTriple:
     return InvariantTriple(c4, c6, delta)
 
 
-def _symmetrised(mat) -> list:
-    """The coefficients of x^T M x over ``monomials(ring, 2)``, which lists
-    the x_t x_u, t <= u, as ``combinations_with_replacement`` does."""
-    return [mat[t][u] + mat[u][t] if t != u else mat[t][t]
-            for t, u in combinations_with_replacement(range(len(mat)), 2)]
-
-
 def _quartic_invariants(quartic):
     """The invariants I and J of a binary quartic a, b, c, d, e (the
     coefficients of its monomials from the first variable's 4th power)."""
@@ -103,10 +96,12 @@ def _omega_indices(r: int, s: int, n: int):
 
 
 def _omega(left, right, sign) -> list:
-    """The coefficients of sign * sum_i l_i r_i = x^T (sign L^T R) x, l_i
-    and r_i the linear forms in the rows of L and R."""
-    return _symmetrised([[sign * sum(map(mul, l_col, r_col)) for r_col in zip(*right)]
-                         for l_col in zip(*left)])
+    """The coefficients of sign * sum_i l_i r_i = x^T M x, M = sign L^T R, l_i and
+    r_i the linear forms in the rows of L and R, over ``monomials(ring, 2)``, the
+    x_t x_u, t <= u, as ``combinations_with_replacement`` lists them."""
+    mat = [[sign * sum(map(mul, l_col, r_col)) for r_col in zip(*right)] for l_col in zip(*left)]
+    return [mat[t][u] + mat[u][t] if t != u else mat[t][t]
+            for t, u in combinations_with_replacement(range(len(mat)), 2)]
 
 
 # ----------------------------------------------------------------------
@@ -175,12 +170,10 @@ def _hessian_forms(vec) -> list[list[list]]:
 
 
 def _deg3_frame(m: Deg3Model, what: str):
-    """For ``what``, on degree 3 only: L, the lcm of U's denominators, and over
-    ``_CUBICS3`` the integral L U, its Hessian forms and G, their determinant."""
+    """For ``what``, on degree 3 only: L and, over ``_CUBICS3``, the integral
+    L U (``integral``), its Hessian forms and G, their determinant."""
     require_degree(m, (3,), what)
-    vec = m.vectors[0]
-    scale = lcm(*(c.denominator for c in vec if type(c) is not int))
-    u = [int(c * scale) for c in vec]
+    u, scale = integral(m.vectors[0])
     hess_u = _hessian_forms(u)
     return scale, u, hess_u, _dense_determinant(hess_u)
 
@@ -268,19 +261,25 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
 
     Both sides of the identity are polynomials in A and B that agree where
     a e != 0, so they agree everywhere, degenerate pencils included.
+
+    Both run on the integral L1 q1 and L2 q2 (``integral``): their Hessians,
+    adjugates, T1 and T2 have even diagonals, so (1/2) x^T T x is halved in
+    integers, then divided once by L1^2 L2^3 (T1) or L2^2 L1^3 (T2).
     """
-    mat_a, mat_b = _deg4_matrices(m, "deg4_auxiliary_quadrics")
+    require_degree(m, (4,), "deg4_auxiliary_quadrics")
+    (q1, l1), (q2, l2) = map(integral, m.vectors)
 
-    def mixed(x, y):
-        x_adj_y = mat_mul(x, adjugate(y))
-        sandwich = mat_mul(x_adj_y, x)
+    def mixed(x, y, den):
+        adj_y = adjugate(y)  # symmetric, so its rows are its columns
+        x_adj_y = [[sum(map(mul, row, col)) for col in adj_y] for row in x]
         trace = sum(x_adj_y[i][i] for i in range(4))
-        t = [[trace * x[i][j] - sandwich[i][j] for j in range(4)] for i in range(4)]
-        # the quadric (1/2) x^T T x of the symmetric T
-        return Poly(DEG4_RING, {e: Fraction(c) / 2
-                                for e, c in zip(monomials(DEG4_RING, 2), _symmetrised(t))})
+        # T_ij, x symmetric, halved on the diagonal (shifted by i == j)
+        coeffs = [(trace * x[i][j] - sum(map(mul, x_adj_y[i], x[j]))) >> (i == j)
+                  for i, j in combinations_with_replacement(range(4), 2)]
+        return Poly.from_vector(DEG4_RING, QUADRIC_MONOMIALS_DEG4, _divided(coeffs, den))
 
-    return mixed(mat_a, mat_b), mixed(mat_b, mat_a)
+    mat_a, mat_b = _symmetric(q1, 4), _symmetric(q2, 4)
+    return mixed(mat_a, mat_b, l1 ** 2 * l2 ** 3), mixed(mat_b, mat_a, l2 ** 2 * l1 ** 3)
 
 
 def _deg4_omega(mat_a, mat_b, r: int, s: int) -> list:
@@ -300,14 +299,19 @@ def deg4_omega_quadric(m: Deg4Model, r: int, s: int) -> Poly:
 
 def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
     """Determinant of the 10x10 coefficient matrix of q1, q2, q1', q2' and
-    the six quadrics Omega_{r,s}; equal to DISC_MATRIX_SIGN[4] * 16 * Delta."""
-    mat_a, mat_b = _deg4_matrices(m, "discriminant_deg4_matrix")
+    the six quadrics Omega_{r,s}; equal to DISC_MATRIX_SIGN[4] * 16 * Delta.
+    Its rows are integral: L1 q1, L2 q2, q1' and q2' scaled by ``integral``, and
+    the Omegas of L1 q1 and L2 q2, L1 L2 times the true ones; the determinant is
+    divided once by the product of the row factors."""
+    require_degree(m, (4,), "discriminant_deg4_matrix")
+    (q1, l1), (q2, l2) = map(integral, m.vectors)
+    mat_a, mat_b = _symmetric(q1, 4), _symmetric(q2, 4)
     # deg4_auxiliary_quadrics is called by its module name, which the
     # benchmark's tracer rebinds
-    auxiliary = [[q.terms.get(e, 0) for e in QUADRIC_MONOMIALS_DEG4]
-                 for q in deg4_auxiliary_quadrics(m)]
-    return scalar_det([*m.vectors, *auxiliary]
-                      + [_deg4_omega(mat_a, mat_b, r, s) for r, s in combinations(range(1, 5), 2)])
+    (t1, l3), (t2, l4) = (integral([q.terms.get(e, 0) for e in QUADRIC_MONOMIALS_DEG4])
+                          for q in deg4_auxiliary_quadrics(m))
+    omegas = [_deg4_omega(mat_a, mat_b, r, s) for r, s in combinations(range(1, 5), 2)]
+    return _divided([scalar_det([q1, q2, t1, t2, *omegas])], (l1 * l2) ** 7 * l3 * l4)[0]
 
 
 # ----------------------------------------------------------------------
@@ -541,11 +545,8 @@ def a1_char2(m: GenusOneModel) -> int:
     if m.degree == 4:
         # off-diagonal entries of the symmetric matrices are the xi xj coefficients
         a, b = _deg4_matrices(m, "a1_char2")
-        total = 0
-        for i, j in combinations(range(4), 2):
-            k, l = (x for x in range(4) if x not in (i, j))
-            total += a[i][j] * b[k][l]
-        return total % 2
+        pairs = list(combinations(range(4), 2))  # each pair's complement is its mirror image
+        return sum(a[i][j] * b[k][l] for (i, j), (k, l) in zip(pairs, reversed(pairs))) % 2
     upper = dict(zip(DEG5_PAIRS, m.vectors))
     return sum(scalar_det([upper[min(i, j) - 1, max(i, j) - 1] for i, j in zip(s, s[1:] + s[:1])])
                for s in D5_COSET_REPS) % 2

@@ -29,13 +29,12 @@ columns left-right, so every result is deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 from operator import mul, sub
 from typing import Sequence
 
-from .poly import Poly, Scalar, as_scalar, monomials, times_variable
+from .poly import Poly, Scalar, _divided, as_scalar, integral, monomials, times_variable
 
 
 # ----------------------------------------------------------------------
@@ -54,8 +53,8 @@ def _dense_determinant(rows) -> list:
     coefficient vector of its form over one list of m variables, as its
     coefficients over the monomials of degree n in them (``monomials``).
 
-    The expansion runs in integers, det M = det(L M) / L^n with L the lcm
-    of the denominators, and reads each entry of L M as its (variable
+    The expansion runs in integers, det M = det(L M) / L^n with L M
+    integral (``integral``), and reads each entry of L M as its (variable
     index, coefficient) pairs, zeros left out.  A minor of k rows is a list
     over the monomials of degree k.  The minors of the last k rows on every
     k-column set give those of the last k + 1 by expansion along the new
@@ -64,8 +63,9 @@ def _dense_determinant(rows) -> list:
     place of the product.
     """
     n, nvars = len(rows), len(rows[0][0])
-    scale = lcm(*(c.denominator for row in rows for entry in row for c in entry if type(c) is not int))
-    rows = [[[(v, int(c * scale)) for v, c in enumerate(entry) if c] for entry in row] for row in rows]
+    flat, scale = integral([c for row in rows for entry in row for c in entry])
+    coeffs = iter(flat)  # zip exhausts range(nvars) first: each entry takes its nvars
+    rows = [[[(v, c) for v, c in zip(range(nvars), coeffs) if c] for _ in row] for row in rows]
     minors: dict[int, list] = {0: [1]}  # no rows: the constant 1
     for k in range(n):
         tab = times_variable(nvars, k)
@@ -88,7 +88,7 @@ def _dense_determinant(rows) -> list:
                         out[i] += a * m
         minors = wider
     det = minors.get((1 << n) - 1) or [0] * comb(nvars + n - 1, n)
-    return det if scale == 1 else [as_scalar(Fraction(c, scale ** n)) for c in det]
+    return _divided(det, scale ** n)
 
 
 def _maximal_minors(rows) -> dict:
@@ -167,16 +167,15 @@ def _pencil_terms(m0, m1) -> dict:
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials of one ring.
 
-    A row with a Fraction coefficient is first scaled to integers by the
-    lcm of its denominators; the expansion runs in integers, and each
-    coefficient of the result is divided once by the product of those
-    lcms.  The route is chosen once, on the scaled matrix.  It is a
-    pencil t M_1 + M_0 for ``_pencil_terms`` when every term is x_v or
-    t x_v, v > 0 and t the first variable, some term has t, and it is
-    dense enough for ``_dense_determinant``: P, the product of the rows'
-    numbers of terms once t is set to 2^w and a bound on the
-    determinant's, is 0 (a zero row) or at least C(m + n - 1, n), its
-    places for the m variables that occur.  Any other matrix takes
+    Each row is first scaled to integers by ``integral``; the expansion runs
+    in integers, and each coefficient of the result is divided once by the
+    product of the row factors.  The route is chosen once, on the scaled
+    matrix.  It is a pencil t M_1 + M_0 for ``_pencil_terms`` when every
+    term is x_v or t x_v, v > 0 and t the first variable, some term has t,
+    and it is dense enough for ``_dense_determinant``: P, the product of the
+    rows' numbers of terms once t is set to 2^w and a bound on the
+    determinant's, is 0 (a zero row) or at least C(m + n - 1, n), its places
+    for the m variables that occur.  Any other matrix takes
     ``_maximal_minors`` of all its rows.
 
     One pass over each entry's terms checks its ring and fills its t^0 | t^1
@@ -188,12 +187,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     ring = rows[0][0].variables
     scale = 1
     if not all(type(c) is int for row in rows for entry in row for c in entry.terms.values()):
-        mults = [lcm(*(c.denominator for entry in row for c in entry.terms.values()
-                       if type(c) is not int)) for row in rows]
-        # int() also turns the integral Fractions a Poly sum may hold into ints
-        rows = [[Poly._make(entry.variables, {e: int(c * mult) for e, c in entry.terms.items()})
-                 for entry in row] for row, mult in zip(rows, mults)]
-        scale = prod(mults)
+        scaled = [integral([c for entry in row for c in entry.terms.values()]) for row in rows]
+        scale = prod(mult for _, mult in scaled)
+        # ints, integral Fractions of a Poly sum too; zip exhausts each entry's terms first
+        rows = [[Poly._make(entry.variables, dict(zip(entry.terms, coeffs))) for entry in row]
+                for row, coeffs in zip(rows, (iter(flat) for flat, _ in scaled))]
     m = len(ring) - 1
     # the place of x_v, then of t x_v, in an entry's vector, and x_v's bit
     places = {(k,) + e: (k * m + v, 1 << v)
@@ -226,7 +224,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         det = _maximal_minors(rows).get((1 << n) - 1, Poly.zero(ring))
     if scale == 1:
         return det
-    return Poly._make(ring, {e: as_scalar(Fraction(c, scale)) for e, c in det.terms.items()})
+    return Poly._make(ring, dict(zip(det.terms, _divided(list(det.terms.values()), scale))))
 
 
 # ----------------------------------------------------------------------
@@ -238,18 +236,9 @@ def _integerize(rows):
     of unequal lengths are a ValueError."""
     if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
-    int_rows = []
-    factors = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            int_rows.append(list(row))
-            factors.append(1)
-            continue
-        entries = [as_scalar(x) for x in row]
-        mult = lcm(*(x.denominator for x in entries if isinstance(x, Fraction)), 1)
-        int_rows.append([int(x * mult) for x in entries])
-        factors.append(mult)
-    return int_rows, factors
+    scaled = [integral(row if set(map(type, row)) <= {int} else list(map(as_scalar, row)))
+              for row in rows]
+    return [list(row) for row, _ in scaled], [mult for _, mult in scaled]
 
 
 def _bareiss_echelon(m: list[list[int]], n_pivot_cols: int | None = None):
@@ -312,10 +301,6 @@ def _back_substitute(m, piv_cols, x: list, col: int | None = None):
     return y, d
 
 
-def _divided(y: list, d: int) -> list:
-    return y if d == 1 else [as_scalar(Fraction(v, d)) for v in y]
-
-
 def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
     """The pivot columns of the echelon form, ascending: each is
     independent of the columns before it, so they pick the first basis of
@@ -336,11 +321,7 @@ def scalar_det(rows: Sequence[Sequence]) -> Scalar:
     piv_cols, sign = _bareiss_echelon(m)
     if len(piv_cols) < n:
         return 0
-    det = sign * m[n - 1][piv_cols[-1]]
-    denom = 1
-    for f in factors:
-        denom *= f
-    return as_scalar(Fraction(det, denom))
+    return _divided([sign * m[n - 1][piv_cols[-1]]], prod(factors))[0]
 
 
 # The prime of the p-adic solve, 2^127 - 1: one balanced base-p digit

@@ -53,7 +53,8 @@ from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import kernel_basis, pivot_columns, scalar_rank
-from .poly import Poly, as_scalar, format_scalar, monomials, substituted_coefficients
+from .poly import (Poly, _divided, as_scalar, format_scalar, integral, monomials,
+                   substituted_coefficients)
 
 DEG1_RING = ("x", "y", "z")
 DEG2_RING = ("x", "z")
@@ -476,7 +477,10 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     curve up to isomorphism, so in particular has the same j-invariant.
 
     All choices (kernel basis, basis completion) are the canonical
-    row-reduction ones, so the output is deterministic.
+    row-reduction ones, so the output is deterministic.  From the
+    substitution on, it runs in integers: the Pfaffians, B and each
+    combination are scaled by ``integral`` (L_p, L_B, L_c), and each
+    quadric, L_p L_B^2 L_c times the true one, is divided once at the end.
     """
     pf, hess, _ = _frame(model, "project_from_point")
     try:
@@ -502,11 +506,13 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
     # proportional to it, then each e_i independent of those before it.
     candidates = [point] + kernel + [[int(j == i) for j in range(5)] for i in range(5)]
     chosen = [candidates[c] for c in pivot_columns(list(zip(*candidates)))]
-    rows = chosen[2:] + [chosen[1], point]
+    basis, b_scale = integral([c for row in chosen[2:] + [chosen[1], point] for c in row])
+    pfs, p_scale = integral([c for vec in pf for c in vec])
 
     # Substitute x_j -> sum_i B_ij x_i' with B rows the new basis vectors:
     # the rows of Sym^2(B) give each moved Pfaffian's coefficients.
-    moved = substituted_coefficients(pf, rows, 2)
+    moved = substituted_coefficients([pfs[i:i + 15] for i in range(0, 75, 15)],
+                                     [basis[i:i + 5] for i in range(0, 25, 5)], 2)
     if scalar_rank(moved) != 5:
         raise DegenerateModelError("the Pfaffian quadrics are linearly dependent")
 
@@ -518,7 +524,9 @@ def project_from_point(model: Deg5Model, point: Sequence) -> Deg4Model:
         raise DegenerateModelError(
             "projection does not yield exactly 2 independent quadrics without x5")
     free = [col for e, col in zip(_QUADRICS5, columns) if not e[4]]
-    return Deg4Model._of(*([sum(map(mul, combo, col)) for col in free] for combo in combos))
+    return Deg4Model._of(*(_divided([sum(map(mul, combo, col)) for col in free],
+                                    p_scale * b_scale ** 2 * c_scale)
+                           for combo, c_scale in map(integral, combos)))
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,21 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def integral(values: Sequence[Scalar]) -> tuple[Sequence[int], int]:
+    """(L values, L) for exact scalars, L the lcm of their denominators: a Fraction c
+    becomes c.numerator * (L // c.denominator), an int c becomes L c, and an all-int
+    sequence comes back as it is, with L = 1.  Kernels divide by L once, at their end."""
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    scale = lcm(*(c.denominator for c in values))
+    return [c.numerator * (scale // c.denominator) for c in values], scale
+
+
+def _divided(values: list, d: int) -> list:
+    """Each value divided by d, normalised; the list itself when d is 1."""
+    return values if d == 1 else [as_scalar(Fraction(v, d)) for v in values]
+
+
 def format_scalar(value: Scalar) -> str:
     """Render a scalar as ``"n"`` or ``"n/d"`` (the CLI output format)."""
     return str(as_scalar(value))
@@ -396,17 +411,13 @@ def substituted_coefficients(vectors, B, degree: int) -> list[list]:
     """The coefficient vectors, over ``monomials(ring, degree)``, of forms
     of that degree, given by such vectors, under x_j = sum_i B_ij x_i':
     Sym^d(B) times each.
-    With L the lcm of B's denominators, Sym^d(B) = Sym^d(L B) / L^d, so
-    the products run on an integer matrix and each coefficient is
-    divided once."""
-    scale = lcm(*(c.denominator for row in B for c in row if isinstance(c, Fraction)), 1)
-    sym = symmetric_power([[int(c * scale) for c in row] for row in B] if scale > 1 else B,
-                          degree)
-    out = [[sum(map(mul, row, vec)) for row in sym] for vec in vectors]
-    if scale > 1:
-        den = scale ** degree
-        out = [[as_scalar(Fraction(c, den)) for c in vec] for vec in out]
-    return out
+    With L B integral (``integral``), Sym^d(B) = Sym^d(L B) / L^d, so the
+    products run on an integer matrix and each coefficient is divided
+    once."""
+    n = len(B)
+    flat, scale = integral([c for row in B for c in row])
+    sym = symmetric_power([flat[i:i + n] for i in range(0, n * n, n)], degree)
+    return [_divided([sum(map(mul, row, vec)) for row in sym], scale ** degree) for vec in vectors]
 
 
 def binary_product(f, g) -> list:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     Deg3Model, Deg3Transform, Deg4Model, Deg4Transform,
                     Deg5Model, Deg5Transform, Poly, apply, determinant,
-                    generators, scalar_det, transformation_from_dict)
+                    generators, invariants, scalar_det, transformation_from_dict)
 from genus1.invariants import V_RING
 from genus1.models import DEG1_RING, DEG2_RING, DEG5_RING
 
@@ -113,6 +113,20 @@ def random_model(rng, degree, lo=-3, hi=3):
         return Deg5Model.from_coefficients(
             [[rng.randint(-2, 2) for _ in range(5)] for _ in range(10)])
     raise ValueError(degree)
+
+
+def pointed_curve(rng, fractions):
+    """A seeded curve w through (x, y), integer or Fraction, with Delta != 0,
+    and the image (1:x:y:x^2:xy) of (x, y) on pi_5(w)."""
+    if fractions:
+        c = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    else:
+        c = lambda: rng.randint(-4, 4)
+    while True:
+        a1, a2, a3, a4, x, y = (c() for _ in range(6))
+        w = Deg1Model(a1, a2, a3, a4, y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x)
+        if invariants(w).delta:
+            return w, (1, x, y, x * x, x * y)
 
 
 def random_transformation(rng, degree):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -146,6 +147,22 @@ class TestOtherVerbs:
             _, matrix, _ = invoke(capsys, ["discriminant", path, "--method", "matrix"])
             assert formula == matrix
 
+    @pytest.mark.parametrize("model", [
+        weierstrass_model(Deg1Model(1, -2, 0, 3, 1), 3), weierstrass_model(Deg1Model(1, -2, 0, 3, 1), 4),
+        wuthrich_model(), fraction_moved_wuthrich()], ids=["degree-3", "degree-4", "degree-5", "moved"])
+    def test_discriminant_both_methods_agree(self, capsys, model_file, model):
+        path = model_file(model)
+        _, formula, _ = invoke(capsys, ["discriminant", path])
+        assert invoke(capsys, ["discriminant", path, "--method", "both"]) == (0, formula, "")
+
+    def test_discriminant_both_methods_disagree_is_3(self, capsys, model_file, monkeypatch):
+        cli = sys.modules["genus1.cli"]
+        monkeypatch.setattr(cli, "matrix_discriminant", lambda m: cli.invariants(m).delta + 1)
+        path = model_file(weierstrass_model(Deg1Model(0, 0, 0, -1, 1), 4))
+        code, out, err = invoke(capsys, ["discriminant", path, "--method", "both"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["internal error: degree-4 model: formula and matrix Delta differ"]
+
     def test_a1_char2(self, capsys, model_file):
         path = model_file(weierstrass_model(Deg1Model(1, 0, 0, 0, 0), 4))
         code, out, _ = invoke(capsys, ["a1-char2", path])
@@ -226,7 +243,8 @@ class TestExitCodes:
         (["discriminant", "--method", "matrix"], (1, 2)),
         (["project", "--point", "0,0,0,0,1"], (1, 2, 3, 4)),
         (["a1-char2"], (1,)),
-    ], ids=["pfaffians", "matrix", "project", "a1-char2"])
+        (["discriminant", "--method", "both"], (1, 2)),
+    ], ids=["pfaffians", "matrix", "project", "a1-char2", "both"])
     def test_refused_degree_is_named(self, capsys, model_file, argv, degrees):
         # one stderr line that names the degree, without the model's repr
         curve = Deg1Model(0, 0, 0, -1, 0)
@@ -444,6 +462,78 @@ def test_run_lifts_the_digit_limit_only_while_it_runs(capsys, monkeypatch, tmp_p
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_concurrent_runs_keep_the_digit_limit(tmp_path, monkeypatch):
+    # thread A inside run while thread B enters; A leaves first.  The limit
+    # stays lifted until the last call leaves, so B still prints a 4502-digit
+    # Delta, and the caller gets its own limit back.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    cli = sys.modules["genus1.cli"]
+    before = sys.get_int_max_str_digits()
+    path = tmp_path / "long.json"
+    path.write_text(dumps_model(Deg1Model(0, 0, 0, 10 ** 1500, 0)))
+    a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+    read = cli._read_model
+
+    def paused_read(name):
+        if threading.current_thread().name == "A":
+            a_inside.set()
+            b_inside.wait(10)
+        else:
+            b_inside.set()
+            a_left.wait(10)
+        return read(name)
+
+    codes = {}
+
+    def call(name):
+        codes[name] = run(["invariants", str(path)])
+        if name == "A":
+            a_left.set()
+
+    monkeypatch.setattr(cli, "_read_model", paused_read)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        first = threading.Thread(target=call, args=("A",), name="A")
+        first.start()
+        a_inside.wait(10)
+        second = threading.Thread(target=call, args=("B",), name="B")
+        second.start()
+        first.join(30)
+        second.join(30)
+    assert not first.is_alive() and not second.is_alive()
+    assert codes == {"A": 0, "B": 0}
+    assert out.getvalue() == f"c4 = -48{'0' * 1500}\nc6 = 0\nDelta = -64{'0' * 4500}\n" * 2
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_many_threads_in_run_keep_the_digit_limit(tmp_path):
+    # more threads than cores, switching often: a lost update of the count of
+    # calls inside run would restore the limit under a running call, which
+    # then exits 3 on its 4502-digit Delta, or leave it lifted after the last
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.10.7")
+    before, interval = sys.get_int_max_str_digits(), sys.getswitchinterval()
+    path = tmp_path / "long.json"
+    path.write_text(dumps_model(Deg1Model(0, 0, 0, 10 ** 1500, 0)))
+    codes = [[] for _ in range(8)]
+    threads = [threading.Thread(target=lambda out: out.extend(
+                   run(["invariants", str(path)]) for _ in range(20)), args=(out,))
+               for out in codes]
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [[0] * 20] * 8
+    assert sys.get_int_max_str_digits() == before
 
 
 # Model-reading verbs, each run on a model read from standard input.

@@ -24,16 +24,17 @@ from unittest import mock
 
 import pytest
 
-from genus1 import (Deg1Model, Deg5Model, Genus1Error, Poly, a1_char2, apply,
-                    compose, deg5_covariants, determinant, dumps_model, generators,
-                    invariants, matrix_discriminant,
-                    model_to_dict, project_from_point, transformation_to_dict,
-                    weierstrass_model)
+from genus1 import (Deg1Model, Deg4Model, Deg4Transform, Deg5Model, Deg5Transform,
+                    Genus1Error, Poly, a1_char2, apply, compose, deg4_auxiliary_quadrics,
+                    deg4_omega_quadric, deg5_covariants, determinant,
+                    discriminant_deg4_matrix, dumps_model, generators, invariants,
+                    matrix_discriminant, model_to_dict, project_from_point, scalar_det,
+                    solve_linear, transformation_to_dict, weierstrass_model)
 from genus1.cli import run
 from genus1.models import DEG3_RING, DEG5_RING
 
-from helpers import (fraction_moved_wuthrich, random_model, random_transformation,
-                     wuthrich_model)
+from helpers import (fraction_moved_wuthrich, pointed_curve, random_matrix, random_model,
+                     random_transformation, wuthrich_model)
 
 RING = ("x", "y", "z", "w")
 X, Y, Z, W = generators(RING)
@@ -259,9 +260,45 @@ def cli_mix():
     return records
 
 
+def low_degree_stages():
+    """The two costliest stages of degrees 2-4 on their Fraction inputs: the
+    degree-4 auxiliary quadrics, the six Omegas and the 10x10 determinant on
+    integer, Fraction-coefficient and Fraction-moved quadric pairs; and
+    projection of Weierstrass quintics, Fraction-coefficient ones among
+    them, moved by a Deg5Transform, from the moved point."""
+    rng = random.Random("exact/low_degree")
+    frac = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    pairs = [random_model(rng, 4) for _ in range(3)]
+    pairs += [Deg4Model.from_coefficients([frac() for _ in range(10)], [frac() for _ in range(10)])
+              for _ in range(3)]
+    pairs.append(Deg4Model.from_coefficients([frac() for _ in range(10)], [0] * 10))
+    for base in (random_model(rng, 4), weierstrass_model(Deg1Model(0, 0, 0, -1, 1), 4)):
+        a = None
+        while not a or not scalar_det(a):
+            a = [[frac(), frac()], [frac(), frac()]]
+        pairs.append(apply(Deg4Transform(a, random_matrix(rng, 4)), base))
+    records = []
+    for pair in pairs:
+        omegas = [outcome(deg4_omega_quadric, pair, r, s) for r in range(1, 5)
+                  for s in range(r + 1, 5)]
+        records.append((canon(pair), outcome(deg4_auxiliary_quadrics, pair), omegas,
+                        outcome(discriminant_deg4_matrix, pair)))
+    for seed in range(6):
+        w, point = pointed_curve(rng, fractions=seed % 3 != 2)
+        g = Deg5Transform(random_matrix(rng, 5, -9, 9), random_matrix(rng, 5, -9, 9))
+        _, (moved_point,) = solve_linear([list(col) for col in zip(*g.B)], [list(point)])
+        moved = apply(g, weierstrass_model(w, 5))
+        records.append((canon(moved), canon(moved_point),
+                        outcome(project_from_point, moved, moved_point),
+                        outcome(project_from_point, moved, [Fraction(c) / 3 for c in moved_point]),
+                        outcome(project_from_point, weierstrass_model(w, 5), point)))
+    return records
+
+
 GROUPS = {"determinant": determinants, "per_degree": per_degree,
           "weierstrass_projections": weierstrass_projections,
-          "from_matrix": from_matrix_outcomes, "cli_mix": cli_mix}
+          "from_matrix": from_matrix_outcomes, "cli_mix": cli_mix,
+          "low_degree_stages": low_degree_stages}
 
 DIGESTS = {
     "determinant": "db4dfb273c8add17582675f2548de9e548ba97d61ec166f1217dfda94186da9b",
@@ -269,6 +306,7 @@ DIGESTS = {
     "weierstrass_projections": "f46a92fda2a78cad4f60f5ee0375918a3e48715c67608373753670b0b64d4b1f",
     "from_matrix": "264d812225e33e066d9e0cc4b351b87da9de5be04239d7ef160cb863ade7ba9f",
     "cli_mix": "835c785b87eb346f114aadb6c9c22a8c74f7d8308d3ef4b20a2e79a25d86fa46",
+    "low_degree_stages": "9a2f444cb382b21c03fdd45f9282e7cc6ad4d1dd37b52151ac321accbf474b63",
 }
 
 

@@ -17,7 +17,7 @@ from genus1 import (Deg1Model, Deg5Transform, Poly, apply, deg5_covariants,
                     pivot_columns, scalar_det, scalar_rank, solve_linear,
                     weierstrass_model)
 from genus1.linalg import _PRIME, adjugate, mat_mul, perm_sign
-from genus1.poly import monomials
+from genus1.poly import integral, monomials
 
 from helpers import wuthrich_model
 
@@ -528,6 +528,44 @@ class TestKroneckerDeterminant:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestIntegral:
+    def test_all_ints_pass_through(self):
+        values = (3, -4, 0, 10 ** 30)
+        scaled, scale = integral(values)
+        assert scaled is values and scale == 1
+
+    def test_ints_and_fractions(self):
+        values = [2, Fraction(1, 6), Fraction(-3, 4), 0, Fraction(5, 8)]
+        scaled, scale = integral(values)
+        assert scale == lcm(6, 4, 8) == 24
+        assert scaled == [48, 4, -18, 0, 15] and {type(c) for c in scaled} == {int}
+        assert [c.numerator * (scale // c.denominator) for c in values[1:3]] == scaled[1:3]
+
+    def test_integral_fractions_become_ints(self):
+        scaled, scale = integral([Fraction(4), Fraction(-6, 3), 5])
+        assert (scaled, scale) == ([4, -2, 5], 1) and {type(c) for c in scaled} == {int}
+
+    @given(st.lists(st.one_of(st.integers(-10 ** 20, 10 ** 20), st.fractions(max_denominator=40)),
+                    max_size=8))
+    def test_scales_by_the_lcm_of_the_denominators(self, values):
+        scaled, scale = integral(values)
+        assert scale == lcm(*(Fraction(c).denominator for c in values))
+        assert [Fraction(c, scale) for c in scaled] == values
+        assert all(type(c) is int for c in scaled)
+
+    @pytest.mark.parametrize("bad, error", [(1.5, TypeError), (True, TypeError),
+                                            ("1/2/3", ValueError), ("1e5", ValueError)])
+    def test_scalar_routines_still_refuse(self, bad, error):
+        # a bad entry in an int row, and in a row with a Fraction
+        for rows in ([[1, bad], [0, 3]], [[Fraction(1, 2), bad], [0, 3]]):
+            for call in (scalar_det, scalar_rank, kernel_basis,
+                         lambda m: solve_linear(m, [[0, 1]])):
+                with pytest.raises(error):
+                    call(rows)
+        # while an exact number string still counts
+        assert scalar_det([["1/2", 0], [0, "4"]]) == 2
 
 
 class TestScalarElimination:

@@ -11,7 +11,7 @@ from genus1 import (Deg1Model, Deg4Model, Deg5Model, Deg5Transform,
                     DegenerateModelError, InputError, apply, invariants,
                     j_invariant, project_from_point, solve_linear, weierstrass_model)
 
-from helpers import random_matrix
+from helpers import pointed_curve, random_matrix
 
 
 def pi5(a, b):
@@ -78,20 +78,6 @@ class TestProjection:
         projected = project_from_point(model, point)
         assert projected == Deg4Model.from_coefficients(q1, q2)
         assert j_invariant(projected) == 1728
-
-
-def pointed_curve(rng, fractions):
-    """A seeded curve w through (x, y), integer or Fraction, with Delta != 0,
-    and the image (1:x:y:x^2:xy) of (x, y) on pi_5(w)."""
-    if fractions:
-        c = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    else:
-        c = lambda: rng.randint(-4, 4)
-    while True:
-        a1, a2, a3, a4, x, y = (c() for _ in range(6))
-        w = Deg1Model(a1, a2, a3, a4, y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x)
-        if invariants(w).delta:
-            return w, (1, x, y, x * x, x * y)
 
 
 @pytest.mark.parametrize("seed", range(8))
