@@ -43,9 +43,9 @@ from .linalg import (_dense_determinant, _pencil_terms, adjugate, determinant,
                      perm_sign, scalar_det, solve_linear)
 from .models import (_QUADRICS5, DEG3_RING, DEG4_RING, DEG5_PAIRS, DEG5_RING, DEG5_UNITS,
                      QUADRIC_MONOMIALS_DEG4, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
-                     Deg5Model, GenusOneModel, Record, _frame, _symmetric, require_degree)
-from .poly import (Poly, Scalar, _divided, as_scalar, binary_product, integral, monomials,
-                   times_variable)
+                     Deg5Model, GenusOneModel, Record, _frame, require_degree)
+from .poly import (Poly, Scalar, _divided, as_scalar, form_product, gradient, integral,
+                   monomials)
 
 V_RING = ("v1", "v2", "v3", "v4", "v5")
 PENCIL_RING = ("lam",) + V_RING
@@ -139,7 +139,7 @@ def invariants_deg2(m: Deg2Model) -> InvariantTriple:
     # y^2 + py = q becomes y^2 = q + p^2/4; as I, J have weights 16 and 64,
     # c4 = 16 I, c6 = 32 J of that quartic are I and J/2 of 4q + p^2.
     p, q = m.vectors
-    i, j = _quartic_invariants([4 * a + b for a, b in zip(q, binary_product(p, p))])
+    i, j = _quartic_invariants([4 * a + b for a, b in zip(q, form_product(p, p, 2, 2, 2))])
     return _triple(i, Fraction(j) / 2)
 
 
@@ -153,20 +153,14 @@ def hessian(cubic: Poly, variables=("x", "y", "z")) -> Poly:
                         for a in variables]) * Fraction(-1, 2)
 
 
-# The cubic monomials in x, y, z, alpha! = prod_i alpha_i! for each, and
-# the place among them of x_i x_j x_k at [i][j][k], through the tables.
 _CUBICS3 = monomials(DEG3_RING, 3)
-_CUBIC_WEIGHTS = [prod(map(factorial, e)) for e in _CUBICS3]
-_HESSIAN_PLACES = [[[times_variable(3, 2)[k][times_variable(3, 1)[j][i]] for k in range(3)]
-                    for j in range(3)] for i in range(3)]
 
 
 def _hessian_forms(vec) -> list[list[list]]:
     """The Hessian forms of a cubic U over ``_CUBICS3``, as coefficient
-    vectors over x, y, z: entry (i, j) is sum_k d^3 U/dx_i dx_j dx_k x_k, and
-    d^3 U/dx_i dx_j dx_k is alpha! U[q], q the place of x_i x_j x_k = x^alpha."""
-    return [[[_CUBIC_WEIGHTS[q] * vec[q] for q in places] for places in row]
-            for row in _HESSIAN_PLACES]
+    vectors over x, y, z: entry (i, j) is d^2 U/dx_i dx_j, the gradient of
+    the gradient."""
+    return [gradient(d, 3, 2) for d in gradient(vec, 3, 3)]
 
 
 def _deg3_frame(m: Deg3Model, what: str):
@@ -216,13 +210,11 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
     """Determinant of the 6x6 coefficient matrix of the partials of U and H,
     equal to DISC_MATRIX_SIGN[3] * 1728 * Delta for every ternary cubic.
 
-    It runs on the integral L U and G (``_deg3_frame``): the x_i partial
-    of a cubic f has coefficient (b_i + 1) f[x_i b] at the quadric b, read
-    through ``times_variable``.  Three rows use G = -2H for H, and the
+    It runs on the integral L U and G (``_deg3_frame``), whose partials
+    (``gradient``) are the rows.  Three rows use G = -2H for H, and the
     determinant has weight 12 in U, so the result is divided by -8 L^12."""
     scale, u, _, g = _deg3_frame(m, "discriminant_deg3_matrix")
-    rows = [[(b[i] + 1) * f[q] for b, q in zip(monomials(DEG3_RING, 2), tab)]
-            for f in (u, g) for i, tab in enumerate(times_variable(3, 2))]
+    rows = gradient(u, 3, 3) + gradient(g, 3, 3)
     return as_scalar(Fraction(scalar_det(rows), -8 * scale ** 12))
 
 
@@ -233,7 +225,7 @@ def discriminant_deg3_matrix(m: Deg3Model) -> Scalar:
 def _deg4_matrices(m: Deg4Model, what: str) -> list:
     """For ``what``, on degree 4 only: A and B, the Hessians of q1 and q2."""
     require_degree(m, (4,), what)
-    return [_symmetric(vec, 4) for vec in m.vectors]
+    return [gradient(vec, 4, 2) for vec in m.vectors]
 
 
 def invariants_deg4(m: Deg4Model) -> InvariantTriple:
@@ -278,7 +270,7 @@ def deg4_auxiliary_quadrics(m: Deg4Model):
                   for i, j in combinations_with_replacement(range(4), 2)]
         return Poly.from_vector(DEG4_RING, QUADRIC_MONOMIALS_DEG4, _divided(coeffs, den))
 
-    mat_a, mat_b = _symmetric(q1, 4), _symmetric(q2, 4)
+    mat_a, mat_b = gradient(q1, 4, 2), gradient(q2, 4, 2)
     return mixed(mat_a, mat_b, l1 ** 2 * l2 ** 3), mixed(mat_b, mat_a, l2 ** 2 * l1 ** 3)
 
 
@@ -305,7 +297,7 @@ def discriminant_deg4_matrix(m: Deg4Model) -> Scalar:
     divided once by the product of the row factors."""
     require_degree(m, (4,), "discriminant_deg4_matrix")
     (q1, l1), (q2, l2) = map(integral, m.vectors)
-    mat_a, mat_b = _symmetric(q1, 4), _symmetric(q2, 4)
+    mat_a, mat_b = gradient(q1, 4, 2), gradient(q2, 4, 2)
     # deg4_auxiliary_quadrics is called by its module name, which the
     # benchmark's tracer rebinds
     (t1, l3), (t2, l4) = (integral([q.terms.get(e, 0) for e in QUADRIC_MONOMIALS_DEG4])
@@ -331,12 +323,7 @@ class Deg5Covariants(Record):
         self._set((pfaffians, secant_quintic, aux_quadrics, dual_quintic, pencil_quintic))
 
 
-# The monomials of degree 4 and 5 in x1..x5 (or v1..v5), and the index
-# of the product of two quadric monomials, x_t (x_u m) through the tables.
-_QUARTICS5 = monomials(DEG5_RING, 4)
 _QUINTICS5 = monomials(DEG5_RING, 5)
-_PRODUCT_INDEX = [[times_variable(5, 3)[t][b] for b in times_variable(5, 2)[u]]
-                  for t, u in combinations_with_replacement(range(5), 2)]
 # The exponents of lam v1..lam v5, then of v1..v5, in (lam, v1..v5); and
 # the place of each quintic exponent alpha and alpha! = prod_i alpha_i!.
 _PENCIL_UNITS = [(1,) + e for e in DEG5_UNITS] + [(0,) + e for e in DEG5_UNITS]
@@ -358,20 +345,9 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     # monomial v_i v_j, whose column holds the coefficients of p_i p_j.
     # One elimination solves for every gradient and its rank is the check
     # that the 15 products are independent.
-    products = []
-    for i, j in combinations_with_replacement(range(5), 2):
-        column = [0] * len(_QUARTICS5)
-        for index, ca in zip(_PRODUCT_INDEX, pf[i]):
-            if ca:
-                for b, cb in zip(index, pf[j]):
-                    if cb:
-                        column[b] += ca * cb
-        products.append(column)
-    # the x_i gradient at quartic b is (e_i(b) + 1) times the secant's
-    # coefficient at x_i b, the quintic times_variable places
-    gradients = [[(b[i] + 1) * secant[q] for b, q in zip(_QUARTICS5, tab)]
-                 for i, tab in enumerate(times_variable(5, 4))]
-    rank, solutions = solve_linear(list(zip(*products)), gradients)
+    products = [form_product(pf[i], pf[j], 5, 2, 2)
+                for i, j in combinations_with_replacement(range(5), 2)]
+    rank, solutions = solve_linear(list(zip(*products)), gradient(secant, 5, 5))
     if rank != 15:
         raise DegenerateModelError("the quartics p_i p_j are linearly dependent")
     for xi, sol in zip(DEG5_RING, solutions):
@@ -382,7 +358,7 @@ def deg5_covariants(model: Deg5Model) -> Deg5Covariants:
     dual = _dense_determinant([list(zip(*(h[i] for h in hess))) for i in range(5)])
 
     # entry (i, j) is lam dq_i/dv_j + sum_k dphi_jk/dx_i v_k
-    aux_hess = [_symmetric(sol, 5) for sol in solutions]
+    aux_hess = [gradient(sol, 5, 2) for sol in solutions]
     pencil_quintic = determinant(
         [[Poly.from_vector(PENCIL_RING, _PENCIL_UNITS, aux_hess[i][j] + dphi[i][j])
           for j in range(5)] for i in range(5)])

@@ -34,7 +34,7 @@ from math import comb, gcd, prod
 from operator import mul, sub
 from typing import Sequence
 
-from .poly import Poly, Scalar, _divided, as_scalar, integral, monomials, times_variable
+from .poly import Poly, Scalar, _divided, as_scalar, integral, monomials, product_places
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +59,8 @@ def _dense_determinant(rows) -> list:
     over the monomials of degree k.  The minors of the last k rows on every
     k-column set give those of the last k + 1 by expansion along the new
     row: a coefficient a of x_v times the b-th coefficient of a minor adds
-    to place ``tab[v][b]`` of the wider one (``times_variable``), the exact
-    place of the product.
+    to place ``tab[v][b]`` of the wider one (``product_places(m, 1, k)``),
+    the exact place of the product.
     """
     n, nvars = len(rows), len(rows[0][0])
     flat, scale = integral([c for row in rows for entry in row for c in entry])
@@ -68,7 +68,7 @@ def _dense_determinant(rows) -> list:
     rows = [[[(v, c) for v, c in zip(range(nvars), coeffs) if c] for _ in row] for row in rows]
     minors: dict[int, list] = {0: [1]}  # no rows: the constant 1
     for k in range(n):
-        tab = times_variable(nvars, k)
+        tab = product_places(nvars, 1, k)
         size = comb(nvars + k, k + 1)
         wider: dict[int, list] = {}
         for mask, minor in minors.items():
@@ -479,10 +479,6 @@ def mat_mul(a, b):
         raise ValueError("matrix shapes do not match")
     columns = list(zip(*b))
     return tuple(tuple(as_scalar(sum(map(mul, row, col))) for col in columns) for row in a)
-
-
-def identity_matrix(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def adjugate(rows: Sequence[Sequence]) -> list[list]:

@@ -47,13 +47,12 @@ module-level functions dispatch on the model or through ``MODEL_CLASSES``.
 from __future__ import annotations
 
 import json
-from itertools import combinations_with_replacement
 from operator import mul
 from typing import Sequence, get_args
 
 from .errors import DegenerateModelError, InputError
 from .linalg import kernel_basis, pivot_columns, scalar_rank
-from .poly import (Poly, _divided, as_scalar, format_scalar, integral, monomials,
+from .poly import (Poly, _divided, as_scalar, format_scalar, gradient, integral, monomials,
                    substituted_coefficients)
 
 DEG1_RING = ("x", "y", "z")
@@ -110,15 +109,6 @@ def _exact(values) -> tuple:
 
 def _view(ring, degree: int, vector) -> Poly:
     return Poly.from_vector(ring, monomials(ring, degree), vector)
-
-
-def _symmetric(vec, n: int):
-    """The Hessian M of the quadric (1/2) x^T M x of coefficients ``vec``:
-    row i holds the coefficients of its derivative by x_i."""
-    out = [[0] * n for _ in range(n)]
-    for (i, j), c in zip(combinations_with_replacement(range(n), 2), vec):
-        out[i][j] = out[j][i] = 2 * c if i == j else c
-    return out
 
 
 class Record:
@@ -437,7 +427,7 @@ def _frame(model: Deg5Model, what: str):
     for (i, j), vec in zip(DEG5_PAIRS, model.vectors):
         for t, c in enumerate(vec):
             dphi[t][i][j], dphi[t][j][i] = c, -c
-    return pf, [_symmetric(vec, 5) for vec in pf], dphi
+    return pf, [gradient(vec, 5, 2) for vec in pf], dphi
 
 
 def equations(model: GenusOneModel) -> list[Poly]:

@@ -367,15 +367,43 @@ def _monomial_basis(nvars: int, degree: int) -> tuple:
 
 
 @cache
-def times_variable(nvars: int, degree: int) -> tuple:
-    """The index table of multiplication by a variable: ``tab[v][b]`` is
-    the position in ``monomials(ring, degree + 1)`` of x_v times the b-th
-    monomial of ``monomials(ring, degree)``, for a ring of nvars
-    variables.  Built on first use and cached."""
-    index = {e: i for i, e in enumerate(_monomial_basis(nvars, degree + 1))}
-    return tuple(tuple(index[e[:v] + (e[v] + 1,) + e[v + 1:]]
-                       for e in _monomial_basis(nvars, degree))
-                 for v in range(nvars))
+def product_places(nvars: int, d1: int, d2: int) -> tuple:
+    """The index table of multiplication of monomials: ``tab[a][b]`` is the
+    position in ``monomials(ring, d1 + d2)`` of the a-th monomial of
+    ``monomials(ring, d1)`` times the b-th of ``monomials(ring, d2)``, for a
+    ring of nvars variables; with d1 = 1, ``tab[v]`` places x_v times each.
+    Built on first use and cached."""
+    index = {e: i for i, e in enumerate(_monomial_basis(nvars, d1 + d2))}
+    return tuple(tuple(index[tuple(map(add, a, b))] for b in _monomial_basis(nvars, d2))
+                 for a in _monomial_basis(nvars, d1))
+
+
+def form_product(f, g, nvars: int, d1: int, d2: int) -> list:
+    """The coefficients of the product of forms of degrees d1 and d2 in
+    nvars variables, each given over ``monomials`` of its degree, over
+    ``monomials(ring, d1 + d2)``."""
+    out = [0] * len(_monomial_basis(nvars, d1 + d2))
+    for places, a in zip(product_places(nvars, d1, d2), f):
+        if a:
+            for i, b in zip(places, g):
+                out[i] += a * b
+    return out
+
+
+@cache
+def _partial_places(nvars: int, degree: int) -> tuple:
+    # row v: for each monomial b of degree - 1, the place of x_v b and b_v + 1
+    lower = _monomial_basis(nvars, degree - 1)
+    return tuple(tuple(zip(places, [b[v] + 1 for b in lower]))
+                 for v, places in enumerate(product_places(nvars, 1, degree - 1)))
+
+
+def gradient(f, nvars: int, degree: int) -> list[list]:
+    """The partials df/dx_v, v = 0..nvars-1, of a form of degree >= 1 in nvars
+    variables given over ``monomials(ring, degree)``, each over ``monomials(ring,
+    degree - 1)``: the coefficient at b is (b_v + 1) f[x_v b].  For a quadric the
+    rows are its Hessian matrix."""
+    return [[k * f[q] for q, k in row] for row in _partial_places(nvars, degree)]
 
 
 def symmetric_power(B, degree: int) -> list:
@@ -387,12 +415,12 @@ def symmetric_power(B, degree: int) -> list:
     x_i'; so a form with coefficient vector f becomes the form with
     coefficient vector Sym^d(B) f.  The columns of degree k + 1 are
     built from those of degree k, each as l_j times the column that
-    x_j multiplies into it, through the ``times_variable`` table.
+    x_j multiplies into it, at the places ``product_places(n, 1, k)`` gives.
     """
     n = len(B)
     columns = [[1]]
     for k in range(degree):
-        tab = times_variable(n, k)
+        tab = product_places(n, 1, k)
         wider: list = [None] * len(_monomial_basis(n, k + 1))
         for j in range(n):
             form = [(tab[i], B[i][j]) for i in range(n) if B[i][j]]
@@ -418,17 +446,6 @@ def substituted_coefficients(vectors, B, degree: int) -> list[list]:
     flat, scale = integral([c for row in B for c in row])
     sym = symmetric_power([flat[i:i + n] for i in range(0, n * n, n)], degree)
     return [_divided([sum(map(mul, row, vec)) for row in sym], scale ** degree) for vec in vectors]
-
-
-def binary_product(f, g) -> list:
-    """The coefficients of the product of two binary forms, each given over
-    ``monomials`` of its degree (the powers of the first variable falling):
-    the convolution of the two vectors."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
 
 
 def leading_term(p: Poly) -> tuple:

@@ -40,7 +40,7 @@ from .linalg import mat_mul, scalar_det
 from .models import (DEG5_PAIRS, Deg1Model, Deg2Model, Deg3Model, Deg4Model,
                      Deg5Model, GenusOneModel, Record, _exact, check_keys, class_for_degree,
                      json_list, json_scalars, require_degree)
-from .poly import Scalar, as_scalar, binary_product, substituted_coefficients
+from .poly import Scalar, as_scalar, form_product, substituted_coefficients
 
 
 def _upow(base: Scalar, k: int) -> Scalar:
@@ -116,7 +116,7 @@ class Deg2Transform(Record):
         mu, rho = self.mu, self.r
         (p_b,), (q_b,) = (substituted_coefficients([vec], self.B, d)
                           for vec, d in zip(m.vectors, (2, 4)))
-        shifted = binary_product([a + b for a, b in zip(p_b, rho)], rho)
+        shifted = form_product([a + b for a, b in zip(p_b, rho)], rho, 2, 2, 2)
         return Deg2Model._of([mu * (a + 2 * b) for a, b in zip(p_b, rho)],
                              [mu * mu * (a - b) for a, b in zip(q_b, shifted)])
 

@@ -177,6 +177,10 @@ def substitute(poly, images) -> Poly:
     return result
 
 
+def identity_matrix(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def linear_substitution(ring, B) -> dict:
     """Images of the substitution x_j = sum_i B_ij x_i', for ``substitute``."""
     gens = generators(ring)

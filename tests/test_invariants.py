@@ -22,10 +22,10 @@ from genus1 import (DISC_MATRIX_SIGN, Deg1Model, Deg1Transform, Deg2Model,
                     invariants_deg2, invariants_deg3, invariants_deg4,
                     invariants_deg5, j_invariant, jacobian, matrix_discriminant,
                     tate_quantities, weierstrass_model)
-from genus1.invariants import V_RING, _hessian_forms, _symmetric
+from genus1.invariants import V_RING, _hessian_forms
 from genus1.linalg import perm_sign
 from genus1.models import DEG3_RING, DEG4_RING, DEG5_RING
-from genus1.poly import monomials
+from genus1.poly import gradient, monomials
 
 from helpers import (BIG, MATRIX_ENTRIES, WUTHRICH_C4, WUTHRICH_C6,
                      deg5_models, deg5_reference, invertible_matrices, random_matrix,
@@ -255,14 +255,14 @@ class TestDegree4:
         checked = 0
         while checked < 3:
             m = random_model(rng, 4)
-            mat_a, mat_b = (_symmetric(vec, 4) for vec in m.coefficients())
+            mat_a, mat_b = (gradient(vec, 4, 2) for vec in m.coefficients())
             a = scalar_det(mat_a)
             e = scalar_det(mat_b)
             if a == 0 or e == 0:
                 continue
             # the auxiliary quadrics as a model, to read their coefficients
             auxiliary = Deg4Model(*deg4_auxiliary_quadrics(m))
-            t1, t2 = (_symmetric(vec, 4) for vec in auxiliary.coefficients())
+            t1, t2 = (gradient(vec, 4, 2) for vec in auxiliary.coefficients())
             adj_a = adjugate(mat_a)
             adj_b = adjugate(mat_b)
             for s, t in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3)]:
@@ -304,7 +304,7 @@ class TestDegree4Matrix:
         for m in models:
             delta = invariants_deg4(m).delta
             assert discriminant_deg4_matrix(m) == DISC_MATRIX_SIGN[4] * 16 * delta
-            mat_a, mat_b = (_symmetric(vec, 4) for vec in m.coefficients())
+            mat_a, mat_b = (gradient(vec, 4, 2) for vec in m.coefficients())
             singular_a += scalar_det(mat_a) == 0
             singular_b += scalar_det(mat_b) == 0
         assert singular_a and singular_b

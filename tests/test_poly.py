@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus1 import Poly, as_scalar, exact_divide, generators, monomials
-from genus1.poly import symmetric_power
+from genus1.poly import form_product, gradient, product_places, symmetric_power
 
 from helpers import BIG, SCALARS, linear_substitution, substitute
 
@@ -216,3 +216,53 @@ def test_symmetric_power_is_substitution(case):
     vec = [form.coefficient(e) for e in basis]
     moved = Poly(form.variables, {e: sum(map(mul, row, vec)) for e, row in zip(basis, sym)})
     assert moved == substitute(form, linear_substitution(form.variables, B))
+
+
+# ----------------------------------------------------------------------
+# form arithmetic on coefficient vectors, against Poly arithmetic
+# ----------------------------------------------------------------------
+
+def test_product_places_is_exponent_addition():
+    for n in range(1, 6):
+        ring = tuple(f"x{i}" for i in range(n))
+        for d1 in range(4):
+            for d2 in range(4):
+                wider = monomials(ring, d1 + d2)
+                tab = product_places(n, d1, d2)
+                assert [[wider[i] for i in row] for row in tab] == [
+                    [tuple(map(sum, zip(a, b))) for b in monomials(ring, d2)]
+                    for a in monomials(ring, d1)]
+
+
+@st.composite
+def form_vectors(draw, ring, degree):
+    """A coefficient vector over ``monomials(ring, degree)``: ints, 20-digit
+    ints and Fractions, or all zero."""
+    size = len(monomials(ring, degree))
+    return draw(st.one_of(st.just([0] * size), st.lists(SCALARS, min_size=size, max_size=size)))
+
+
+def as_poly(ring, degree, vec) -> Poly:
+    return Poly(ring, dict(zip(monomials(ring, degree), vec)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.integers(1, 5), st.integers(0, 3), st.integers(0, 3))
+def test_form_product_is_poly_product(data, n, d1, d2):
+    ring = tuple(f"x{i}" for i in range(n))
+    f, g = data.draw(form_vectors(ring, d1)), data.draw(form_vectors(ring, d2))
+    product = form_product(f, g, n, d1, d2)
+    assert len(product) == len(monomials(ring, d1 + d2))
+    assert as_poly(ring, d1 + d2, product) == as_poly(ring, d1, f) * as_poly(ring, d2, g)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), st.integers(1, 5), st.integers(0, 3))
+def test_gradient_rows_are_derivatives(data, n, lower):
+    # a form of degree lower + 1, so its partials have degree 0..3
+    ring = tuple(f"x{i}" for i in range(n))
+    f = data.draw(form_vectors(ring, lower + 1))
+    rows = gradient(f, n, lower + 1)
+    assert len(rows) == n and all(len(row) == len(monomials(ring, lower)) for row in rows)
+    form = as_poly(ring, lower + 1, f)
+    assert [as_poly(ring, lower, row) for row in rows] == [form.derivative(v) for v in ring]

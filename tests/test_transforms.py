@@ -13,13 +13,12 @@ from genus1 import (Deg1Model, Deg1Transform, Deg2Model, Deg2Transform,
                     det_character, gamma, identity_transform,
                     transformation_from_dict, transformation_to_dict,
                     weierstrass_model)
-from genus1.linalg import identity_matrix
 from genus1.models import DEG5_RING
 
-from helpers import (MATRIX_ENTRIES, SCALARS, deg5_models, invertible_matrices,
-                     linear_substitution, random_model, random_transformation,
-                     substitute, substitute_apply, substitute_compose2,
-                     wuthrich_model)
+from helpers import (MATRIX_ENTRIES, SCALARS, deg5_models, identity_matrix,
+                     invertible_matrices, linear_substitution, random_model,
+                     random_transformation, substitute, substitute_apply,
+                     substitute_compose2, wuthrich_model)
 
 
 def full_matrix_apply(g, m):
